@@ -3,8 +3,7 @@
 Every subcommand prints exact rationals as strings (valuations are in units
 of pi); decimal columns are annotations.  Exit status follows one contract:
 0 when every checked identity or inequality holds, 2 when a check fails or
-input data fails validation, 1 on usage errors.  The environment variable
-QH_HOFER_THREADS caps the worker count of the sweep subcommands.
+input data fails validation, 1 on usage errors.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .hofer_lengths import SampledPath, fixed_extremum_check, lengths_blowup_loop
@@ -57,14 +55,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def worker_count(env=os.environ) -> int:
-    raw = env.get("QH_HOFER_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(text: str, out_path) -> None:
@@ -190,42 +180,10 @@ def cmd_psi(args) -> int:
     return EXIT_OK
 
 
-def _bounds_rows(k_max: int, a2: Fraction) -> list:
-    workers = worker_count()
-    if workers <= 1 or k_max < 4 * workers:
-        return two_sided_bounds(k_max, a2)
-    model = model_blowup_cp2(a2)
-    q = q_element(model)
-    from .quantum_homology import exact_inverse
-
-    qi = exact_inverse(model, q)
-    edges = [1 + (i * k_max) // workers for i in range(workers)] + [k_max + 1]
-    spans = [
-        (edges[i], edges[i + 1] - 1)
-        for i in range(workers)
-        if edges[i + 1] > edges[i]
-    ]
-
-    def chunk(span):
-        lo, hi = span
-        xp = power(model, q, lo - 1)
-        xn = power(model, qi, lo - 1)
-        rows = []
-        for k in range(lo, hi + 1):
-            xp = quantum_product(model, xp, q)
-            xn = quantum_product(model, xn, qi)
-            rows.append((k, valuation(xp, model.omega) + valuation(xn, model.omega)))
-        return rows
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(chunk, spans))
-    return sorted(row for part in parts for row in part)
-
-
 def cmd_bounds(args) -> int:
     a2 = args.a2
     of = omega_f(a2)
-    rows = _bounds_rows(args.kmax, a2)
+    rows = two_sided_bounds(args.kmax, a2)
     failures = [k for k, b in rows if k >= 2 and b < of]
     if args.format == "csv":
         lines = ["k,bound,bound_dec,omegaF,omegaF_dec,holds"]

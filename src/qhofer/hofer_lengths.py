@@ -184,6 +184,8 @@ class SampledPath:
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
             raise ValueError("need a 2d grid with at least two samples per axis")
+        if not np.isfinite(arr).all():
+            raise ValueError("samples must be finite")
         self.values = arr
         self.time_step = (
             1.0 / (arr.shape[0] - 1) if time_step is None else float(time_step)
@@ -196,8 +198,8 @@ class SampledPath:
             w = np.asarray(weights, dtype=float)
             if w.shape != (arr.shape[1],):
                 raise ValueError("weights must list one value per sample point")
-            if (w < 0).any() or w.sum() <= 0:
-                raise ValueError("weights must be nonnegative with positive sum")
+            if not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
+                raise ValueError("weights must be finite, nonnegative, with positive sum")
         self.weights = w
         self.label = str(label)
 

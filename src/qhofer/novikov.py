@@ -38,6 +38,29 @@ def _frac(q: RationalLike) -> Fraction:
     raise TypeError(f"expected a rational, got {type(q).__name__}")
 
 
+def _accumulate(items, base=()) -> dict:
+    """Copy of ``base`` plus (key, value) pairs summed per key, zero sums dropped.
+
+    Only keys of ``items`` are hashed, so adding to a long ``base`` stays cheap.
+    """
+    acc = dict(base)
+    for key, q in items:
+        total = acc.get(key, 0) + q
+        if total:
+            acc[key] = total
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+def _integer(v) -> int:
+    """v as an int; a non-integral value raises instead of being truncated."""
+    q = Fraction(v)
+    if q.denominator != 1:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return q.numerator
+
+
 @dataclass(frozen=True)
 class SphereClass:
     """Exact rational coordinate vector in a fixed basis of sphere classes."""
@@ -84,34 +107,35 @@ class SphereClass:
         return f"SphereClass(({inner}))"
 
 
+def _sphere_class(B) -> SphereClass:
+    return B if isinstance(B, SphereClass) else SphereClass(tuple(B))
+
+
 @dataclass(frozen=True)
-class OmegaFunctional:
+class _LinearFunctional:
+    """Linear functional on sphere classes, given by its generator values."""
+
+    values: tuple
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(map(self._coerce, self.values)))
+
+    def __call__(self, B: SphereClass) -> Fraction:
+        if len(B.coords) != len(self.values):
+            raise ValueError("class rank does not match the functional")
+        return sum((v * c for v, c in zip(self.values, B.coords)), Fraction(0))
+
+
+class OmegaFunctional(_LinearFunctional):
     """Area functional on sphere classes; values are rationals in units of pi."""
 
-    values: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(_frac(v) for v in self.values))
-
-    def __call__(self, B: SphereClass) -> Fraction:
-        if len(B.coords) != len(self.values):
-            raise ValueError("class rank does not match the functional")
-        return sum((v * c for v, c in zip(self.values, B.coords)), Fraction(0))
+    _coerce = staticmethod(_frac)
 
 
-@dataclass(frozen=True)
-class ChernFunctional:
+class ChernFunctional(_LinearFunctional):
     """First Chern number, extended linearly over rational exponents."""
 
-    values: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-
-    def __call__(self, B: SphereClass) -> Fraction:
-        if len(B.coords) != len(self.values):
-            raise ValueError("class rank does not match the functional")
-        return sum((v * c for v, c in zip(self.values, B.coords)), Fraction(0))
+    _coerce = staticmethod(_integer)
 
 
 TermsLike = Union[
@@ -131,19 +155,7 @@ class NovikovElement:
 
     def __init__(self, terms: TermsLike = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict = {}
-        for B, q in items:
-            if not isinstance(B, SphereClass):
-                B = SphereClass(tuple(B))
-            q = _frac(q)
-            if q == 0:
-                continue
-            total = acc.get(B, Fraction(0)) + q
-            if total == 0:
-                acc.pop(B, None)
-            else:
-                acc[B] = total
-        self._terms = acc
+        self._terms = _accumulate((_sphere_class(B), _frac(q)) for B, q in items)
 
     @classmethod
     def exp(cls, B: SphereClass, coefficient: RationalLike = 1) -> "NovikovElement":
@@ -181,15 +193,8 @@ class NovikovElement:
     def __add__(self, other: "NovikovElement") -> "NovikovElement":
         if not isinstance(other, NovikovElement):
             return NotImplemented
-        merged = dict(self._terms)
-        for B, q in other._terms.items():
-            total = merged.get(B, Fraction(0)) + q
-            if total == 0:
-                merged.pop(B, None)
-            else:
-                merged[B] = total
         out = NovikovElement()
-        out._terms = merged
+        out._terms = _accumulate(other._terms.items(), self._terms)
         return out
 
     def __neg__(self) -> "NovikovElement":
@@ -224,23 +229,12 @@ class NovikovElement:
         return f"NovikovElement({n} term{'s' if n != 1 else ''})"
 
 
-def nov_add(x: NovikovElement, y: NovikovElement) -> NovikovElement:
-    return x + y
-
-
 def nov_mul(x: NovikovElement, y: NovikovElement) -> NovikovElement:
     """Convolution product; exponents add, coefficients multiply."""
-    acc: dict = {}
-    for B, q in x._terms.items():
-        for C, r in y._terms.items():
-            key = B + C
-            total = acc.get(key, Fraction(0)) + q * r
-            if total == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = total
     out = NovikovElement()
-    out._terms = acc
+    out._terms = _accumulate(
+        (B + C, q * r) for B, q in x._terms.items() for C, r in y._terms.items()
+    )
     return out
 
 

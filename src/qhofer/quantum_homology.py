@@ -28,19 +28,24 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from operator import add, mul
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .novikov import (
+    NEG_INF,
     ChernFunctional,
     NovikovElement,
     OmegaFunctional,
     ParseError,
     RationalLike,
     SphereClass,
+    _accumulate,
     _frac,
+    _integer,
     _parse_exp_factor,
     _parse_rational,
     _signed_chunks,
+    _sphere_class,
     _split_factors,
     format_exponent,
     nov_mul,
@@ -68,21 +73,9 @@ class QHElement:
 
     def __init__(self, terms=()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict = {}
-        for key, q in items:
-            i, B = key
-            if not isinstance(B, SphereClass):
-                B = SphereClass(tuple(B))
-            q = _frac(q)
-            if q == 0:
-                continue
-            key = (int(i), B)
-            total = acc.get(key, Fraction(0)) + q
-            if total == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = total
-        self._terms = acc
+        self._terms = _accumulate(
+            ((int(i), _sphere_class(B)), _frac(q)) for (i, B), q in items
+        )
 
     @property
     def terms(self) -> dict:
@@ -112,14 +105,7 @@ class QHElement:
     def __add__(self, other: "QHElement") -> "QHElement":
         if not isinstance(other, QHElement):
             return NotImplemented
-        merged = dict(self._terms)
-        for key, q in other._terms.items():
-            total = merged.get(key, Fraction(0)) + q
-            if total == 0:
-                merged.pop(key, None)
-            else:
-                merged[key] = total
-        return _raw(merged)
+        return _raw(_accumulate(other._terms.items(), self._terms))
 
     def __neg__(self) -> "QHElement":
         return _raw({key: -q for key, q in self._terms.items()})
@@ -157,16 +143,13 @@ def _raw(terms: dict) -> QHElement:
 
 def nov_scale(x: QHElement, lam: NovikovElement) -> QHElement:
     """Scale a module element by a ring element, exponents adding termwise."""
-    acc: dict = {}
-    for (i, B), q in x._terms.items():
-        for C, r in lam.terms.items():
-            key = (i, B + C)
-            total = acc.get(key, Fraction(0)) + q * r
-            if total == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = total
-    return _raw(acc)
+    return _raw(
+        _accumulate(
+            ((i, B + C), q * r)
+            for (i, B), q in x._terms.items()
+            for C, r in lam.terms.items()
+        )
+    )
 
 
 def _invert_rational_matrix(rows: Sequence[Sequence[Fraction]]) -> list:
@@ -211,14 +194,17 @@ class ManifoldModel:
         validate: bool = True,
     ) -> None:
         self.name = str(name)
-        self.dim = int(dim)
+        try:
+            self.dim = _integer(dim)
+            self.basis = tuple((str(n), _integer(d)) for n, d in basis)
+            self.c1 = ChernFunctional(tuple(c1))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelError(f"dim, degrees and c1 must be integers: {exc}") from exc
         self.sphere_generators = tuple(str(g) for g in sphere_generators)
-        self.basis = tuple((str(n), int(d)) for n, d in basis)
         self.basis_names = tuple(n for n, _ in self.basis)
         self.degrees = tuple(d for _, d in self.basis)
         self.pairing = tuple(tuple(_frac(v) for v in row) for row in pairing)
         self.omega = OmegaFunctional(tuple(omega))
-        self.c1 = ChernFunctional(tuple(c1))
         self.rank = len(self.sphere_generators)
         self._index = {n: i for i, n in enumerate(self.basis_names)}
         if len(self._index) != len(self.basis):
@@ -238,10 +224,8 @@ class ManifoldModel:
             idx = tuple(sorted(self._as_index(c) for c in classes))
             if len(idx) != 3:
                 raise ModelError("each table entry takes exactly three classes")
-            if not isinstance(B, SphereClass):
-                B = SphereClass(tuple(B))
             value = _frac(value)
-            key = (idx, B)
+            key = (idx, _sphere_class(B))
             if key in table and table[key] != value:
                 raise ModelError(f"conflicting table values for {key}")
             table[key] = value
@@ -249,22 +233,24 @@ class ManifoldModel:
 
     def _finish(self) -> None:
         n = len(self.basis)
-        zero = SphereClass.zero(self.rank)
         inv = _invert_rational_matrix(self.pairing)
         self._dual = [
             [(l, inv[k][l]) for l in range(n) if inv[k][l] != 0] for k in range(n)
         ]
-        self._zero_class = zero
-        self._pairs_all: dict = {}
-        self._pairs_classical: dict = {}
-        for ((i, j, k), B), value in self.gw.items():
-            for a, b, c in {(i, j, k), (i, k, j), (j, k, i)}:
-                key = (min(a, b), max(a, b))
-                self._pairs_all.setdefault(key, []).append((c, B, value))
-                if B == zero:
-                    self._pairs_classical.setdefault(key, []).append((c, B, value))
+        self._zero_class = SphereClass.zero(self.rank)
+        self._lattices: dict = {}
         fund = [i for i, d in enumerate(self.degrees) if d == self.dim]
         self._fund = fund[0]
+
+    def _lattice(self, *elements: "QHElement") -> "_Lattice":
+        """Tables compiled for the exponents of the table and of ``elements``."""
+        D = math.lcm(
+            *(c.denominator for (_, B) in self.gw for c in B.coords),
+            *(c.denominator for x in elements for (_, B) in x._terms for c in B.coords),
+        )
+        if D not in self._lattices:
+            self._lattices[D] = _Lattice(self, D)
+        return self._lattices[D]
 
     def _as_index(self, c) -> int:
         if isinstance(c, str):
@@ -396,33 +382,119 @@ def validate_model(model: ManifoldModel) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _contract(model: ManifoldModel, x: QHElement, y: QHElement, pairs: dict) -> QHElement:
+def _lattice_number(q):
+    return q.numerator if q.denominator == 1 else q
+
+
+class _Lattice:
+    """A model's contraction tables compiled for one exponent denominator D.
+
+    Every exponent that meets a product lies in (1/D) Z^rank, D the lcm of the
+    coordinate denominators of the table and of the operands.  A term
+    a_i (x) e^B becomes the int key (i, D*B_1, ..., D*B_rank), so an output
+    term is one tuple sum, and its area omega(B)*D*W, W the lcm of the omega
+    denominators, is an int dot product.  Coefficients stay ints while they
+    are integral.  ``quantum`` and ``classical`` map j to i to the terms
+    (l, -D*B, w) of a_i * a_j = sum w a_l e^{-B}: the table contracted with
+    the dual pairing, summed over the middle index.  The classical table
+    keeps only the B = 0 stratum.
+    """
+
+    def __init__(self, model: ManifoldModel, D: int) -> None:
+        W = math.lcm(*(v.denominator for v in model.omega.values))
+        self.D = D
+        self.rank = model.rank
+        self.scale = D * W
+        self.weights = (0,) + tuple(int(v * W) for v in model.omega.values)
+        self.unit = {(model._fund,) + (0,) * model.rank: 1}
+        self.quantum = self._table(model, classical=False)
+        self.classical = self._table(model, classical=True)
+
+    def _table(self, model: ManifoldModel, classical: bool) -> dict:
+        sums: dict = {}
+        for ((i, j, k), B), value in model.gw.items():
+            if classical and not B.is_zero():
+                continue
+            shift = self._exponent(-B)
+            for a, b, c in {(i, j, k), (i, k, j), (j, k, i)}:
+                for l, g in model._dual[c]:
+                    for pair in {(a, b), (b, a)}:
+                        key = (pair, l, shift)
+                        sums[key] = sums.get(key, 0) + value * g
+        table: dict = {}
+        for ((i, j), l, shift), w in sums.items():
+            if w:
+                entry = (l, shift, _lattice_number(w))
+                table.setdefault(j, {}).setdefault(i, []).append(entry)
+        return table
+
+    def _exponent(self, B: SphereClass) -> tuple:
+        if len(B.coords) != self.rank:
+            raise ValueError(f"rank mismatch: {len(B.coords)} vs {self.rank}")
+        return tuple(c.numerator * (self.D // c.denominator) for c in B.coords)
+
+    def encode(self, x: QHElement) -> dict:
+        return {
+            (i, *self._exponent(B)): _lattice_number(q)
+            for (i, B), q in x._terms.items()
+        }
+
+    def decode(self, terms: dict) -> QHElement:
+        return _raw(
+            {
+                (i, SphereClass(tuple(Fraction(e, self.D) for e in B))): Fraction(q)
+                for (i, *B), q in terms.items()
+            }
+        )
+
+    def valuation(self, terms: dict):
+        if not terms:
+            return NEG_INF
+        w = self.weights
+        return Fraction(max(sum(map(mul, w, key)) for key in terms), self.scale)
+
+    def walk(self, x: QHElement, k_max: int) -> Iterator[dict]:
+        """Lattice terms of x^k for k = 1 .. k_max."""
+        step = self.encode(x)
+        acc = self.unit
+        for _ in range(int(k_max)):
+            acc = _contract(self.quantum, acc, step)
+            yield acc
+
+
+def _contract(table: dict, x: dict, y: dict) -> dict:
+    """Product of two lattice elements through one compiled table."""
+    if len(x) < len(y):
+        x, y = y, x
     acc: dict = {}
-    for (i, B1), c in x._terms.items():
-        for (j, B2), d in y._terms.items():
-            cd = c * d
-            base = B1 + B2
-            for k, B, value in pairs.get((min(i, j), max(i, j)), ()):
-                shifted = base - B
-                w = cd * value
-                for l, g in model._dual[k]:
-                    key = (l, shifted)
-                    total = acc.get(key, Fraction(0)) + w * g
-                    if total == 0:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = total
-    return _raw(acc)
+    get = acc.get
+    for (j, *e), d in y.items():
+        # Added to an x key (i, e1), a shift gives the output key (l, e1 + e + b).
+        shifts = {
+            i: [((l - i, *map(add, e, b)), d * w) for l, b, w in entries]
+            for i, entries in table.get(j, {}).items()
+        }
+        for key, c in x.items():
+            for shift, dw in shifts.get(key[0], ()):
+                out = tuple(map(add, key, shift))
+                acc[out] = get(out, 0) + c * dw
+    return {key: c for key, c in acc.items() if c}
 
 
 def quantum_product(model: ManifoldModel, x: QHElement, y: QHElement) -> QHElement:
     """Quantum product of two module elements."""
-    return _contract(model, x, y, model._pairs_all)
+    lattice = model._lattice(x, y)
+    return lattice.decode(
+        _contract(lattice.quantum, lattice.encode(x), lattice.encode(y))
+    )
 
 
 def classical_product(model: ManifoldModel, x: QHElement, y: QHElement) -> QHElement:
     """Cap product: the zero-exponent stratum of the same contraction."""
-    return _contract(model, x, y, model._pairs_classical)
+    lattice = model._lattice(x, y)
+    return lattice.decode(
+        _contract(lattice.classical, lattice.encode(x), lattice.encode(y))
+    )
 
 
 def power(model: ManifoldModel, x: QHElement, k: int) -> QHElement:
@@ -431,18 +503,24 @@ def power(model: ManifoldModel, x: QHElement, k: int) -> QHElement:
     if k < 0:
         x = exact_inverse(model, x)
         k = -k
-    out = model.unit()
-    for _ in range(k):
-        out = quantum_product(model, out, x)
-    return out
+    lattice = model._lattice(x)
+    acc = lattice.unit
+    for acc in lattice.walk(x, k):
+        pass
+    return lattice.decode(acc)
 
 
 def power_walk(model: ManifoldModel, x: QHElement, k_max: int) -> Iterator[tuple]:
     """Yield (k, x^k) for k = 1 .. k_max, sharing work across steps."""
-    acc = model.unit()
-    for k in range(1, int(k_max) + 1):
-        acc = quantum_product(model, acc, x)
-        yield k, acc
+    lattice = model._lattice(x)
+    for k, acc in enumerate(lattice.walk(x, k_max), 1):
+        yield k, lattice.decode(acc)
+
+
+def valuation_walk(model: ManifoldModel, x: QHElement, k_max: int) -> list:
+    """[v(x^1), ..., v(x^k_max)], exact, from one walk that stays on the lattice."""
+    lattice = model._lattice(x)
+    return [lattice.valuation(acc) for acc in lattice.walk(x, k_max)]
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +531,11 @@ def power_walk(model: ManifoldModel, x: QHElement, k_max: int) -> Iterator[tuple
 def _mult_matrix(model: ManifoldModel, x: QHElement) -> list:
     """Matrix of y -> x * y on the basis, entries in the exponent group ring."""
     n = len(model.basis)
-    cols = [quantum_product(model, x, model.basis_element(j)) for j in range(n)]
-    matrix = [[NovikovElement() for _ in range(n)] for _ in range(n)]
-    for j, col in enumerate(cols):
-        for (k, B), q in col._terms.items():
-            matrix[k][j] = matrix[k][j] + NovikovElement.exp(B, q)
-    return matrix
+    cols = [quantum_product(model, x, model.basis_element(j))._terms for j in range(n)]
+    return [
+        [NovikovElement({B: q for (i, B), q in col.items() if i == k}) for col in cols]
+        for k in range(n)
+    ]
 
 
 def _nov_det(matrix: list) -> NovikovElement:
@@ -468,18 +545,18 @@ def _nov_det(matrix: list) -> NovikovElement:
     # Expand along the row with the most zeros.
     row = max(range(n), key=lambda i: sum(e.is_zero() for e in matrix[i]))
     det = NovikovElement()
-    for col in range(n):
-        entry = matrix[row][col]
-        if entry.is_zero():
-            continue
-        minor = [
-            [matrix[i][j] for j in range(n) if j != col]
-            for i in range(n)
-            if i != row
-        ]
-        piece = nov_mul(entry, _nov_det(minor))
-        det = det + piece if (row + col) % 2 == 0 else det - piece
+    for col, entry in enumerate(matrix[row]):
+        if not entry.is_zero():
+            det = det + nov_mul(entry, _cofactor(matrix, row, col))
     return det
+
+
+def _cofactor(matrix: list, row: int, col: int) -> NovikovElement:
+    """(-1)^(row + col) times the determinant of matrix without row and col."""
+    n = len(matrix)
+    minor = [[matrix[i][j] for j in range(n) if j != col] for i in range(n) if i != row]
+    det = _nov_det(minor)
+    return -det if (row + col) % 2 else det
 
 
 def _leading_monomial(x: NovikovElement, omega: OmegaFunctional):
@@ -522,24 +599,10 @@ def invert(
     # Adjugate column dual to the fundamental class: cofactors along row u.
     n = len(model.basis)
     u = model._fund
-    cof: dict = {}
-    for k in range(n):
-        minor = [
-            [matrix[i][j] for j in range(n) if j != k]
-            for i in range(n)
-            if i != u
-        ]
-        entry = _nov_det(minor) if n > 1 else unit_ring
-        if (u + k) % 2:
-            entry = -entry
-        for B, q in entry.terms.items():
-            key = (k, B)
-            total = cof.get(key, Fraction(0)) + q
-            if total == 0:
-                cof.pop(key, None)
-            else:
-                cof[key] = total
-    adj_col = _raw(cof)
+    cofactors = [_cofactor(matrix, u, k) if n > 1 else unit_ring for k in range(n)]
+    adj_col = _raw(
+        {(k, B): q for k, entry in enumerate(cofactors) for B, q in entry.terms.items()}
+    )
 
     lead_inverse = NovikovElement.exp(-B0, Fraction(1) / c0)
     if g.is_zero():

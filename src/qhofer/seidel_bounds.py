@@ -31,7 +31,8 @@ from .quantum_homology import (
     exact_inverse,
     model_blowup_cp2,
     power,
-    power_walk,
+    power_walk,  # noqa: F401  (perfbench's tracing test looks it up here)
+    valuation_walk,
 )
 
 
@@ -56,8 +57,12 @@ def q_element(model: ManifoldModel) -> QHElement:
     return model.basis_element("F", SphereClass((Fraction(1, 2), Fraction(1, 4))))
 
 
-def _q_inverse(model: ManifoldModel) -> QHElement:
-    return exact_inverse(model, q_element(model))
+def _q_valuations(k_max: int, a_squared: RationalLike) -> tuple:
+    """([v(Q^k)], [v(Q^-k)]) for k = 1..k_max, one walk each way."""
+    model = model_blowup_cp2(a_squared)
+    q = q_element(model)
+    qi = exact_inverse(model, q)
+    return valuation_walk(model, q, k_max), valuation_walk(model, qi, k_max)
 
 
 def omega_f(a_squared: RationalLike) -> Fraction:
@@ -104,14 +109,9 @@ def two_sided_bound(k: int, a_squared: RationalLike) -> Fraction:
     The delta exponents cancel in the sum, so this stays defined at the
     monotone value 3a^2 = 1.
     """
-    k = int(k)
-    if k < 1:
+    if int(k) < 1:
         raise ValueError("k must be at least 1")
-    model = model_blowup_cp2(a_squared)
-    q = q_element(model)
-    vk = valuation(power(model, q, k), model.omega)
-    vnk = valuation(power(model, q, -k), model.omega)
-    return vk + vnk
+    return two_sided_bounds(k, a_squared)[-1][1]
 
 
 def two_sided_bounds(k_max: int, a_squared: RationalLike) -> list:
@@ -119,12 +119,8 @@ def two_sided_bounds(k_max: int, a_squared: RationalLike) -> list:
     k_max = int(k_max)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    model = model_blowup_cp2(a_squared)
-    q = q_element(model)
-    qi = _q_inverse(model)
-    pos = {k: valuation(x, model.omega) for k, x in power_walk(model, q, k_max)}
-    neg = {k: valuation(x, model.omega) for k, x in power_walk(model, qi, k_max)}
-    return [(k, pos[k] + neg[k]) for k in range(1, k_max + 1)]
+    pos, neg = _q_valuations(k_max, a_squared)
+    return [(k, p + n) for k, (p, n) in enumerate(zip(pos, neg), 1)]
 
 
 @dataclass(frozen=True)
@@ -208,11 +204,7 @@ def growth_table(k_max: int, a_squared: RationalLike) -> GrowthTable:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     a2 = _frac(a_squared)
-    model = model_blowup_cp2(a2)
-    q = q_element(model)
-    qi = _q_inverse(model)
-    pos = {k: valuation(x, model.omega) for k, x in power_walk(model, q, k_max)}
-    neg = {k: valuation(x, model.omega) for k, x in power_walk(model, qi, k_max)}
+    pos, neg = (dict(enumerate(v, 1)) for v in _q_valuations(k_max, a2))
 
     monotone = 3 * a2 == 1
     delta = None if monotone else delta_constant(a2)
@@ -284,12 +276,3 @@ def r_tilde_certificate(a_squared: RationalLike, k_max: int) -> RTildeCertificat
     min_bound = min(b for _, b in rows)
     attained_at = min(k for k, b in rows if b == min_bound)
     return RTildeCertificate(a2, k_max, min_bound, attained_at, omega_f(a2))
-
-
-def r_tilde_estimate(a_squared: RationalLike, k_max: int) -> Fraction:
-    """Minimum of the two-sided bound over k = 1..k_max, in units of pi.
-
-    Together with the measured length of the double-rotation loop this pins
-    the seminorm generator value omega(F) from both sides.
-    """
-    return r_tilde_certificate(a_squared, k_max).min_bound

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qhofer import model_blowup_cp2
-from qhofer.cli import main, worker_count
+from qhofer.cli import main
 
 
 def run(capsys, *argv):
@@ -147,17 +147,6 @@ class TestBoundsAndGrowth:
         assert rows[0][:2] == ["k", "bound"]
         assert len(rows) == 9
 
-    def test_bounds_threaded_matches_serial(self, capsys, monkeypatch):
-        code, serial, _ = run(
-            capsys, "bounds", "--a2", "2/5", "--kmax", "40", "--format", "csv"
-        )
-        monkeypatch.setenv("QH_HOFER_THREADS", "4")
-        code2, threaded, _ = run(
-            capsys, "bounds", "--a2", "2/5", "--kmax", "40", "--format", "csv"
-        )
-        assert code == code2 == 0
-        assert serial == threaded
-
     def test_growth_csv_columns(self, capsys):
         code, out, _ = run(
             capsys, "growth", "--kmax", "6", "--a2", "1/5", "--format", "csv"
@@ -234,6 +223,24 @@ class TestLengthsAndGeocheck:
         assert code == 1
         assert "non-numeric" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0,1,0\n0,nan,0\n0,1,0\n",
+            "0,inf,0\n0,1,0\n0,1,0\n",
+            "0,1,0\n-inf,1,0\n0,1,0\n",
+            "weights,1,inf,1\n0,1,0\n0,1,0\n",
+        ],
+        ids=["nan", "inf", "neg-inf", "inf-weight"],
+    )
+    def test_geocheck_non_finite_is_usage(self, capsys, tmp_path, text):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(text)
+        code, out, err = run(capsys, "geocheck", str(grid))
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
 
 class TestModelFiles:
     def test_export_then_validate(self, capsys, tmp_path):
@@ -258,6 +265,24 @@ class TestModelFiles:
         code, _, err = run(capsys, "model-validate", str(target))
         assert code == 2
         assert "invalid model" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("c1", [1.2, 2]), ("dim", 4.9), ("degree", 2.5)],
+    )
+    def test_validate_rejects_non_integral(self, capsys, tmp_path, field, value):
+        target = tmp_path / "blowup.json"
+        run(capsys, "model-export", "--model", "blowup", "--a2", "1/4",
+            "--out", str(target))
+        data = json.loads(target.read_text())
+        if field == "degree":
+            data["basis"][1]["degree"] = value
+        else:
+            data[field] = value
+        target.write_text(json.dumps(data))
+        code, _, err = run(capsys, "model-validate", str(target))
+        assert code == 2
+        assert "must be integers" in err
 
     def test_validate_missing_file_is_usage(self, capsys, tmp_path):
         code, _, _ = run(capsys, "model-validate", str(tmp_path / "gone.json"))
@@ -287,13 +312,3 @@ class TestUsage:
     def test_bad_rational_flag(self, capsys):
         code, _, _ = run(capsys, "rtilde", "--a2", "zebra")
         assert code == 1
-
-    def test_worker_count_parsing(self, monkeypatch):
-        monkeypatch.delenv("QH_HOFER_THREADS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("QH_HOFER_THREADS", "6")
-        assert worker_count() == 6
-        monkeypatch.setenv("QH_HOFER_THREADS", "0")
-        assert worker_count() == 1
-        monkeypatch.setenv("QH_HOFER_THREADS", "soup")
-        assert worker_count() == 1

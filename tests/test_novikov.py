@@ -14,7 +14,6 @@ from qhofer import (
     SphereClass,
     format_exponent,
     format_novikov,
-    nov_add,
     nov_mul,
     parse_exponent,
     parse_novikov,
@@ -91,7 +90,7 @@ class TestNovikovElement:
     def test_addition_cancels(self):
         x = NovikovElement.exp(S(1, 0))
         assert (x - x).is_zero()
-        assert nov_add(x, -x).is_zero()
+        assert (x + -x).is_zero()
 
     def test_scalar_multiplication(self):
         x = NovikovElement.exp(S(1, 0), 3)

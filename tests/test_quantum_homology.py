@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qhofer import (
+    NEG_INF,
     ModelError,
     NotInvertibleError,
     NovikovElement,
@@ -31,9 +32,17 @@ from qhofer import (
     save_model,
     valuation,
     validate_model,
+    valuation_walk,
 )
 from qhofer.quantum_homology import ManifoldModel
-from helpers import NINE_A2, Q_TEXT, random_qh
+from helpers import (
+    NINE_A2,
+    Q_TEXT,
+    oracle_contract,
+    oracle_walk,
+    random_fraction,
+    random_qh,
+)
 
 A2 = Fraction(1, 4)
 
@@ -421,6 +430,118 @@ class TestModelValidation:
     def test_malformed_data_rejected(self):
         with pytest.raises(ModelError, match="malformed"):
             model_from_dict({"name": "x"})
+
+
+def model_half_integral():
+    """A JSON model whose table value, table exponent and dual are fractional."""
+    data = {
+        "name": "half",
+        "dim": 2,
+        "sphere_generators": ["A"],
+        "basis": [{"name": "pt", "degree": 0}, {"name": "1", "degree": 2}],
+        "pairing": [["0", "2"], ["2", "0"]],
+        "omega": ["2/3"],
+        "c1": [4],
+        "gw": [
+            {"classes": ["pt", "1", "1"], "B": ["0"], "value": "2"},
+            {"classes": ["pt", "pt", "pt"], "B": ["1/2"], "value": "3/2"},
+        ],
+    }
+    return model_from_dict(json.loads(json.dumps(data)))
+
+
+def random_mixed_qh(rng: random.Random, model, max_terms: int = 4) -> QHElement:
+    """Rational coefficients, exponents with unrelated denominators."""
+    terms = [
+        (
+            (
+                rng.randrange(len(model.basis)),
+                SphereClass(
+                    tuple(
+                        Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7)))
+                        for _ in range(model.rank)
+                    )
+                ),
+            ),
+            random_fraction(rng),
+        )
+        for _ in range(rng.randint(1, max_terms))
+    ]
+    return QHElement(terms)
+
+
+class TestLatticeKernel:
+    """The lattice kernel against the Fraction/SphereClass reference contraction."""
+
+    MODELS = {
+        "blowup-1/10": lambda: model_blowup_cp2(Fraction(1, 10)),
+        "blowup-2/7": lambda: model_blowup_cp2(Fraction(2, 7)),
+        "cp1": lambda: model_cpn(1),
+        "cp2": lambda: model_cpn(2, Fraction(3, 4)),
+        "cp3": lambda: model_cpn(3),
+        "half-integral": model_half_integral,
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_products_match_oracle(self, name):
+        model = self.MODELS[name]()
+        rng = random.Random(sorted(self.MODELS).index(name))
+        for _ in range(60):
+            x, y = random_mixed_qh(rng, model), random_mixed_qh(rng, model)
+            assert quantum_product(model, x, y) == oracle_contract(model, x, y)
+            assert classical_product(model, x, y) == oracle_contract(
+                model, x, y, classical=True
+            )
+
+    def test_results_keep_public_types(self):
+        model = model_half_integral()
+        pt = model.basis_element("pt")
+        prod = quantum_product(model, pt, pt)
+        assert prod == model.element("3/4 * 1 * e^{-1/2*A}")
+        for (i, B), q in prod.terms.items():
+            assert isinstance(B, SphereClass) and type(q) is Fraction
+            assert all(type(c) is Fraction for c in B.coords)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_powers_match_oracle(self, name):
+        model = self.MODELS[name]()
+        x = random_mixed_qh(random.Random(11), model, max_terms=2)
+        walked = list(power_walk(model, x, 5))
+        for (k, got), want in zip(walked, oracle_walk(model, x, 5)):
+            assert got == want
+            assert power(model, x, k) == want
+        assert [k for k, _ in walked] == [1, 2, 3, 4, 5]
+        assert valuation_walk(model, x, 5) == [
+            valuation(y, model.omega) for _, y in walked
+        ]
+
+    @pytest.mark.parametrize("a2", NINE_A2, ids=str)
+    def test_valuation_walk_matches_oracle(self, a2):
+        model = model_blowup_cp2(a2)
+        q = model.element(Q_TEXT)
+        qi = exact_inverse(model, q)
+        assert oracle_contract(model, q, qi) == model.unit()
+        for x in (q, qi):
+            want = [valuation(y, model.omega) for y in oracle_walk(model, x, 60)]
+            assert valuation_walk(model, x, 60) == want
+
+    def test_valuation_walk_edge_cases(self):
+        surface = ManifoldModel(
+            name="surface",
+            dim=2,
+            sphere_generators=("A",),
+            basis=(("pt", 0), ("1", 2)),
+            pairing=((0, 1), (1, 0)),
+            omega=(1,),
+            c1=(1,),
+            gw=[(("pt", "1", "1"), (0,), 1)],
+        )
+        assert valuation_walk(surface, surface.basis_element("pt"), 2) == [0, NEG_INF]
+        # pt * pt = 3/4 e^{-A/2}, so the walk steps by omega(-A/2) = -1/3.
+        c = model_half_integral()
+        assert valuation_walk(c, c.basis_element("pt"), 3) == [
+            0, Fraction(-1, 3), Fraction(-1, 3)
+        ]
 
 
 def list_golden_gw():

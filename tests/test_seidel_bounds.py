@@ -20,7 +20,6 @@ from qhofer import (
     q_element,
     quantum_product,
     r_tilde_certificate,
-    r_tilde_estimate,
     SphereClass,
     two_sided_bound,
     two_sided_bounds,
@@ -233,8 +232,8 @@ class TestCertificate:
         assert cert.min_bound == Fraction(1, 2)
         assert cert.attained_at == 2
         assert cert.matches_omega_f
-        assert r_tilde_estimate(Fraction(1, 4), 50) == Fraction(3, 4)
-        assert r_tilde_estimate(Fraction(3, 4), 50) == Fraction(1, 4)
+        assert r_tilde_certificate(Fraction(1, 4), 50).min_bound == Fraction(3, 4)
+        assert r_tilde_certificate(Fraction(3, 4), 50).min_bound == Fraction(1, 4)
 
     def test_minimum_over_nine_areas(self):
         for a2 in NINE_A2:
