@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -138,24 +138,101 @@ class ChernFunctional(_LinearFunctional):
     _coerce = staticmethod(_integer)
 
 
-TermsLike = Union[
-    Mapping[SphereClass, RationalLike],
-    Iterable[tuple],
-]
+TermsLike = Union[Mapping, Iterable[tuple]]
 
 
-class NovikovElement:
-    """Finite rational combination of exponentials e^B, held in canonical form.
+class _SparseElement:
+    """Finite sum of keyed exponentials with rational coefficients, canonical form.
 
-    The internal map never stores a zero coefficient, so equality of elements
-    is equality of dictionaries.
+    The shared core of ring and module elements.  The internal map never
+    stores a zero coefficient, so equality of elements is equality of
+    dictionaries.  A subclass says how a key is normalised (``_key``), where
+    the exponent class sits in a key (``_exponent``), and what the product of
+    two of its elements is (``_product``).
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: TermsLike = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        self._terms = _accumulate((_sphere_class(B), _frac(q)) for B, q in items)
+        key = self._key
+        self._terms = _accumulate((key(k), _frac(q)) for k, q in items)
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """Wrap a canonical map (no zero coefficients) without copying it."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
+
+    @property
+    def terms(self) -> dict:
+        """Copy of the coefficient map."""
+        return dict(self._terms)
+
+    def support_classes(self) -> Iterator[SphereClass]:
+        return map(self._exponent, self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._of(_accumulate(other._terms.items(), self._terms))
+
+    def __neg__(self):
+        return self._of({key: -q for key, q in self._terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other)
+        try:
+            q = _frac(other)
+        except TypeError:
+            return NotImplemented
+        return self._of({key: q * c for key, c in self._terms.items()} if q else {})
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        if self.is_zero():
+            return f"{name}(0)"
+        n = len(self._terms)
+        return f"{name}({n} term{'s' if n != 1 else ''})"
+
+
+class NovikovElement(_SparseElement):
+    """Finite rational combination of exponentials e^B, keyed by the class B."""
+
+    __slots__ = ()
+
+    _key = staticmethod(_sphere_class)
+
+    @staticmethod
+    def _exponent(B: SphereClass) -> SphereClass:
+        return B
+
+    def _product(self, other: "NovikovElement") -> "NovikovElement":
+        return nov_mul(self, other)
 
     @classmethod
     def exp(cls, B: SphereClass, coefficient: RationalLike = 1) -> "NovikovElement":
@@ -165,77 +242,17 @@ class NovikovElement:
     def one(cls, rank: int) -> "NovikovElement":
         return cls.exp(SphereClass.zero(rank))
 
-    @property
-    def terms(self) -> dict:
-        """Copy of the coefficient map keyed by exponent class."""
-        return dict(self._terms)
-
-    def support_classes(self) -> Iterator[SphereClass]:
-        return iter(self._terms)
-
     def coefficient(self, B: SphereClass) -> Fraction:
         return self._terms.get(B, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NovikovElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "NovikovElement") -> "NovikovElement":
-        if not isinstance(other, NovikovElement):
-            return NotImplemented
-        out = NovikovElement()
-        out._terms = _accumulate(other._terms.items(), self._terms)
-        return out
-
-    def __neg__(self) -> "NovikovElement":
-        out = NovikovElement()
-        out._terms = {B: -q for B, q in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "NovikovElement") -> "NovikovElement":
-        if not isinstance(other, NovikovElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "NovikovElement":
-        if isinstance(other, NovikovElement):
-            return nov_mul(self, other)
-        try:
-            q = _frac(other)
-        except TypeError:
-            return NotImplemented
-        out = NovikovElement()
-        if q != 0:
-            out._terms = {B: q * c for B, c in self._terms.items()}
-        return out
-
-    def __rmul__(self, other) -> "NovikovElement":
-        return self.__mul__(other)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "NovikovElement(0)"
-        n = len(self._terms)
-        return f"NovikovElement({n} term{'s' if n != 1 else ''})"
 
 
 def nov_mul(x: NovikovElement, y: NovikovElement) -> NovikovElement:
     """Convolution product; exponents add, coefficients multiply."""
-    out = NovikovElement()
-    out._terms = _accumulate(
-        (B + C, q * r) for B, q in x._terms.items() for C, r in y._terms.items()
+    return NovikovElement._of(
+        _accumulate(
+            (B + C, q * r) for B, q in x._terms.items() for C, r in y._terms.items()
+        )
     )
-    return out
 
 
 def valuation(x, omega: OmegaFunctional):
@@ -249,19 +266,19 @@ def valuation(x, omega: OmegaFunctional):
     return max(omega(B) for B in x.support_classes())
 
 
-def truncate_below(x: NovikovElement, omega: OmegaFunctional, floor) -> NovikovElement:
-    """Drop every term whose area is strictly below ``floor``."""
-    out = NovikovElement()
-    out._terms = {B: q for B, q in x._terms.items() if omega(B) >= floor}
-    return out
+def truncate_below(x, omega: OmegaFunctional, floor):
+    """Drop every term whose area is strictly below ``floor``; ring or module."""
+    exponent = x._exponent
+    return x._of({key: q for key, q in x._terms.items() if omega(exponent(key)) >= floor})
 
 
 # ---------------------------------------------------------------------------
 # Text form.
 #
 # An exponent prints as "c1*G1 + c2*G2" against a fixed generator list, with
-# zero coordinates omitted and the zero class printing as "0".  An element
-# prints as "q * e^{...}" terms joined by " + ", the zero element as "0".
+# zero coordinates omitted and the zero class printing as "0".  A ring element
+# prints as "q * e^{...}" terms joined by " + ", the zero element as "0"; a
+# module element as "q * name * e^{...}" terms, through the same grammar.
 # Parsing accepts coordinates in any order and tolerates surrounding space.
 # ---------------------------------------------------------------------------
 
@@ -361,43 +378,76 @@ def parse_exponent(text: str, generators: Sequence[str]) -> SphereClass:
     return SphereClass(tuple(coords))
 
 
-def format_novikov(x: NovikovElement, generators: Sequence[str]) -> str:
+def _format_terms(x: _SparseElement, generators: Sequence[str], names=None) -> str:
+    """Text of a ring element, or of a module element when ``names`` is given.
+
+    A ring term prints as "q * e^{B}"; a module term as "q * name * e^{B}",
+    with the exponential left out when B = 0.  Terms are sorted by basis
+    index, then by exponent coordinates.
+    """
     if x.is_zero():
         return "0"
-    items = sorted(x._terms.items(), key=lambda kv: kv[0].coords)
-    return " + ".join(
-        f"{q} * e^{{{format_exponent(B, generators)}}}" for B, q in items
-    )
+    rows = []
+    for key, q in x._terms.items():
+        i, B = (0, key) if names is None else key
+        factors = [str(q)] if names is None else [str(q), names[i]]
+        if names is None or not B.is_zero():
+            factors.append(f"e^{{{format_exponent(B, generators)}}}")
+        rows.append(((i, B.coords), " * ".join(factors)))
+    return " + ".join(text for _, text in sorted(rows))
 
 
-def _parse_exp_factor(factor: str, generators: Sequence[str]):
-    """Return the SphereClass for an 'e^{...}' factor, or None otherwise."""
-    if not factor.startswith("e^{"):
-        return None
-    if not factor.endswith("}"):
+def format_novikov(x: NovikovElement, generators: Sequence[str]) -> str:
+    return _format_terms(x, generators)
+
+
+def _parse_exp_factor(factor: str, generators: Sequence[str]) -> SphereClass:
+    """The class B of an 'e^{B}' factor."""
+    if not (factor.startswith("e^{") and factor.endswith("}")):
         raise ParseError(f"malformed exponential {factor!r}")
     return parse_exponent(factor[3:-1], generators)
 
 
-def parse_novikov(text: str, generators: Sequence[str]) -> NovikovElement:
+def _parse_terms(text: str, generators: Sequence[str], names=None) -> list:
+    """(key, coefficient) pairs read from element text; "0" reads as none.
+
+    Ring terms (``names`` None) are "[q *] e^{B}", keyed by B.  Module terms
+    are "[q *] name [* e^{B}]", keyed by (index of name in ``names``, B), with
+    B = 0 when the exponential is left out.  Factors may come in any order,
+    except that a module term's coefficient precedes its basis name.
+    """
     text = text.strip()
     if text == "0":
-        return NovikovElement()
+        return []
+    index = None if names is None else {n: i for i, n in enumerate(names)}
+    zero = SphereClass.zero(len(generators))
     terms = []
     for sign, chunk, offset in _signed_chunks(text):
         factors = _split_factors(chunk)
         exponents = [f for f in factors if f.startswith("e^")]
         plain = [f for f in factors if not f.startswith("e^")]
-        if len(exponents) != 1:
-            raise ParseError(
-                f"term at offset {offset} needs exactly one exponential factor: {chunk!r}"
-            )
-        B = _parse_exp_factor(exponents[0], generators)
-        if len(plain) == 0:
-            coeff = Fraction(1)
-        elif len(plain) == 1:
-            coeff = _parse_rational(plain[0], f"term at offset {offset}")
-        else:
+        if len(exponents) > 1 or (index is None and not exponents):
+            need = "exactly one" if index is None else "at most one"
+            raise ParseError(f"term at offset {offset} needs {need} exponential factor: {chunk!r}")
+        B = _parse_exp_factor(exponents[0], generators) if exponents else zero
+        key = B
+        if index is not None:
+            # The last plain factor names the basis class; "1" is the unit.
+            if not plain:
+                raise ParseError(f"term at offset {offset} needs a basis class: {chunk!r}")
+            name = plain.pop()
+            if name not in index:
+                raise ParseError(
+                    f"unknown basis class {name!r} at offset {offset}; "
+                    f"expected one of {list(names)}"
+                )
+            key = (index[name], B)
+        if len(plain) > 1:
             raise ParseError(f"too many coefficients in term {chunk!r}")
-        terms.append((B, sign * coeff))
-    return NovikovElement(terms)
+        coeff = _parse_rational(plain[0], f"term at offset {offset}") if plain else Fraction(1)
+        terms.append((key, sign * coeff))
+    return terms
+
+
+def parse_novikov(text: str, generators: Sequence[str]) -> NovikovElement:
+    return NovikovElement(_parse_terms(text, generators))

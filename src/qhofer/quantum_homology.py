@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .novikov import (
@@ -36,18 +36,15 @@ from .novikov import (
     ChernFunctional,
     NovikovElement,
     OmegaFunctional,
-    ParseError,
     RationalLike,
     SphereClass,
+    _SparseElement,
     _accumulate,
+    _format_terms,
     _frac,
     _integer,
-    _parse_exp_factor,
-    _parse_rational,
-    _signed_chunks,
+    _parse_terms,
     _sphere_class,
-    _split_factors,
-    format_exponent,
     nov_mul,
     truncate_below,
     valuation,
@@ -62,92 +59,38 @@ class ModelError(ValueError):
     """Raised when a manifold model fails its consistency checks."""
 
 
-class QHElement:
+class QHElement(_SparseElement):
     """Finite sum of basis classes tensored with exponentials, canonical form.
 
-    Keys of the internal map are (basis index, exponent class); zero
-    coefficients are never stored.
+    Keys of the internal map are (basis index, exponent class).  Products
+    need a model, so ``x * y`` raises; use ``quantum_product(model, x, y)``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=()) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        self._terms = _accumulate(
-            ((int(i), _sphere_class(B)), _frac(q)) for (i, B), q in items
+    @staticmethod
+    def _key(key) -> tuple:
+        i, B = key
+        return _integer(i), _sphere_class(B)
+
+    _exponent = staticmethod(itemgetter(1))
+
+    def _product(self, other: "QHElement"):
+        raise TypeError(
+            "element products need a model; use quantum_product(model, x, y)"
         )
-
-    @property
-    def terms(self) -> dict:
-        """Copy of the coefficient map keyed by (basis index, exponent)."""
-        return dict(self._terms)
-
-    def support_classes(self) -> Iterator[SphereClass]:
-        return (B for (_, B) in self._terms)
 
     def coefficient(self, i: int, B: SphereClass) -> Fraction:
         return self._terms.get((i, B), Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QHElement):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "QHElement") -> "QHElement":
-        if not isinstance(other, QHElement):
-            return NotImplemented
-        return _raw(_accumulate(other._terms.items(), self._terms))
-
-    def __neg__(self) -> "QHElement":
-        return _raw({key: -q for key, q in self._terms.items()})
-
-    def __sub__(self, other: "QHElement") -> "QHElement":
-        if not isinstance(other, QHElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "QHElement":
-        if isinstance(other, QHElement):
-            raise TypeError(
-                "element products need a model; use quantum_product(model, x, y)"
-            )
-        q = _frac(other)
-        if q == 0:
-            return QHElement()
-        return _raw({key: q * c for key, c in self._terms.items()})
-
-    def __rmul__(self, other) -> "QHElement":
-        return self.__mul__(other)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "QHElement(0)"
-        n = len(self._terms)
-        return f"QHElement({n} term{'s' if n != 1 else ''})"
-
-
-def _raw(terms: dict) -> QHElement:
-    out = QHElement()
-    out._terms = terms
-    return out
-
 
 def nov_scale(x: QHElement, lam: NovikovElement) -> QHElement:
     """Scale a module element by a ring element, exponents adding termwise."""
-    return _raw(
+    return QHElement._of(
         _accumulate(
             ((i, B + C), q * r)
             for (i, B), q in x._terms.items()
-            for C, r in lam.terms.items()
+            for C, r in lam._terms.items()
         )
     )
 
@@ -240,6 +183,8 @@ class ManifoldModel:
         self._zero_class = SphereClass.zero(self.rank)
         self._lattices: dict = {}
         fund = [i for i, d in enumerate(self.degrees) if d == self.dim]
+        if not fund:
+            raise ModelError("no basis class sits in top degree")
         self._fund = fund[0]
 
     def _lattice(self, *elements: "QHElement") -> "_Lattice":
@@ -269,7 +214,7 @@ class ManifoldModel:
 
     def basis_element(self, c, B: Optional[SphereClass] = None) -> QHElement:
         i = self._as_index(c)
-        return _raw({(i, B if B is not None else self._zero_class): Fraction(1)})
+        return QHElement._of({(i, B if B is not None else self._zero_class): Fraction(1)})
 
     def unit(self) -> QHElement:
         """The fundamental class, the identity for both products."""
@@ -440,7 +385,7 @@ class _Lattice:
         }
 
     def decode(self, terms: dict) -> QHElement:
-        return _raw(
+        return QHElement._of(
             {
                 (i, SphereClass(tuple(Fraction(e, self.D) for e in B))): Fraction(q)
                 for (i, *B), q in terms.items()
@@ -533,7 +478,7 @@ def _mult_matrix(model: ManifoldModel, x: QHElement) -> list:
     n = len(model.basis)
     cols = [quantum_product(model, x, model.basis_element(j))._terms for j in range(n)]
     return [
-        [NovikovElement({B: q for (i, B), q in col.items() if i == k}) for col in cols]
+        [NovikovElement._of({B: q for (i, B), q in col.items() if i == k}) for col in cols]
         for k in range(n)
     ]
 
@@ -600,8 +545,8 @@ def invert(
     n = len(model.basis)
     u = model._fund
     cofactors = [_cofactor(matrix, u, k) if n > 1 else unit_ring for k in range(n)]
-    adj_col = _raw(
-        {(k, B): q for k, entry in enumerate(cofactors) for B, q in entry.terms.items()}
+    adj_col = QHElement._of(
+        {(k, B): q for k, entry in enumerate(cofactors) for B, q in entry._terms.items()}
     )
 
     lead_inverse = NovikovElement.exp(-B0, Fraction(1) / c0)
@@ -622,9 +567,7 @@ def invert(
         if steps > 100_000:
             raise NotInvertibleError("series failed to reach the floor")
     z = nov_scale(adj_col, nov_mul(series, lead_inverse))
-    return _raw(
-        {(i, B): q for (i, B), q in z._terms.items() if model.omega(B) >= floor}
-    )
+    return truncate_below(z, model.omega, floor)
 
 
 def exact_inverse(model: ManifoldModel, x: QHElement) -> QHElement:
@@ -741,56 +684,19 @@ def model_cpn(n: int, line_area: RationalLike = 1) -> ManifoldModel:
 
 
 # ---------------------------------------------------------------------------
-# Text form for module elements: "q * name * e^{...}" terms joined by " + ".
-# The coefficient is omitted when it is 1 and the exponential when B = 0, so
-# the unit prints as "1" (the fundamental class name) and parses back.
+# Text form for module elements: "q * name * e^{...}" terms joined by " + ",
+# read and written by the term grammar of ``novikov``.  The exponential is
+# left out when B = 0, so the unit prints as "1 * 1" (the fundamental class
+# is named "1"); parsing also lets a coefficient of 1 be left out.
 # ---------------------------------------------------------------------------
 
 
 def format_qh(x: QHElement, model: ManifoldModel) -> str:
-    if x.is_zero():
-        return "0"
-    items = sorted(x._terms.items(), key=lambda kv: (kv[0][0], kv[0][1].coords))
-    parts = []
-    for (i, B), q in items:
-        factors = [str(q), model.basis_names[i]]
-        if not B.is_zero():
-            factors.append(f"e^{{{format_exponent(B, model.sphere_generators)}}}")
-        parts.append(" * ".join(factors))
-    return " + ".join(parts)
+    return _format_terms(x, model.sphere_generators, model.basis_names)
 
 
 def parse_qh(text: str, model: ManifoldModel) -> QHElement:
-    text = text.strip()
-    if text == "0":
-        return QHElement()
-    terms = []
-    for sign, chunk, offset in _signed_chunks(text):
-        factors = _split_factors(chunk)
-        exponents = [f for f in factors if f.startswith("e^")]
-        plain = [f for f in factors if not f.startswith("e^")]
-        if len(exponents) > 1:
-            raise ParseError(f"several exponentials in term at offset {offset}")
-        B = (
-            _parse_exp_factor(exponents[0], model.sphere_generators)
-            if exponents
-            else model.zero_class()
-        )
-        if len(plain) == 1:
-            # A bare token is a basis name; "1" names the fundamental class.
-            coeff, name = Fraction(1), plain[0]
-        elif len(plain) == 2:
-            coeff = _parse_rational(plain[0], f"term at offset {offset}")
-            name = plain[1]
-        else:
-            raise ParseError(f"term at offset {offset} needs a basis class: {chunk!r}")
-        if name not in model._index:
-            raise ParseError(
-                f"unknown basis class {name!r} at offset {offset}; "
-                f"expected one of {list(model.basis_names)}"
-            )
-        terms.append(((model.basis_index(name), B), sign * coeff))
-    return QHElement(terms)
+    return QHElement(_parse_terms(text, model.sphere_generators, model.basis_names))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,12 @@
 
 import json
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qhofer import (
-    ExtremumReport,
     RadialHamiltonian,
     SampledPath,
     fixed_extremum_check,

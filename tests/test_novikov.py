@@ -11,16 +11,18 @@ from qhofer import (
     NovikovElement,
     OmegaFunctional,
     ParseError,
+    QHElement,
     SphereClass,
     format_exponent,
     format_novikov,
+    model_blowup_cp2,
     nov_mul,
     parse_exponent,
     parse_novikov,
     truncate_below,
     valuation,
 )
-from helpers import random_novikov, random_sphere_class
+from helpers import random_novikov
 
 GENS = ("E", "F")
 
@@ -206,8 +208,36 @@ class TestTextFormat:
             "2 * 3 * e^{0}",   # two coefficients
             "e^{0} * e^{0}",   # two exponentials
             "+",               # dangling sign
+            "e^2",             # exponential without braces
+            "3 * e^{0} + e^F", # the same in a later term
         ],
     )
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             parse_novikov(bad, GENS)
+
+
+class TestSharedCore:
+    """Ring and module elements run on one sparse core but never mix."""
+
+    def test_ring_and_module_elements_differ(self):
+        m = model_blowup_cp2("1/4")
+        one, unit = NovikovElement.one(2), m.unit()
+        assert one != unit and not (one == unit) and not (unit == one)
+        with pytest.raises(TypeError):
+            one + unit
+        with pytest.raises(TypeError):
+            unit * one
+
+    def test_same_arithmetic_on_both(self):
+        m = model_blowup_cp2("1/4")
+        for x in (NovikovElement([(S(1, 0), 2), (S(0, 1), -1)]), m.element("2 * p - E")):
+            assert (x - x).is_zero() and len(x) == 2
+            assert 3 * x == x * 3 == x + x + x
+            assert -x == (-1) * x and (0 * x).is_zero()
+            assert x.terms == (x + type(x)()).terms and x.terms is not x.terms
+
+    def test_repr_names_the_type(self):
+        assert repr(NovikovElement()) == "NovikovElement(0)"
+        assert repr(NovikovElement.one(1)) == "NovikovElement(1 term)"
+        assert repr(QHElement([((0, (0,)), 1), ((1, (0,)), 1)])) == "QHElement(2 terms)"

@@ -11,7 +11,6 @@ from qhofer import (
     NEG_INF,
     ModelError,
     NotInvertibleError,
-    NovikovElement,
     ParseError,
     QHElement,
     SphereClass,
@@ -24,12 +23,12 @@ from qhofer import (
     model_cpn,
     model_from_dict,
     model_to_dict,
-    nov_scale,
     power,
     power_walk,
     quantum_product,
     rationality_index,
     save_model,
+    truncate_below,
     valuation,
     validate_model,
     valuation_walk,
@@ -431,6 +430,22 @@ class TestModelValidation:
         with pytest.raises(ModelError, match="malformed"):
             model_from_dict({"name": "x"})
 
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_missing_top_degree_class(self, m, validate):
+        basis = (("p", 0), ("E", 2), ("F", 2), ("1", 2))
+        with pytest.raises(ModelError, match="top degree"):
+            ManifoldModel(
+                name="no_fundamental_class",
+                dim=4,
+                sphere_generators=("E", "F"),
+                basis=basis,
+                pairing=m.pairing,
+                omega=(A2, 1 - A2),
+                c1=(1, 2),
+                gw=[],
+                validate=validate,
+            )
+
 
 def model_half_integral():
     """A JSON model whose table value, table exponent and dual are fractional."""
@@ -603,8 +618,26 @@ class TestElementText:
             "2 * 3 * p",              # two coefficients
             "p * e^{0} * e^{0}",      # two exponentials
             "",                       # empty
+            "p * e^2",                # exponential without braces
         ],
     )
     def test_parse_errors(self, bad, m):
         with pytest.raises(ParseError):
             m.element(bad)
+
+
+class TestModuleElement:
+    def test_non_integral_basis_index_rejected(self):
+        for index in (1.7, Fraction(3, 2), "1/2"):
+            with pytest.raises(ValueError, match="integer"):
+                QHElement([((index, SphereClass((0, 0))), 1)])
+
+    def test_integral_index_values_accepted(self, m):
+        x = QHElement([((2.0, (0, 0)), 1), ((Fraction(2), (0, 0)), 1)])
+        assert x == 2 * m.basis_element("F")
+        assert x.coefficient(2, m.zero_class()) == 2
+
+    def test_truncate_below_keeps_basis_indices(self, m):
+        x = m.element("2 * p + E * e^{-1*E} + F * e^{1*F}")
+        assert truncate_below(x, m.omega, 0) == m.element("2 * p + F * e^{1*F}")
+        assert truncate_below(x, m.omega, 1).is_zero()
