@@ -57,19 +57,24 @@ from .seidel_bounds import (
     two_sided_bound,
     two_sided_bounds,
 )
-from .hofer_lengths import (
-    ExtremumReport,
-    LoopLengths,
-    PathLengths,
-    RadialHamiltonian,
-    SampledPath,
-    fixed_extremum_check,
-    lengths_blowup_loop,
-    mean_radius_sq,
-    mean_radius_sq_exact,
-    path_lengths,
-    radial_loop_path,
-    radial_mean,
-)
 
 __version__ = "0.1.0"
+
+# numpy loads with the float side, on first use of one of these names.
+_FLOAT_API = (
+    "ExtremumReport", "LoopLengths", "PathLengths", "RadialHamiltonian", "SampledPath",
+    "fixed_extremum_check", "lengths_blowup_loop", "mean_radius_sq", "mean_radius_sq_exact",
+    "path_lengths", "radial_loop_path", "radial_mean",
+)
+
+
+def __getattr__(name):
+    if name not in _FLOAT_API:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import hofer_lengths
+
+    return getattr(hofer_lengths, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_FLOAT_API})

@@ -15,8 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .hofer_lengths import SampledPath, fixed_extremum_check, lengths_blowup_loop
-from .novikov import NovikovElement, ParseError, SphereClass, valuation
+from .novikov import NovikovElement, ParseError, SphereClass, rational, valuation
 from .quantum_homology import (
     ManifoldModel,
     ModelError,
@@ -315,6 +314,8 @@ def cmd_rtilde(args) -> int:
 
 
 def cmd_lengths(args) -> int:
+    from .hofer_lengths import lengths_blowup_loop
+
     lengths = lengths_blowup_loop(args.k, args.a2)
     total_over_pi = lengths.total / math.pi
     if args.k == 2:
@@ -351,6 +352,8 @@ def cmd_lengths(args) -> int:
 
 
 def cmd_geocheck(args) -> int:
+    from .hofer_lengths import SampledPath, fixed_extremum_check
+
     try:
         path = SampledPath.from_csv(args.path)
     except OSError as exc:
@@ -414,7 +417,7 @@ def _add_model_flags(sub) -> None:
         help="builtin name (blowup, cpn) or a model JSON file path",
     )
     sub.add_argument("--n", type=int, help="complex dimension for the cpn model")
-    sub.add_argument("--a2", type=Fraction, help="exceptional area a^2 (rational)")
+    sub.add_argument("--a2", type=rational, help="exceptional area a^2 (rational)")
 
 
 def _add_common(sub, formats=("text", "json"), default="text") -> None:
@@ -443,38 +446,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("invert", help="inverse, truncated at a valuation floor")
     _add_model_flags(sub)
     _add_common(sub)
-    sub.add_argument("--floor", type=Fraction, default=Fraction(-8))
+    sub.add_argument("--floor", type=rational, default=Fraction(-8))
     sub.add_argument("x")
     sub.set_defaults(handler=cmd_invert)
 
     sub = subs.add_parser("psi", help="rotation element Psi(k)")
     _add_common(sub)
     sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--a2", type=Fraction, required=True)
+    sub.add_argument("--a2", type=rational, required=True)
     sub.set_defaults(handler=cmd_psi)
 
     sub = subs.add_parser("bounds", help="two-sided bound sweep over k")
     _add_common(sub, formats=("text", "json", "csv"))
     sub.add_argument("--kmax", type=int, required=True)
-    sub.add_argument("--a2", type=Fraction, required=True)
+    sub.add_argument("--a2", type=rational, required=True)
     sub.set_defaults(handler=cmd_bounds)
 
     sub = subs.add_parser("growth", help="growth table of v(Q^k), v(Q^-k)")
     _add_common(sub, formats=("text", "json", "csv"))
     sub.add_argument("--kmax", type=int, required=True)
-    sub.add_argument("--a2", type=Fraction, required=True)
+    sub.add_argument("--a2", type=rational, required=True)
     sub.set_defaults(handler=cmd_growth)
 
     sub = subs.add_parser("rtilde", help="certified seminorm value from the sweep")
     _add_common(sub)
     sub.add_argument("--kmax", type=int, default=50)
-    sub.add_argument("--a2", type=Fraction, required=True)
+    sub.add_argument("--a2", type=rational, required=True)
     sub.set_defaults(handler=cmd_rtilde)
 
     sub = subs.add_parser("lengths", help="lengths of the k-fold rotation loop")
     _add_common(sub)
     sub.add_argument("--k", type=int, default=2, choices=(1, 2))
-    sub.add_argument("--a2", type=Fraction, required=True)
+    sub.add_argument("--a2", type=rational, required=True)
     sub.set_defaults(handler=cmd_lengths)
 
     sub = subs.add_parser("geocheck", help="fixed-extremum check on a sampled path")

@@ -16,6 +16,7 @@ the first Chern number of each generator.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -30,10 +31,24 @@ class ParseError(ValueError):
     """Raised when a serialized element or exponent cannot be read back."""
 
 
+# Fraction alone also reads exponent notation, so a short text such as
+# "1e999999999" would make it build a huge integer.
+_RATIONAL = re.compile(r"\s*[+-]?([0-9]+(/0*[1-9][0-9]*)?|[0-9]*\.[0-9]+|[0-9]+\.)\s*")
+
+
+def rational(text: str) -> Fraction:
+    """An integer, p/q or plain decimal read exactly; other text raises ValueError."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"expected an integer, p/q or plain decimal, got {text!r}")
+    return Fraction(text)
+
+
 def _frac(q: RationalLike) -> Fraction:
     if isinstance(q, Fraction):
         return q
-    if isinstance(q, (int, str)):
+    if isinstance(q, str):
+        return rational(q)
+    if isinstance(q, int):
         return Fraction(q)
     raise TypeError(f"expected a rational, got {type(q).__name__}")
 
@@ -55,7 +70,7 @@ def _accumulate(items, base=()) -> dict:
 
 def _integer(v) -> int:
     """v as an int; a non-integral value raises instead of being truncated."""
-    q = Fraction(v)
+    q = rational(v) if isinstance(v, str) else Fraction(v)
     if q.denominator != 1:
         raise ValueError(f"expected an integer, got {v!r}")
     return q.numerator
@@ -341,8 +356,8 @@ def _split_factors(chunk: str) -> list:
 
 def _parse_rational(text: str, context: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return rational(text)
+    except ValueError as exc:
         raise ParseError(f"bad rational {text!r} in {context}") from exc
 
 
@@ -358,7 +373,7 @@ def format_exponent(B: SphereClass, generators: Sequence[str]) -> str:
 def parse_exponent(text: str, generators: Sequence[str]) -> SphereClass:
     text = text.strip()
     rank = len(generators)
-    if text in ("", "0"):
+    if text == "0":
         return SphereClass.zero(rank)
     index = {g: i for i, g in enumerate(generators)}
     coords = [Fraction(0)] * rank

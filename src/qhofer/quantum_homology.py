@@ -176,6 +176,8 @@ class ManifoldModel:
 
     def _finish(self) -> None:
         n = len(self.basis)
+        if len(self.pairing) != n or any(len(row) != n for row in self.pairing):
+            raise ModelError("pairing matrix must be square of basis size")
         inv = _invert_rational_matrix(self.pairing)
         self._dual = [
             [(l, inv[k][l]) for l in range(n) if inv[k][l] != 0] for k in range(n)

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +288,21 @@ class TestModelFiles:
         assert code == 2
         assert "must be integers" in err
 
+    @pytest.mark.parametrize("field", ["dim", "value"])
+    def test_validate_rejects_exponent_notation(self, capsys, tmp_path, field):
+        target = tmp_path / "blowup.json"
+        run(capsys, "model-export", "--model", "blowup", "--a2", "1/4",
+            "--out", str(target))
+        data = json.loads(target.read_text())
+        if field == "value":
+            data["gw"][0]["value"] = "1e999999999"
+        else:
+            data[field] = "1e999999999"
+        target.write_text(json.dumps(data))
+        code, _, err = run(capsys, "model-validate", str(target))
+        assert code == 2
+        assert "plain decimal" in err
+
     def test_validate_missing_file_is_usage(self, capsys, tmp_path):
         code, _, _ = run(capsys, "model-validate", str(tmp_path / "gone.json"))
         assert code == 1
@@ -312,3 +331,86 @@ class TestUsage:
     def test_bad_rational_flag(self, capsys):
         code, _, _ = run(capsys, "rtilde", "--a2", "zebra")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--a2", "1e999999999", "--kmax", "5"),
+            ("bounds", "--a2", "1/0", "--kmax", "5"),
+            ("product", "--a2", "1E-1", "E", "F"),
+            ("invert", "--a2", "1/10", "--floor=-1e999999999", "1 + p"),
+            ("invert", "--a2", "1/10", "--floor", "inf", "1 + p"),
+        ],
+    )
+    def test_rational_flags_reject_exponents(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert "invalid rational value" in err
+
+    def test_rational_flags_take_decimals(self, capsys):
+        code, out, _ = run(capsys, "invert", "--a2", "0.1", "--floor", "-8.0", "1 + p")
+        assert code == 0
+        assert out == run(capsys, "invert", "--a2", "1/10", "1 + p")[1]
+
+    @pytest.mark.parametrize("text", ["1e3 * p", "p * e^{}", "p * e^{ }"])
+    def test_malformed_element_text(self, capsys, text):
+        code, out, err = run(capsys, "product", "--a2", "1/10", text, "1")
+        assert code == 1 and not out
+        assert "parse error" in err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+FLOAT_API = [
+    "ExtremumReport", "LoopLengths", "PathLengths", "RadialHamiltonian", "SampledPath",
+    "fixed_extremum_check", "lengths_blowup_loop", "mean_radius_sq", "mean_radius_sq_exact",
+    "path_lengths", "radial_loop_path", "radial_mean",
+]
+
+
+def fresh(code):
+    """Run ``code`` in a new interpreter; returns the JSON of its last stdout line."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestLazyNumpy:
+    """numpy loads only with the float side: lengths, geocheck, hofer_lengths."""
+
+    def test_exact_path_leaves_numpy_out(self):
+        loaded = fresh(
+            "import json, sys\n"
+            "seen = []\n"
+            "import qhofer; seen.append('numpy' in sys.modules)\n"
+            f"seen.append(set({FLOAT_API!r}) <= set(dir(qhofer)))\n"
+            "seen.append(hasattr(qhofer, 'no_such_name') or 'numpy' in sys.modules)\n"
+            "import qhofer.cli; seen.append('numpy' in sys.modules)\n"
+            "qhofer.cli.main(['bounds', '--a2', '1/10', '--kmax', '5'])\n"
+            "seen.append('numpy' in sys.modules)\n"
+            "print(json.dumps(seen))\n"
+        )
+        assert loaded == [False, True, False, False, False]
+
+    def test_lengths_loads_numpy(self):
+        loaded = fresh(
+            "import json, sys\n"
+            "import qhofer.cli\n"
+            "code = qhofer.cli.main(['lengths', '--a2', '1/10'])\n"
+            "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+        )
+        assert loaded == [0, True]
+
+    def test_float_api_names(self):
+        import qhofer
+        from qhofer import SampledPath, lengths_blowup_loop, radial_mean  # noqa: F401
+        from qhofer import hofer_lengths
+
+        assert SampledPath is hofer_lengths.SampledPath
+        assert set(FLOAT_API) <= set(dir(qhofer))
+        for name in FLOAT_API:
+            assert getattr(qhofer, name) is getattr(hofer_lengths, name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            qhofer.no_such_name

@@ -22,6 +22,7 @@ from qhofer import (
     truncate_below,
     valuation,
 )
+from qhofer.novikov import rational
 from helpers import random_novikov
 
 GENS = ("E", "F")
@@ -210,11 +211,31 @@ class TestTextFormat:
             "+",               # dangling sign
             "e^2",             # exponential without braces
             "3 * e^{0} + e^F", # the same in a later term
+            "e^{}",            # empty exponential
+            "e^{ }",           # the same with a blank
+            "1e3 * e^{0}",     # exponent notation
+            "e^{1e999999999*E}",  # the same in an exponent
         ],
     )
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             parse_novikov(bad, GENS)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("3", 3), (" -3/4 ", Fraction(-3, 4)), ("+0.25", Fraction(1, 4)), (".5", Fraction(1, 2)),
+         ("2.", 2), ("007/14", Fraction(1, 2))],
+    )
+    def test_rational_accepts(self, text, value):
+        assert rational(text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e3", "1E-2", "1e999999999", "inf", "nan", "1/0", "1_000", "", "1/-2", "1.5/2", "- 1", "0x10"],
+    )
+    def test_rational_rejects(self, text):
+        with pytest.raises(ValueError):
+            rational(text)
 
 
 class TestSharedCore:

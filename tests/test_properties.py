@@ -1,4 +1,4 @@
-"""Property tests of the shared element core and the one term grammar.
+"""Property tests of the shared element core, the one term grammar and invert.
 
 Runs derandomized, so the suite stays deterministic; the seeded random suites
 in the other modules are kept alongside.
@@ -12,18 +12,22 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from qhofer import (  # noqa: E402
+    NotInvertibleError,
     NovikovElement,
     ParseError,
     QHElement,
     SphereClass,
     format_novikov,
+    invert,
     model_blowup_cp2,
     model_cpn,
     nov_mul,
     parse_novikov,
+    quantum_product,
+    valuation,
 )
 from qhofer.cli import main  # noqa: E402
 
@@ -112,6 +116,43 @@ class TestRingAxioms:
     @given(novikov_elements(), coefficients)
     def test_scalars(self, x, q):
         assert q * x == x * q == NovikovElement.exp(SphereClass.zero(2), q) * x
+
+
+# Models for the inverse: areas of integral exponents are multiples of 1/2 or
+# of 1, so the series reaches a floor of -12 in a few dozen steps.
+INVERT_MODELS = {"blowup 1/2": model_blowup_cp2("1/2"), "cp2": model_cpn(2)}
+
+
+def small_units(model):
+    """c * 1 plus up to two terms with integral exponents in [-1, 1]."""
+    (unit_key,) = model.unit().terms
+    exponents = st.tuples(*[st.integers(-1, 1)] * model.rank).map(SphereClass)
+    key = st.tuples(st.integers(0, len(model.basis) - 1), exponents)
+    rest = st.lists(st.tuples(key, coefficients), max_size=2)
+    return st.builds(
+        lambda c, terms: QHElement([(unit_key, c), *terms]), coefficients.filter(bool), rest
+    )
+
+
+class TestInvert:
+    @pytest.mark.parametrize("name", sorted(INVERT_MODELS))
+    def test_residual_below_floor(self, name):
+        model = INVERT_MODELS[name]
+        (unit_key,) = model.unit().terms
+
+        @settings(SETTINGS, max_examples=30)
+        @given(small_units(model), st.integers(-12, -2))
+        def check(x, floor):
+            assume(x.terms.get(unit_key, 0) != 0)
+            try:
+                z = invert(model, x, floor)
+            except NotInvertibleError:
+                assume(False)
+            residual = quantum_product(model, x, z) - model.unit()
+            bound = floor + valuation(x, model.omega)
+            assert all(model.omega(B) < bound for (_, B) in residual.terms)
+
+        check()
 
 
 class TestFuzzedText:

@@ -446,6 +446,14 @@ class TestModelValidation:
                 validate=validate,
             )
 
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_ragged_pairing(self, validate):
+        with pytest.raises(ModelError, match="square"):
+            ManifoldModel(
+                "ragged", 2, ["L"], [("1", 2), ("x", 0)], [[0, 1], [1]], [1], [2], [],
+                validate=validate,
+            )
+
 
 def model_half_integral():
     """A JSON model whose table value, table exponent and dual are fractional."""
@@ -619,6 +627,10 @@ class TestElementText:
             "p * e^{0} * e^{0}",      # two exponentials
             "",                       # empty
             "p * e^2",                # exponential without braces
+            "p * e^{}",               # empty exponential
+            "p * e^{ }",              # the same with a blank
+            "1e3 * p",                # exponent notation
+            "1e999999999 * p",        # the same, too large to build
         ],
     )
     def test_parse_errors(self, bad, m):
