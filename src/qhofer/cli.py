@@ -56,12 +56,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _emit(args, text, payload) -> int:
+    """Write the output in the chosen ``--format`` to ``--out`` or stdout.
+
+    ``json`` renders ``payload``; the other formats write ``text``, or its
+    entry for the format when a subcommand has several text renderings.
+    """
+    if args.format == "json":
+        text = json.dumps(payload, indent=2)
+    elif isinstance(text, dict):
+        text = text[args.format]
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
+    return EXIT_OK
 
 
 def _dec(q) -> str:
@@ -96,20 +106,14 @@ def cmd_product(args) -> int:
     model = _resolve_model(args)
     result = quantum_product(model, model.element(args.x), model.element(args.y))
     text = model.format(result)
-    if args.format == "json":
-        text = json.dumps({"model": model.name, "product": text}, indent=2)
-    _emit(text, args.out)
-    return EXIT_OK
+    return _emit(args, text, {"model": model.name, "product": text})
 
 
 def cmd_power(args) -> int:
     model = _resolve_model(args)
     result = power(model, model.element(args.x), args.k)
     text = model.format(result)
-    if args.format == "json":
-        text = json.dumps({"model": model.name, "k": args.k, "power": text}, indent=2)
-    _emit(text, args.out)
-    return EXIT_OK
+    return _emit(args, text, {"model": model.name, "k": args.k, "power": text})
 
 
 def cmd_invert(args) -> int:
@@ -121,24 +125,22 @@ def cmd_invert(args) -> int:
     residual = quantum_product(model, x, z) - model.unit()
     exact = residual.is_zero()
     if not exact:
+        # invert's contract: every residual term lies below floor + v(x).
         top = valuation(residual, model.omega)
-        if top >= args.floor:
+        bound = args.floor + valuation(x, model.omega)
+        if top >= bound:
             raise CheckFailure(
-                f"residual reaches area {top}, not below the floor {args.floor}"
+                f"residual reaches area {top}, not below floor + v(x) = {bound}"
             )
+    inverse = model.format(z)
+    tag = "exact inverse" if exact else f"inverse truncated at area {args.floor}"
     payload = {
         "model": model.name,
-        "inverse": model.format(z),
+        "inverse": inverse,
         "exact": exact,
         "floor": str(args.floor),
     }
-    if args.format == "json":
-        text = json.dumps(payload, indent=2)
-    else:
-        tag = "exact inverse" if exact else f"inverse truncated at area {args.floor}"
-        text = f"{model.format(z)}\n# {tag}"
-    _emit(text, args.out)
-    return EXIT_OK
+    return _emit(args, f"{inverse}\n# {tag}", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -159,24 +161,15 @@ def cmd_psi(args) -> int:
     if recomposed != element.value:
         raise CheckFailure("rotation element disagrees with its recomposition")
     v = valuation(element.value, model.omega)
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "k": args.k,
-                "a2": str(element.a_squared),
-                "delta": str(element.delta),
-                "value": model.format(element.value),
-                "valuation": str(v),
-            },
-            indent=2,
-        )
-    else:
-        text = (
-            f"{model.format(element.value)}\n"
-            f"# delta = {element.delta}, v = {v} (x pi)"
-        )
-    _emit(text, args.out)
-    return EXIT_OK
+    value = model.format(element.value)
+    payload = {
+        "k": args.k,
+        "a2": str(element.a_squared),
+        "delta": str(element.delta),
+        "value": value,
+        "valuation": str(v),
+    }
+    return _emit(args, f"{value}\n# delta = {element.delta}, v = {v} (x pi)", payload)
 
 
 def cmd_bounds(args) -> int:
@@ -184,29 +177,20 @@ def cmd_bounds(args) -> int:
     of = omega_f(a2)
     rows = two_sided_bounds(args.kmax, a2)
     failures = [k for k, b in rows if k >= 2 and b < of]
-    if args.format == "csv":
-        lines = ["k,bound,bound_dec,omegaF,omegaF_dec,holds"]
-        for k, b in rows:
-            lines.append(f"{k},{b},{_dec(b)},{of},{_dec(of)},{k < 2 or b >= of}")
-        text = "\n".join(lines)
-    elif args.format == "json":
-        text = json.dumps(
-            {
-                "a2": str(a2),
-                "omegaF": str(of),
-                "rows": [{"k": k, "bound": str(b)} for k, b in rows],
-                "all_hold": not failures,
-            },
-            indent=2,
-        )
-    else:
-        lines = [f"{'k':>4}  {'bound (x pi)':>14}  {'decimal':>12}"]
-        for k, b in rows:
-            lines.append(f"{k:>4}  {str(b):>14}  {float(b):>12.8f}")
-        verdict = "holds" if not failures else f"FAILS at k = {failures[:5]}"
-        lines.append(f"# two-sided bound >= omega(F) = {of} for k >= 2: {verdict}")
-        text = "\n".join(lines)
-    _emit(text, args.out)
+    lines = [f"{'k':>4}  {'bound (x pi)':>14}  {'decimal':>12}"]
+    csv_lines = ["k,bound,bound_dec,omegaF,omegaF_dec,holds"]
+    for k, b in rows:
+        lines.append(f"{k:>4}  {str(b):>14}  {float(b):>12.8f}")
+        csv_lines.append(f"{k},{b},{_dec(b)},{of},{_dec(of)},{k < 2 or b >= of}")
+    verdict = "holds" if not failures else f"FAILS at k = {failures[:5]}"
+    lines.append(f"# two-sided bound >= omega(F) = {of} for k >= 2: {verdict}")
+    payload = {
+        "a2": str(a2),
+        "omegaF": str(of),
+        "rows": [{"k": k, "bound": str(b)} for k, b in rows],
+        "all_hold": not failures,
+    }
+    _emit(args, {"text": "\n".join(lines), "csv": "\n".join(csv_lines)}, payload)
     if failures:
         raise CheckFailure(
             f"two-sided bound >= omega(F) fails at k = {failures[0]}"
@@ -218,63 +202,54 @@ def cmd_growth(args) -> int:
     table = growth_table(args.kmax, args.a2)
     s = table.summary
     failures = [r.k for r in table.rows if r.k >= 2 and r.bound < s.omega_f]
-    if args.format == "csv":
-        text = table.to_csv().rstrip("\n")
-    elif args.format == "json":
-        text = json.dumps(
+    lines = [f"{'k':>4}  {'v(Q^k)':>10}  {'v(Q^-k)':>10}  {'sum':>10}  {'psi/k':>10}"]
+    for r in table.rows:
+        rate = "-" if r.psi_rate is None else str(r.psi_rate)
+        lines.append(
+            f"{r.k:>4}  {str(r.v_qk):>10}  {str(r.v_qnegk):>10}  "
+            f"{str(r.bound):>10}  {rate:>10}"
+        )
+    lines.append(
+        f"# v(Q^-k) bounded: {s.qneg_bounded} "
+        f"(max {s.qneg_max} first at k = {s.qneg_argmax})"
+    )
+    lines.append(
+        f"# slope over last period ({s.period}): {s.slope_last_period}  "
+        f"reference omega(F/4 - E/2)/3 = {s.slope_reference}"
+    )
+    lines.append(
+        f"# min psi-rate: {s.psi_rate_min}  "
+        f"reference (1-a^2)^2/(12(1+a^2)) = {s.psi_rate_reference}"
+    )
+    payload = {
+        "a2": str(s.a_squared),
+        "rows": [
             {
-                "a2": str(s.a_squared),
-                "rows": [
-                    {
-                        "k": r.k,
-                        "vQk": str(r.v_qk),
-                        "vQnegk": str(r.v_qnegk),
-                        "bound": str(r.bound),
-                        "psi_rate": None if r.psi_rate is None else str(r.psi_rate),
-                    }
-                    for r in table.rows
-                ],
-                "summary": {
-                    "omegaF": str(s.omega_f),
-                    "regime_bounded": s.regime_bounded,
-                    "qneg_max": str(s.qneg_max),
-                    "qneg_argmax": s.qneg_argmax,
-                    "qneg_bounded": s.qneg_bounded,
-                    "period": s.period,
-                    "slope_last_period": (
-                        None if s.slope_last_period is None else str(s.slope_last_period)
-                    ),
-                    "slope_reference": str(s.slope_reference),
-                    "psi_rate_min": (
-                        None if s.psi_rate_min is None else str(s.psi_rate_min)
-                    ),
-                    "psi_rate_reference": str(s.psi_rate_reference),
-                },
-            },
-            indent=2,
-        )
-    else:
-        lines = [f"{'k':>4}  {'v(Q^k)':>10}  {'v(Q^-k)':>10}  {'sum':>10}  {'psi/k':>10}"]
-        for r in table.rows:
-            rate = "-" if r.psi_rate is None else str(r.psi_rate)
-            lines.append(
-                f"{r.k:>4}  {str(r.v_qk):>10}  {str(r.v_qnegk):>10}  "
-                f"{str(r.bound):>10}  {rate:>10}"
-            )
-        lines.append(
-            f"# v(Q^-k) bounded: {s.qneg_bounded} "
-            f"(max {s.qneg_max} first at k = {s.qneg_argmax})"
-        )
-        lines.append(
-            f"# slope over last period ({s.period}): {s.slope_last_period}  "
-            f"reference omega(F/4 - E/2)/3 = {s.slope_reference}"
-        )
-        lines.append(
-            f"# min psi-rate: {s.psi_rate_min}  "
-            f"reference (1-a^2)^2/(12(1+a^2)) = {s.psi_rate_reference}"
-        )
-        text = "\n".join(lines)
-    _emit(text, args.out)
+                "k": r.k,
+                "vQk": str(r.v_qk),
+                "vQnegk": str(r.v_qnegk),
+                "bound": str(r.bound),
+                "psi_rate": None if r.psi_rate is None else str(r.psi_rate),
+            }
+            for r in table.rows
+        ],
+        "summary": {
+            "omegaF": str(s.omega_f),
+            "regime_bounded": s.regime_bounded,
+            "qneg_max": str(s.qneg_max),
+            "qneg_argmax": s.qneg_argmax,
+            "qneg_bounded": s.qneg_bounded,
+            "period": s.period,
+            "slope_last_period": (
+                None if s.slope_last_period is None else str(s.slope_last_period)
+            ),
+            "slope_reference": str(s.slope_reference),
+            "psi_rate_min": None if s.psi_rate_min is None else str(s.psi_rate_min),
+            "psi_rate_reference": str(s.psi_rate_reference),
+        },
+    }
+    texts = {"text": "\n".join(lines), "csv": table.to_csv().rstrip("\n")}
+    _emit(args, texts, payload)
     if failures:
         raise CheckFailure(f"two-sided bound >= omega(F) fails at k = {failures[0]}")
     return EXIT_OK
@@ -282,25 +257,20 @@ def cmd_growth(args) -> int:
 
 def cmd_rtilde(args) -> int:
     cert = r_tilde_certificate(args.a2, args.kmax)
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "a2": str(cert.a_squared),
-                "k_max": cert.k_max,
-                "min_bound": str(cert.min_bound),
-                "attained_at": cert.attained_at,
-                "omegaF": str(cert.omega_f),
-                "matches_omegaF": cert.matches_omega_f,
-            },
-            indent=2,
-        )
-    else:
-        text = (
-            f"min over k in [1, {cert.k_max}] of v(Q^k) + v(Q^-k) = "
-            f"{cert.min_bound} (x pi), attained at k = {cert.attained_at}\n"
-            f"omega(F) = {cert.omega_f} (x pi); matches: {cert.matches_omega_f}"
-        )
-    _emit(text, args.out)
+    text = (
+        f"min over k in [1, {cert.k_max}] of v(Q^k) + v(Q^-k) = "
+        f"{cert.min_bound} (x pi), attained at k = {cert.attained_at}\n"
+        f"omega(F) = {cert.omega_f} (x pi); matches: {cert.matches_omega_f}"
+    )
+    payload = {
+        "a2": str(cert.a_squared),
+        "k_max": cert.k_max,
+        "min_bound": str(cert.min_bound),
+        "attained_at": cert.attained_at,
+        "omegaF": str(cert.omega_f),
+        "matches_omegaF": cert.matches_omega_f,
+    }
+    _emit(args, text, payload)
     if not cert.matches_omega_f:
         raise CheckFailure(
             f"sweep minimum {cert.min_bound} differs from omega(F) = {cert.omega_f}"
@@ -322,26 +292,21 @@ def cmd_lengths(args) -> int:
         reference = float(1 - args.a2)
     else:
         reference = 1.0
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "k": args.k,
-                "a2": str(args.a2),
-                "L_plus": lengths.l_plus,
-                "L_minus": lengths.l_minus,
-                "L": lengths.total,
-                "L_over_pi": total_over_pi,
-                "reference_over_pi": reference,
-            },
-            indent=2,
-        )
-    else:
-        text = (
-            f"L+ = {lengths.l_plus:.12f}  ({lengths.l_plus / math.pi:.12f} x pi)\n"
-            f"L- = {lengths.l_minus:.12f}  ({lengths.l_minus / math.pi:.12f} x pi)\n"
-            f"L  = {lengths.total:.12f}  ({total_over_pi:.12f} x pi)"
-        )
-    _emit(text, args.out)
+    text = (
+        f"L+ = {lengths.l_plus:.12f}  ({lengths.l_plus / math.pi:.12f} x pi)\n"
+        f"L- = {lengths.l_minus:.12f}  ({lengths.l_minus / math.pi:.12f} x pi)\n"
+        f"L  = {lengths.total:.12f}  ({total_over_pi:.12f} x pi)"
+    )
+    payload = {
+        "k": args.k,
+        "a2": str(args.a2),
+        "L_plus": lengths.l_plus,
+        "L_minus": lengths.l_minus,
+        "L": lengths.total,
+        "L_over_pi": total_over_pi,
+        "reference_over_pi": reference,
+    }
+    _emit(args, text, payload)
     if lengths.l_plus < 0 or lengths.l_minus < 0:
         raise CheckFailure("one-sided lengths must be nonnegative")
     if abs(total_over_pi - reference) > 1e-12:
@@ -361,14 +326,11 @@ def cmd_geocheck(args) -> int:
     except ValueError as exc:
         raise UsageProblem(str(exc)) from exc
     report = fixed_extremum_check(path, window=args.window)
-    if args.format == "text":
-        text = (
-            f"fixed max at each moment: {report.has_fixed_max_each_moment}\n"
-            f"fixed min at each moment: {report.has_fixed_min_each_moment}"
-        )
-    else:
-        text = report.to_json()
-    _emit(text, args.out)
+    text = (
+        f"fixed max at each moment: {report.has_fixed_max_each_moment}\n"
+        f"fixed min at each moment: {report.has_fixed_min_each_moment}"
+    )
+    _emit(args, text, report.to_dict())
     if not (report.has_fixed_max_each_moment and report.has_fixed_min_each_moment):
         missing = []
         if not report.has_fixed_max_each_moment:

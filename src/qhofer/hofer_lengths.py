@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .novikov import RationalLike, _frac
+from .quantum_homology import _area_parameter
 
 
 @dataclass(frozen=True)
@@ -34,10 +35,7 @@ class RadialHamiltonian:
     label: str = ""
 
     def __post_init__(self) -> None:
-        a2 = _frac(self.a_squared)
-        if not 0 < a2 < 1:
-            raise ValueError("a_squared must lie strictly between 0 and 1")
-        object.__setattr__(self, "a_squared", a2)
+        object.__setattr__(self, "a_squared", _area_parameter(self.a_squared))
 
     @classmethod
     def linear(cls, c0: float, a_squared: RationalLike) -> "RadialHamiltonian":
@@ -106,9 +104,7 @@ def mean_radius_sq(a_squared: RationalLike, quad_points: int = 4097) -> float:
 
 def mean_radius_sq_exact(a_squared: RationalLike) -> Fraction:
     """Closed form of the same constant, 2(1-a^6)/(3(1-a^4))."""
-    a2 = _frac(a_squared)
-    if not 0 < a2 < 1:
-        raise ValueError("a_squared must lie strictly between 0 and 1")
+    a2 = _area_parameter(a_squared)
     return 2 * (1 - a2**3) / (3 * (1 - a2**2))
 
 
@@ -139,9 +135,7 @@ def lengths_blowup_loop(
     means are computed from the sampled profiles, not from closed forms.
     """
     k = int(k)
-    a2 = _frac(a_squared)
-    if not 0 < a2 < 1:
-        raise ValueError("a_squared must lie strictly between 0 and 1")
+    a2 = _area_parameter(a_squared)
     if k == 2:
         c = mean_radius_sq(a2, quad_points)
         h = RadialHamiltonian.linear(c, a2)

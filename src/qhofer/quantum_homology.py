@@ -134,7 +134,6 @@ class ManifoldModel:
         omega: Sequence[RationalLike],
         c1: Sequence[int],
         gw: Iterable,
-        validate: bool = True,
     ) -> None:
         self.name = str(name)
         try:
@@ -153,10 +152,9 @@ class ManifoldModel:
         if len(self._index) != len(self.basis):
             raise ModelError("basis names must be distinct")
         self.gw = self._canonical_gw(gw)
-        if validate:
-            problems = validate_model(self)
-            if problems:
-                raise ModelError("; ".join(problems))
+        problems = validate_model(self)
+        if problems:
+            raise ModelError("; ".join(problems))
         self._finish()
 
     # -- construction helpers -------------------------------------------
@@ -176,18 +174,13 @@ class ManifoldModel:
 
     def _finish(self) -> None:
         n = len(self.basis)
-        if len(self.pairing) != n or any(len(row) != n for row in self.pairing):
-            raise ModelError("pairing matrix must be square of basis size")
         inv = _invert_rational_matrix(self.pairing)
         self._dual = [
             [(l, inv[k][l]) for l in range(n) if inv[k][l] != 0] for k in range(n)
         ]
         self._zero_class = SphereClass.zero(self.rank)
         self._lattices: dict = {}
-        fund = [i for i, d in enumerate(self.degrees) if d == self.dim]
-        if not fund:
-            raise ModelError("no basis class sits in top degree")
-        self._fund = fund[0]
+        self._fund = self.degrees.index(self.dim)
 
     def _lattice(self, *elements: "QHElement") -> "_Lattice":
         """Tables compiled for the exponents of the table and of ``elements``."""
@@ -491,10 +484,15 @@ def _nov_det(matrix: list) -> NovikovElement:
         return matrix[0][0]
     # Expand along the row with the most zeros.
     row = max(range(n), key=lambda i: sum(e.is_zero() for e in matrix[i]))
+    return _expand(matrix[row], lambda col: _cofactor(matrix, row, col))
+
+
+def _expand(entries: list, cofactor) -> NovikovElement:
+    """Laplace expansion along one row: sum of entry * cofactor(col)."""
     det = NovikovElement()
-    for col, entry in enumerate(matrix[row]):
+    for col, entry in enumerate(entries):
         if not entry.is_zero():
-            det = det + nov_mul(entry, _cofactor(matrix, row, col))
+            det = det + nov_mul(entry, cofactor(col))
     return det
 
 
@@ -519,6 +517,33 @@ def _leading_monomial(x: NovikovElement, omega: OmegaFunctional):
     return q, B
 
 
+def _cramer(model: ManifoldModel, x: QHElement) -> tuple:
+    """(adj / (c0 e^{B0}), g) with det M_x = c0 e^{B0} (1 - g).
+
+    adj is the adjugate column dual to the fundamental class: the cofactors
+    along the unit's row u.  The determinant is expanded along the same row,
+    so each cofactor is computed once.  Every term of g has strictly negative
+    area, and x^-1 = adj / det is the first result times sum g^m.
+    """
+    if x.is_zero():
+        raise NotInvertibleError("the zero element has no inverse")
+    matrix = _mult_matrix(model, x)
+    u = model._fund
+    cofactors = [_cofactor(matrix, u, k) for k in range(len(matrix))]
+    det = _expand(matrix[u], cofactors.__getitem__)
+    if det.is_zero():
+        raise NotInvertibleError(
+            "multiplication matrix is singular; the element is a zero divisor"
+        )
+    c0, B0 = _leading_monomial(det, model.omega)
+    lead_inverse = NovikovElement.exp(-B0, Fraction(1) / c0)
+    g = NovikovElement.one(model.rank) - nov_mul(det, lead_inverse)
+    adj_col = QHElement._of(
+        {(k, B): q for k, entry in enumerate(cofactors) for B, q in entry._terms.items()}
+    )
+    return nov_scale(adj_col, lead_inverse), g
+
+
 def invert(
     model: ManifoldModel, x: QHElement, floor: RationalLike = Fraction(-8)
 ) -> QHElement:
@@ -526,39 +551,17 @@ def invert(
 
     When the underlying series terminates the result is the exact inverse and
     ``quantum_product(model, x, invert(model, x))`` equals the unit.  Otherwise
-    the residual x * z - 1 is supported strictly below ``floor`` whenever
-    v(x) <= 0 (below ``floor + v(x)`` in general).
+    every term of the residual x * z - 1 has area below ``floor + v(x)``.
     """
     floor = _frac(floor)
-    if x.is_zero():
-        raise NotInvertibleError("the zero element has no inverse")
-    matrix = _mult_matrix(model, x)
-    det = _nov_det(matrix)
-    if det.is_zero():
-        raise NotInvertibleError(
-            "multiplication matrix is singular; the element is a zero divisor"
-        )
-    c0, B0 = _leading_monomial(det, model.omega)
-    # det = c0 e^{B0} (1 - g) with every term of g of strictly negative area.
-    unit_ring = NovikovElement.one(model.rank)
-    g = unit_ring - nov_mul(det, NovikovElement.exp(-B0, Fraction(1) / c0))
-
-    # Adjugate column dual to the fundamental class: cofactors along row u.
-    n = len(model.basis)
-    u = model._fund
-    cofactors = [_cofactor(matrix, u, k) if n > 1 else unit_ring for k in range(n)]
-    adj_col = QHElement._of(
-        {(k, B): q for k, entry in enumerate(cofactors) for B, q in entry._terms.items()}
-    )
-
-    lead_inverse = NovikovElement.exp(-B0, Fraction(1) / c0)
+    col, g = _cramer(model, x)
     if g.is_zero():
-        return nov_scale(adj_col, lead_inverse)
+        return col
 
     # Geometric series sum g^m, kept only deep enough that every term of the
     # final inverse with area >= floor receives all of its contributions.
-    top_adj = valuation(adj_col, model.omega)
-    cutoff = floor + model.omega(B0) - top_adj
+    cutoff = floor - valuation(col, model.omega)
+    unit_ring = NovikovElement.one(model.rank)
     series = unit_ring
     term = unit_ring
     steps = 0
@@ -568,18 +571,22 @@ def invert(
         steps += 1
         if steps > 100_000:
             raise NotInvertibleError("series failed to reach the floor")
-    z = nov_scale(adj_col, nov_mul(series, lead_inverse))
-    return truncate_below(z, model.omega, floor)
+    return truncate_below(nov_scale(col, series), model.omega, floor)
 
 
 def exact_inverse(model: ManifoldModel, x: QHElement) -> QHElement:
-    """Inverse with a terminating series; error if only truncations exist."""
-    z = invert(model, x)
-    if quantum_product(model, x, z) != model.unit():
+    """Inverse with a terminating series; error if only truncations exist.
+
+    The units of the group ring of a torsion-free exponent group are its
+    monomials, so x has a finite inverse exactly when det M_x is a monomial,
+    that is when g = 0.
+    """
+    col, g = _cramer(model, x)
+    if not g.is_zero():
         raise NotInvertibleError(
             "inverse exists only as an infinite series; use invert() with a floor"
         )
-    return z
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +615,14 @@ def rationality_index(model: ManifoldModel):
 # ---------------------------------------------------------------------------
 
 
+def _area_parameter(a_squared: RationalLike) -> Fraction:
+    """The exceptional area a^2 as a Fraction; ValueError unless 0 < a^2 < 1."""
+    a2 = _frac(a_squared)
+    if not 0 < a2 < 1:
+        raise ValueError("a_squared must lie strictly between 0 and 1")
+    return a2
+
+
 def model_blowup_cp2(a_squared: RationalLike) -> ManifoldModel:
     """One-point blow-up of the projective plane.
 
@@ -616,9 +631,7 @@ def model_blowup_cp2(a_squared: RationalLike) -> ManifoldModel:
     with 0 < a^2 < 1.  Basis: the point class p, the degree-two classes E and
     F, and the fundamental class 1.
     """
-    a2 = _frac(a_squared)
-    if not 0 < a2 < 1:
-        raise ValueError("a_squared must lie strictly between 0 and 1")
+    a2 = _area_parameter(a_squared)
     E = (1, 0)
     F = (0, 1)
     EF = (1, 1)

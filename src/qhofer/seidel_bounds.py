@@ -28,6 +28,7 @@ from .novikov import RationalLike, SphereClass, _frac, valuation
 from .quantum_homology import (
     ManifoldModel,
     QHElement,
+    _area_parameter,
     exact_inverse,
     model_blowup_cp2,
     power,
@@ -42,9 +43,7 @@ class MonotoneCaseError(ValueError):
 
 def delta_constant(a_squared: RationalLike) -> Fraction:
     """The exponent-shift constant of the rotation element."""
-    a2 = _frac(a_squared)
-    if not 0 < a2 < 1:
-        raise ValueError("a_squared must lie strictly between 0 and 1")
+    a2 = _area_parameter(a_squared)
     if 3 * a2 == 1:
         raise MonotoneCaseError(
             "delta = (1-a^2)^2/(12(1+a^2)(1-3a^2)) is singular at 3a^2 = 1"
@@ -67,10 +66,7 @@ def _q_valuations(k_max: int, a_squared: RationalLike) -> tuple:
 
 def omega_f(a_squared: RationalLike) -> Fraction:
     """Area of the fiber class, 1 - a^2 in units of pi."""
-    a2 = _frac(a_squared)
-    if not 0 < a2 < 1:
-        raise ValueError("a_squared must lie strictly between 0 and 1")
-    return 1 - a2
+    return 1 - _area_parameter(a_squared)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Subcommand behavior, output formats, and the exit-code contract."""
 
+import argparse
 import csv
 import json
 import os
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import qhofer.quantum_homology
 from qhofer import model_blowup_cp2
-from qhofer.cli import main
+from qhofer.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -96,6 +98,33 @@ class TestPowerAndInvert:
         payload = json.loads(out)
         assert payload["exact"] is False
         assert payload["floor"] == "-3"
+
+    def test_positive_valuation_truncation_passes(self, capsys):
+        # v(x) = 1, so the residual of the truncation reaches above the floor
+        # but stays below floor + v(x), as invert promises.
+        code, out, err = run(
+            capsys, "invert", "--a2", "1/10", "--floor", "-3", "1 + 2 * E * e^{1*E + 1*F}"
+        )
+        assert code == 0, err
+        assert "# inverse truncated at area -3" in out
+
+    @pytest.mark.parametrize("x", ["1 + p", "1 + 2 * E * e^{1*E + 1*F}"])
+    def test_shallow_truncation_fails_check(self, capsys, monkeypatch, x):
+        invert = qhofer.quantum_homology.invert
+
+        def shallow(model, y, floor):
+            return invert(model, y, floor + 1)
+
+        monkeypatch.setattr(qhofer.quantum_homology, "invert", shallow)
+        code, out, err = run(capsys, "invert", "--a2", "1/10", "--floor", "-3", x)
+        assert code == 2 and not out
+        assert "not below floor + v(x)" in err
+
+    def test_negative_fractional_floor(self, capsys):
+        # argparse reads "-1/2" after a space as an option name; "=" binds it.
+        code, out, _ = run(capsys, "invert", "--a2", "1/4", "--floor=-1/2", "1 + p")
+        assert code == 0
+        assert out == run(capsys, "invert", "--a2", "1/4", "--floor=-0.5", "1 + p")[1]
 
     def test_non_invertible_is_check_failure(self, capsys):
         code, _, err = run(
@@ -317,6 +346,53 @@ class TestModelFiles:
         code, out, _ = run(capsys, "product", "--model", str(target), "x", "x^2")
         assert code == 0
         assert out.strip() == "1 * 1 * e^{-1*L}"
+
+
+SMALL_INPUTS = {
+    "product": ["--a2", "1/4", "E", "F"],
+    "power": ["--a2", "1/4", "--k", "-2", "F * e^{1/2*E + 1/4*F}"],
+    "invert": ["--a2", "1/4", "--floor", "-3", "1 + p"],
+    "psi": ["--a2", "1/4", "--k", "2"],
+    "bounds": ["--a2", "1/4", "--kmax", "5"],
+    "growth": ["--a2", "1/4", "--kmax", "5"],
+    "rtilde": ["--a2", "1/4", "--kmax", "5"],
+    "lengths": ["--a2", "1/4"],
+    "geocheck": ["GRID"],
+}
+
+
+def format_choices():
+    """(subcommand, format) for every subcommand that takes --format."""
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (name, fmt)
+        for name, sub in subs.choices.items()
+        for action in sub._actions
+        if action.dest == "format"
+        for fmt in action.choices
+    ]
+
+
+class TestOutputPath:
+    def test_small_inputs_cover_every_formatted_subcommand(self):
+        assert {name for name, _ in format_choices()} == set(SMALL_INPUTS)
+
+    @pytest.mark.parametrize("command, fmt", format_choices())
+    def test_out_file_matches_stdout(self, capsys, tmp_path, command, fmt):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("0,1,2\n0,1,3\n0,2,3\n")
+        argv = [command, "--format", fmt]
+        argv += [str(grid) if a == "GRID" else a for a in SMALL_INPUTS[command]]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out.endswith("\n")
+        target = tmp_path / "out.txt"
+        code, shown, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0 and shown == ""
+        assert target.read_bytes() == out.encode()
+        if fmt == "json":
+            json.loads(out)
 
 
 class TestUsage:

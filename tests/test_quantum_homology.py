@@ -430,8 +430,7 @@ class TestModelValidation:
         with pytest.raises(ModelError, match="malformed"):
             model_from_dict({"name": "x"})
 
-    @pytest.mark.parametrize("validate", [True, False])
-    def test_missing_top_degree_class(self, m, validate):
+    def test_missing_top_degree_class(self, m):
         basis = (("p", 0), ("E", 2), ("F", 2), ("1", 2))
         with pytest.raises(ModelError, match="top degree"):
             ManifoldModel(
@@ -443,15 +442,12 @@ class TestModelValidation:
                 omega=(A2, 1 - A2),
                 c1=(1, 2),
                 gw=[],
-                validate=validate,
             )
 
-    @pytest.mark.parametrize("validate", [True, False])
-    def test_ragged_pairing(self, validate):
+    def test_ragged_pairing(self):
         with pytest.raises(ModelError, match="square"):
             ManifoldModel(
-                "ragged", 2, ["L"], [("1", 2), ("x", 0)], [[0, 1], [1]], [1], [2], [],
-                validate=validate,
+                "ragged", 2, ["L"], [("1", 2), ("x", 0)], [[0, 1], [1]], [1], [2], []
             )
 
 
@@ -653,3 +649,67 @@ class TestModuleElement:
         x = m.element("2 * p + E * e^{-1*E} + F * e^{1*F}")
         assert truncate_below(x, m.omega, 0) == m.element("2 * p + F * e^{1*F}")
         assert truncate_below(x, m.omega, 1).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# exact_inverse against the verifying product it replaced.
+# ---------------------------------------------------------------------------
+
+INVERSE_MODELS = [model_blowup_cp2(Fraction(1, 2))] + [model_cpn(n) for n in (1, 2, 3)]
+
+
+def verified_inverse(model, x):
+    """invert(x) when it multiplies x to the unit, else None."""
+    try:
+        z = invert(model, x)
+    except NotInvertibleError:
+        return None
+    return z if quantum_product(model, x, z) == model.unit() else None
+
+
+def small_element(rng, model):
+    """One or two terms with integral exponents in [-1, 1], so series stay short."""
+    return QHElement(
+        [
+            (
+                (
+                    rng.randrange(len(model.basis)),
+                    SphereClass(tuple(rng.randint(-1, 1) for _ in range(model.rank))),
+                ),
+                random_fraction(rng),
+            )
+            for _ in range(rng.randint(1, 2))
+        ]
+    )
+
+
+class TestExactInverse:
+    @pytest.mark.parametrize("model", INVERSE_MODELS, ids=lambda m: m.name)
+    def test_agrees_with_verifying_product(self, model):
+        rng = random.Random(5)
+        found = {True: 0, False: 0}
+        for _ in range(30):
+            x = small_element(rng, model)
+            expected = verified_inverse(model, x)
+            if expected is None:
+                with pytest.raises(NotInvertibleError):
+                    exact_inverse(model, x)
+            else:
+                assert exact_inverse(model, x) == expected
+            found[expected is None] += 1
+        assert found[True] and found[False]
+
+    @pytest.mark.parametrize(
+        "model, text",
+        [
+            (INVERSE_MODELS[0], "0"),
+            (INVERSE_MODELS[0], "1 * e^{1*E} + -1 * 1 * e^{1*F}"),
+            (INVERSE_MODELS[1], "x + -1 * 1 * e^{-1/2*L}"),
+        ],
+        ids=["zero", "tied-leading-terms", "zero-divisor"],
+    )
+    def test_rejects_what_invert_rejects(self, model, text):
+        x = model.element(text)
+        assert verified_inverse(model, x) is None
+        with pytest.raises(NotInvertibleError):
+            exact_inverse(model, x)
