@@ -30,7 +30,6 @@ from .quantum_homology import (
     model_cpn,
     model_from_dict,
     model_to_dict,
-    nov_scale,
     parse_qh,
     power,
     power_walk,

@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .novikov import NovikovElement, ParseError, SphereClass, rational, valuation
+from .novikov import ParseError, SphereClass, rational, valuation
 from .quantum_homology import (
     ManifoldModel,
     ModelError,
@@ -24,7 +24,6 @@ from .quantum_homology import (
     model_blowup_cp2,
     model_cpn,
     model_to_dict,
-    nov_scale,
     power,
     quantum_product,
     save_model,
@@ -150,13 +149,13 @@ def cmd_invert(args) -> int:
 
 def cmd_psi(args) -> int:
     element = psi(args.k, args.a2)
-    model = model_blowup_cp2(args.a2)
-    # Independent composition: scale Q^k by the delta exponential afterwards.
+    model = element.model
+    # Independent composition: multiply Q^k by 1 (x) e^{shift} afterwards.
     shift = SphereClass(
         (-2 * element.delta * args.k, element.delta * args.k)
     )
-    recomposed = nov_scale(
-        power(model, q_element(model), args.k), NovikovElement.exp(shift)
+    recomposed = quantum_product(
+        model, power(model, q_element(model), args.k), model.basis_element("1", shift)
     )
     if recomposed != element.value:
         raise CheckFailure("rotation element disagrees with its recomposition")

@@ -11,13 +11,15 @@ and the classical cap product keeps only the B = 0 stratum.  Elements of the
 module are finite sums a (x) e^B with rational exponents, multiplied termwise
 through the rule above.
 
-Inversion runs through Cramer's rule over the exponent group ring.  The
-multiplication-by-x matrix M_x has a group-ring determinant; x is invertible
-in the area-completed ring exactly when det M_x has a unique term of maximal
-area (the associated graded ring is a domain whose units are monomials).  The
-leading monomial is peeled off and the remainder expanded as a geometric
-series, truncated at a caller-chosen valuation floor; when the series is
-finite the result is the exact inverse.
+Inversion runs through Cramer's rule over the exponent group ring, whose
+elements are module elements on the fundamental class: it acts as the
+identity, so the module product multiplies them.  The multiplication-by-x
+matrix M_x has a group-ring determinant; x is invertible in the area-completed
+ring exactly when det M_x has a unique term of maximal area (the associated
+graded ring is a domain whose units are monomials).  The leading monomial is
+peeled off and the remainder expanded as a geometric series, truncated at a
+caller-chosen valuation floor; when the series is finite the result is the
+exact inverse.
 
 Built-in models: complex projective space of any dimension, and the one-point
 blow-up of the projective plane with a size-a exceptional divisor.
@@ -28,13 +30,13 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import cached_property
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .novikov import (
     NEG_INF,
     ChernFunctional,
-    NovikovElement,
     OmegaFunctional,
     RationalLike,
     SphereClass,
@@ -45,9 +47,6 @@ from .novikov import (
     _integer,
     _parse_terms,
     _sphere_class,
-    nov_mul,
-    truncate_below,
-    valuation,
 )
 
 
@@ -82,17 +81,6 @@ class QHElement(_SparseElement):
 
     def coefficient(self, i: int, B: SphereClass) -> Fraction:
         return self._terms.get((i, B), Fraction(0))
-
-
-def nov_scale(x: QHElement, lam: NovikovElement) -> QHElement:
-    """Scale a module element by a ring element, exponents adding termwise."""
-    return QHElement._of(
-        _accumulate(
-            ((i, B + C), q * r)
-            for (i, B), q in x._terms.items()
-            for C, r in lam._terms.items()
-        )
-    )
 
 
 def _invert_rational_matrix(rows: Sequence[Sequence[Fraction]]) -> list:
@@ -155,7 +143,9 @@ class ManifoldModel:
         problems = validate_model(self)
         if problems:
             raise ModelError("; ".join(problems))
-        self._finish()
+        self._zero_class = SphereClass.zero(self.rank)
+        self._lattices: dict = {}
+        self._fund = self.degrees.index(self.dim)
 
     # -- construction helpers -------------------------------------------
 
@@ -172,15 +162,11 @@ class ManifoldModel:
             table[key] = value
         return {k: v for k, v in table.items() if v != 0}
 
-    def _finish(self) -> None:
-        n = len(self.basis)
+    @cached_property
+    def _dual(self) -> list:
+        """Row k of the inverse pairing as its nonzero entries (l, g^{kl})."""
         inv = _invert_rational_matrix(self.pairing)
-        self._dual = [
-            [(l, inv[k][l]) for l in range(n) if inv[k][l] != 0] for k in range(n)
-        ]
-        self._zero_class = SphereClass.zero(self.rank)
-        self._lattices: dict = {}
-        self._fund = self.degrees.index(self.dim)
+        return [[(l, g) for l, g in enumerate(row) if g != 0] for row in inv]
 
     def _lattice(self, *elements: "QHElement") -> "_Lattice":
         """Tables compiled for the exponents of the table and of ``elements``."""
@@ -274,7 +260,7 @@ def validate_model(model: ManifoldModel) -> list:
                     "violates the degree rule"
                 )
     try:
-        _invert_rational_matrix(model.pairing)
+        model._dual  # the one inversion of the pairing, kept for the products
     except ModelError:
         problems.append("pairing matrix is singular")
     zero = SphereClass.zero(rank)
@@ -387,11 +373,18 @@ class _Lattice:
             }
         )
 
+    def area(self, key: tuple) -> int:
+        return sum(map(mul, self.weights, key))
+
     def valuation(self, terms: dict):
         if not terms:
             return NEG_INF
-        w = self.weights
-        return Fraction(max(sum(map(mul, w, key)) for key in terms), self.scale)
+        return Fraction(max(map(self.area, terms)), self.scale)
+
+    def truncate(self, terms: dict, floor: Fraction) -> dict:
+        """The terms of area at least ``floor``."""
+        bar = math.ceil(floor * self.scale)
+        return {key: q for key, q in terms.items() if self.area(key) >= bar}
 
     def walk(self, x: QHElement, k_max: int) -> Iterator[dict]:
         """Lattice terms of x^k for k = 1 .. k_max."""
@@ -468,80 +461,81 @@ def valuation_walk(model: ManifoldModel, x: QHElement, k_max: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _mult_matrix(model: ManifoldModel, x: QHElement) -> list:
-    """Matrix of y -> x * y on the basis, entries in the exponent group ring."""
-    n = len(model.basis)
-    cols = [quantum_product(model, x, model.basis_element(j))._terms for j in range(n)]
-    return [
-        [NovikovElement._of({B: q for (i, B), q in col.items() if i == k}) for col in cols]
-        for k in range(n)
-    ]
+def _mult_matrix(lattice: _Lattice, x: dict, n: int) -> list:
+    """Matrix of y -> x * y on the basis, ring entries on the unit index."""
+    ((u, *zero),) = lattice.unit
+    matrix = [[{} for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for (k, *e), q in _contract(lattice.quantum, x, {(j, *zero): 1}).items():
+            matrix[k][j][(u, *e)] = q
+    return matrix
 
 
-def _nov_det(matrix: list) -> NovikovElement:
+def _nov_det(table: dict, matrix: list) -> dict:
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
     # Expand along the row with the most zeros.
-    row = max(range(n), key=lambda i: sum(e.is_zero() for e in matrix[i]))
-    return _expand(matrix[row], lambda col: _cofactor(matrix, row, col))
+    row = max(range(n), key=lambda i: sum(not e for e in matrix[i]))
+    return _expand(table, matrix[row], lambda col: _cofactor(table, matrix, row, col))
 
 
-def _expand(entries: list, cofactor) -> NovikovElement:
+def _expand(table: dict, entries: list, cofactor) -> dict:
     """Laplace expansion along one row: sum of entry * cofactor(col)."""
-    det = NovikovElement()
+    det: dict = {}
     for col, entry in enumerate(entries):
-        if not entry.is_zero():
-            det = det + nov_mul(entry, cofactor(col))
+        if entry:
+            det = _accumulate(_contract(table, entry, cofactor(col)).items(), det)
     return det
 
 
-def _cofactor(matrix: list, row: int, col: int) -> NovikovElement:
+def _cofactor(table: dict, matrix: list, row: int, col: int) -> dict:
     """(-1)^(row + col) times the determinant of matrix without row and col."""
     n = len(matrix)
     minor = [[matrix[i][j] for j in range(n) if j != col] for i in range(n) if i != row]
-    det = _nov_det(minor)
-    return -det if (row + col) % 2 else det
+    det = _nov_det(table, minor)
+    return {key: -q for key, q in det.items()} if (row + col) % 2 else det
 
 
-def _leading_monomial(x: NovikovElement, omega: OmegaFunctional):
-    """The unique maximal-area term (coefficient, class); error on a tie."""
-    top = valuation(x, omega)
-    leaders = [(B, q) for B, q in x.terms.items() if omega(B) == top]
+def _leading_monomial(lattice: _Lattice, x: dict) -> tuple:
+    """The unique maximal-area term (key, coefficient); error on a tie."""
+    top = max(map(lattice.area, x))
+    leaders = [key for key in x if lattice.area(key) == top]
     if len(leaders) != 1:
         raise NotInvertibleError(
             "no leading monomial: maximal area is attained by "
             f"{len(leaders)} terms, so the geometric series cannot start"
         )
-    B, q = leaders[0]
-    return q, B
+    return leaders[0], x[leaders[0]]
 
 
 def _cramer(model: ManifoldModel, x: QHElement) -> tuple:
-    """(adj / (c0 e^{B0}), g) with det M_x = c0 e^{B0} (1 - g).
+    """(lattice, adj / (c0 e^{B0}), g) with det M_x = c0 e^{B0} (1 - g).
 
     adj is the adjugate column dual to the fundamental class: the cofactors
     along the unit's row u.  The determinant is expanded along the same row,
     so each cofactor is computed once.  Every term of g has strictly negative
-    area, and x^-1 = adj / det is the first result times sum g^m.
+    area, and x^-1 = adj / det is the second result times sum g^m.
     """
     if x.is_zero():
         raise NotInvertibleError("the zero element has no inverse")
-    matrix = _mult_matrix(model, x)
+    lattice = model._lattice(x)
+    table = lattice.quantum
+    matrix = _mult_matrix(lattice, lattice.encode(x), len(model.basis))
     u = model._fund
-    cofactors = [_cofactor(matrix, u, k) for k in range(len(matrix))]
-    det = _expand(matrix[u], cofactors.__getitem__)
-    if det.is_zero():
+    cofactors = [_cofactor(table, matrix, u, k) for k in range(len(matrix))]
+    det = _expand(table, matrix[u], cofactors.__getitem__)
+    if not det:
         raise NotInvertibleError(
             "multiplication matrix is singular; the element is a zero divisor"
         )
-    c0, B0 = _leading_monomial(det, model.omega)
-    lead_inverse = NovikovElement.exp(-B0, Fraction(1) / c0)
-    g = NovikovElement.one(model.rank) - nov_mul(det, lead_inverse)
-    adj_col = QHElement._of(
-        {(k, B): q for k, entry in enumerate(cofactors) for B, q in entry._terms.items()}
-    )
-    return nov_scale(adj_col, lead_inverse), g
+    (_, *B0), c0 = _leading_monomial(lattice, det)
+    lead_inverse = {(u, *(-b for b in B0)): _lattice_number(1 / Fraction(c0))}
+    # det / lead starts with the unit term, which 1 - det / lead cancels.
+    det = _contract(table, det, lead_inverse)
+    g = {key: -q for key, q in det.items() if key not in lattice.unit}
+    adj_col = {(k, *e): q for k, entry in enumerate(cofactors) for (_, *e), q in entry.items()}
+    return lattice, _contract(table, adj_col, lead_inverse), g
 
 
 def invert(
@@ -554,24 +548,21 @@ def invert(
     every term of the residual x * z - 1 has area below ``floor + v(x)``.
     """
     floor = _frac(floor)
-    col, g = _cramer(model, x)
-    if g.is_zero():
-        return col
-
-    # Geometric series sum g^m, kept only deep enough that every term of the
-    # final inverse with area >= floor receives all of its contributions.
-    cutoff = floor - valuation(col, model.omega)
-    unit_ring = NovikovElement.one(model.rank)
-    series = unit_ring
-    term = unit_ring
-    steps = 0
-    while not term.is_zero():
-        term = truncate_below(nov_mul(term, g), model.omega, cutoff)
-        series = series + term
-        steps += 1
-        if steps > 100_000:
-            raise NotInvertibleError("series failed to reach the floor")
-    return truncate_below(nov_scale(col, series), model.omega, floor)
+    lattice, col, g = _cramer(model, x)
+    if g:
+        # Geometric series sum g^m, kept only deep enough that every term of
+        # the final inverse with area >= floor receives all of its contributions.
+        cutoff = floor - lattice.valuation(col)
+        series = term = lattice.unit
+        steps = 0
+        while term:
+            term = lattice.truncate(_contract(lattice.quantum, term, g), cutoff)
+            series = _accumulate(term.items(), series)
+            steps += 1
+            if steps > 100_000:
+                raise NotInvertibleError("series failed to reach the floor")
+        col = lattice.truncate(_contract(lattice.quantum, col, series), floor)
+    return lattice.decode(col)
 
 
 def exact_inverse(model: ManifoldModel, x: QHElement) -> QHElement:
@@ -581,12 +572,12 @@ def exact_inverse(model: ManifoldModel, x: QHElement) -> QHElement:
     monomials, so x has a finite inverse exactly when det M_x is a monomial,
     that is when g = 0.
     """
-    col, g = _cramer(model, x)
-    if not g.is_zero():
+    lattice, col, g = _cramer(model, x)
+    if g:
         raise NotInvertibleError(
             "inverse exists only as an infinite series; use invert() with a floor"
         )
-    return col
+    return lattice.decode(col)
 
 
 # ---------------------------------------------------------------------------

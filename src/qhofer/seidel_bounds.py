@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -71,12 +71,13 @@ def omega_f(a_squared: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class SeidelElement:
-    """Action of the k-fold rotation loop on quantum homology."""
+    """Action of the k-fold rotation loop on the quantum homology of ``model``."""
 
     loop_multiple: int
     a_squared: Fraction
     delta: Fraction
     value: QHElement
+    model: ManifoldModel = field(repr=False, compare=False)
 
 
 def psi(k: int, a_squared: RationalLike) -> SeidelElement:
@@ -86,7 +87,7 @@ def psi(k: int, a_squared: RationalLike) -> SeidelElement:
     model = model_blowup_cp2(a2)
     shift = SphereClass((Fraction(1, 2) - 2 * delta, Fraction(1, 4) + delta))
     base = model.basis_element("F", shift)
-    return SeidelElement(int(k), a2, delta, power(model, base, int(k)))
+    return SeidelElement(int(k), a2, delta, power(model, base, int(k)), model)
 
 
 def ell_plus_lower_bound(k: int, a_squared: RationalLike) -> Fraction:
@@ -94,9 +95,8 @@ def ell_plus_lower_bound(k: int, a_squared: RationalLike) -> Fraction:
 
     Returns v(Psi(k)) in units of pi; exact rational.
     """
-    a2 = _frac(a_squared)
-    model = model_blowup_cp2(a2)
-    return valuation(psi(k, a2).value, model.omega)
+    element = psi(k, a_squared)
+    return valuation(element.value, element.model.omega)
 
 
 def two_sided_bound(k: int, a_squared: RationalLike) -> Fraction:
@@ -158,7 +158,7 @@ class GrowthTable:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(
             [
                 "k",

@@ -3,7 +3,15 @@
 import random
 from fractions import Fraction
 
-from qhofer import NovikovElement, QHElement, SphereClass
+from qhofer import (
+    NotInvertibleError,
+    NovikovElement,
+    QHElement,
+    SphereClass,
+    nov_mul,
+    truncate_below,
+    valuation,
+)
 from qhofer.quantum_homology import _invert_rational_matrix
 
 # The standard sweep values for the exceptional area.
@@ -77,3 +85,84 @@ def oracle_walk(model, x: QHElement, k_max: int):
     for _ in range(k_max):
         acc = oracle_contract(model, acc, x)
         yield acc
+
+
+def _oracle_scale(x: QHElement, lam: NovikovElement) -> QHElement:
+    """A module element times a ring element, exponents adding termwise."""
+    return QHElement(
+        ((i, B + C), q * r) for (i, B), q in x.terms.items() for C, r in lam.terms.items()
+    )
+
+
+def _oracle_det(matrix: list) -> NovikovElement:
+    """Laplace expansion along the first row, entries NovikovElements."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    return sum(
+        (nov_mul(entry, _oracle_cofactor(matrix, 0, col)) for col, entry in enumerate(matrix[0])),
+        NovikovElement(),
+    )
+
+
+def _oracle_cofactor(matrix: list, row: int, col: int) -> NovikovElement:
+    n = len(matrix)
+    minor = [[matrix[i][j] for j in range(n) if j != col] for i in range(n) if i != row]
+    det = _oracle_det(minor)
+    return -det if (row + col) % 2 else det
+
+
+def oracle_cramer(model, x: QHElement) -> tuple:
+    """Reference Cramer step on NovikovElement entries: (adj / (c0 e^{B0}), g).
+
+    det M_x = c0 e^{B0} (1 - g), with c0 e^{B0} its unique term of largest
+    area, and adj the adjugate column dual to the unit.  M_x comes from
+    ``oracle_contract``; determinants expand along the first row.  Raises
+    NotInvertibleError with the engine's messages.
+    """
+    if x.is_zero():
+        raise NotInvertibleError("the zero element has no inverse")
+    n = len(model.basis)
+    ((u, zero),) = model.unit().terms
+    cols = [oracle_contract(model, x, model.basis_element(j)).terms for j in range(n)]
+    matrix = [
+        [NovikovElement({B: q for (i, B), q in col.items() if i == k}) for col in cols]
+        for k in range(n)
+    ]
+    cofactors = [_oracle_cofactor(matrix, u, k) for k in range(n)]
+    det = sum((nov_mul(e, c) for e, c in zip(matrix[u], cofactors)), NovikovElement())
+    if det.is_zero():
+        raise NotInvertibleError(
+            "multiplication matrix is singular; the element is a zero divisor"
+        )
+    top = valuation(det, model.omega)
+    leaders = [(B, q) for B, q in det.terms.items() if model.omega(B) == top]
+    if len(leaders) != 1:
+        raise NotInvertibleError(
+            "no leading monomial: maximal area is attained by "
+            f"{len(leaders)} terms, so the geometric series cannot start"
+        )
+    ((B0, c0),) = leaders
+    lead_inverse = NovikovElement.exp(-B0, 1 / c0)
+    g = NovikovElement.exp(zero) - nov_mul(det, lead_inverse)
+    adj = QHElement(
+        ((k, B), q) for k, entry in enumerate(cofactors) for B, q in entry.terms.items()
+    )
+    return _oracle_scale(adj, lead_inverse), g
+
+
+def oracle_invert(model, x: QHElement, floor: Fraction) -> QHElement:
+    """Reference inverse: the Cramer column times the geometric series sum g^m.
+
+    The series keeps the terms of area at least floor - v(column), and the
+    product the terms of area at least ``floor``; with g = 0 the column is
+    the exact inverse and is returned whole.
+    """
+    col, g = oracle_cramer(model, x)
+    if g.is_zero():
+        return col
+    cutoff = floor - valuation(col, model.omega)
+    series = term = NovikovElement.one(model.rank)
+    while not term.is_zero():
+        term = truncate_below(nov_mul(term, g), model.omega, cutoff)
+        series = series + term
+    return truncate_below(_oracle_scale(col, series), model.omega, floor)

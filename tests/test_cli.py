@@ -191,6 +191,16 @@ class TestBoundsAndGrowth:
             "bound", "bound_dec", "omegaF", "omegaF_dec",
         ]
 
+    def test_growth_csv_line_endings_are_lf(self, capsys, tmp_path):
+        argv = ["growth", "--kmax", "4", "--a2", "1/4", "--format", "csv"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "\r" not in out and out.count("\n") == 5
+        target = tmp_path / "growth.csv"
+        code, _, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0
+        assert b"\r" not in target.read_bytes()
+
     def test_growth_text_summary(self, capsys):
         code, out, _ = run(capsys, "growth", "--kmax", "12", "--a2", "1/2")
         assert code == 0
@@ -331,6 +341,27 @@ class TestModelFiles:
         code, _, err = run(capsys, "model-validate", str(target))
         assert code == 2
         assert "plain decimal" in err
+
+    def test_validate_rejects_singular_pairing(self, capsys, tmp_path):
+        # Symmetric and degree-respecting, with equal E and F rows.
+        target = tmp_path / "singular.json"
+        run(capsys, "model-export", "--model", "blowup", "--a2", "1/4",
+            "--out", str(target))
+        data = json.loads(target.read_text())
+        data["pairing"] = [
+            ["0", "0", "0", "1"],
+            ["0", "1", "1", "0"],
+            ["0", "1", "1", "0"],
+            ["1", "0", "0", "0"],
+        ]
+        data["gw"] = [
+            {"classes": c, "B": ["0", "0"], "value": "1"}
+            for c in (["p", "1", "1"], ["E", "E", "1"], ["E", "F", "1"], ["F", "F", "1"])
+        ]
+        target.write_text(json.dumps(data))
+        code, _, err = run(capsys, "model-validate", str(target))
+        assert code == 2
+        assert "singular" in err
 
     def test_validate_missing_file_is_usage(self, capsys, tmp_path):
         code, _, _ = run(capsys, "model-validate", str(tmp_path / "gone.json"))

@@ -3,10 +3,12 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import qhofer.quantum_homology as qh
 from qhofer import (
     NEG_INF,
     ModelError,
@@ -38,6 +40,8 @@ from helpers import (
     NINE_A2,
     Q_TEXT,
     oracle_contract,
+    oracle_cramer,
+    oracle_invert,
     oracle_walk,
     random_fraction,
     random_qh,
@@ -374,6 +378,22 @@ class TestModelValidation:
     def test_builtins_are_clean(self):
         assert validate_model(model_blowup_cp2(Fraction(1, 3))) == []
         assert validate_model(model_cpn(3)) == []
+
+    def test_pairing_inverted_once_per_build(self, monkeypatch):
+        calls = []
+        inner = qh._invert_rational_matrix
+
+        def counting(rows):
+            calls.append(rows)
+            return inner(rows)
+
+        monkeypatch.setattr(qh, "_invert_rational_matrix", counting)
+        model = model_blowup_cp2(Fraction(1, 4))
+        assert len(calls) == 1
+        # Validating again and multiplying reuse the same inverse.
+        assert validate_model(model) == []
+        quantum_product(model, model.basis_element("E"), model.basis_element("F"))
+        assert len(calls) == 1
 
     def test_blowup_area_domain(self):
         for bad in (0, 1, Fraction(6, 5), -1):
@@ -713,3 +733,59 @@ class TestExactInverse:
         assert verified_inverse(model, x) is None
         with pytest.raises(NotInvertibleError):
             exact_inverse(model, x)
+
+
+# ---------------------------------------------------------------------------
+# Inversion on the lattice against the NovikovElement reference.
+# ---------------------------------------------------------------------------
+
+ORACLE_MODELS = [model_blowup_cp2(a2) for a2 in NINE_A2] + [model_cpn(n) for n in (1, 2, 3)]
+ORACLE_IDS = [f"blowup-{a2}" for a2 in NINE_A2] + ["cp1", "cp2", "cp3"]
+
+
+def oracle_elements(model, count=10):
+    """Seeded elements of one to three terms, exponents with denominators up to 4."""
+    rng = random.Random(model.name + str(model.omega.values))
+    return [random_qh(rng, model, max_terms=3) for _ in range(count)]
+
+
+class TestLatticeInversion:
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=ORACLE_IDS)
+    def test_invert_matches_oracle(self, model):
+        inverted = 0
+        for i, x in enumerate(oracle_elements(model)):
+            floor = (Fraction(-2), Fraction(-5, 2), Fraction(-10, 3))[i % 3]
+            try:
+                want = oracle_invert(model, x, floor)
+            except NotInvertibleError as exc:
+                with pytest.raises(NotInvertibleError, match=re.escape(str(exc))):
+                    invert(model, x, floor)
+                continue
+            assert invert(model, x, floor) == want
+            inverted += 1
+        assert inverted >= 3
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=ORACLE_IDS)
+    def test_exact_inverse_exactly_when_oracle_g_vanishes(self, model):
+        found = {True: 0, False: 0}
+        for x in oracle_elements(model, count=16):
+            try:
+                col, g = oracle_cramer(model, x)
+            except NotInvertibleError:
+                with pytest.raises(NotInvertibleError):
+                    exact_inverse(model, x)
+                continue
+            if g.is_zero():
+                assert exact_inverse(model, x) == col
+            else:
+                with pytest.raises(NotInvertibleError, match="infinite series"):
+                    exact_inverse(model, x)
+            found[g.is_zero()] += 1
+        assert found[True] and found[False]
+
+    def test_deep_series_matches_oracle(self):
+        m = model_blowup_cp2(Fraction(1, 10))
+        x = m.element("1 + 3 * p")
+        z = invert(m, x, -40)
+        assert z == oracle_invert(m, x, Fraction(-40))
+        assert len(z) == 624

@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+import qhofer.seidel_bounds as sb
 from qhofer import (
     MonotoneCaseError,
     delta_constant,
     ell_plus_lower_bound,
     growth_table,
     model_blowup_cp2,
-    nov_scale,
-    NovikovElement,
     omega_f,
     power,
     psi,
@@ -117,6 +116,17 @@ class TestEllPlus:
             for k in (1, 2, 3, 5):
                 expected = valuation(power(m, q, k), m.omega) + k * d * (1 - 3 * a2)
                 assert ell_plus_lower_bound(k, a2) == expected
+
+    def test_builds_one_model(self, monkeypatch):
+        built = []
+
+        def counting(a2):
+            built.append(a2)
+            return model_blowup_cp2(a2)
+
+        monkeypatch.setattr(sb, "model_blowup_cp2", counting)
+        assert ell_plus_lower_bound(2, Fraction(1, 4)) == Fraction(9, 20)
+        assert len(built) == 1
 
 
 class TestTwoSided:
@@ -251,13 +261,13 @@ class TestQElement:
         assert valuation(q_element(m), m.omega) == Fraction(5, 16)
 
     def test_recomposition_matches_psi(self):
-        # Scaling Q^k afterwards by the delta exponential gives the same
-        # element as powering the shifted generator.
+        # Multiplying Q^k afterwards by the unit times the delta exponential
+        # gives the same element as powering the shifted generator.
         a2, k = Fraction(1, 5), 3
         m = model_blowup_cp2(a2)
         d = delta_constant(a2)
         shift = SphereClass((-2 * d * k, d * k))
-        recomposed = nov_scale(
-            power(m, q_element(m), k), NovikovElement.exp(shift)
+        recomposed = quantum_product(
+            m, power(m, q_element(m), k), m.basis_element("1", shift)
         )
         assert recomposed == psi(k, a2).value

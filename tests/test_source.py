@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every name a package module imports is used in it, and
+every private top-level definition is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,65 @@ def test_checker_flags_unused_and_honours_noqa():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def orphaned_private_definitions(sources: dict) -> list:
+    """Top-level ``_name`` functions and classes of ``sources`` (module name to
+    text) that no other top-level statement of any module references, as
+    (module, name).  Dunder names are exempt; a reference from inside the
+    definition itself, such as recursion, does not count."""
+    statements = [
+        (module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body
+    ]
+    referenced = {}
+    for module, stmt in statements:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        referenced[id(stmt)] = names
+    return sorted(
+        (module, stmt.name)
+        for module, stmt in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and not stmt.name.endswith("__")
+        and not any(
+            stmt.name in names for key, names in referenced.items() if key != id(stmt)
+        )
+    )
+
+
+def test_orphan_checker_flags_unreferenced_private_definitions():
+    sources = {
+        "a.py": (
+            "def _used(): pass\n"
+            "def _orphan(): pass\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "class _Base: pass\n"
+            "def __getattr__(name): pass\n"
+            "def public(): return _used()\n"
+        ),
+        "b.py": (
+            "from .a import _Base\n"
+            "import a\n"
+            "def _helper(): pass\n"
+            "VALUE = a._helper2\n"
+            "def _helper2(): pass\n"
+        ),
+    }
+    assert orphaned_private_definitions(sources) == [
+        ("a.py", "_orphan"),
+        ("a.py", "_recursive"),
+        ("b.py", "_helper"),
+    ]
+
+
+def test_no_orphaned_private_definitions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert orphaned_private_definitions(sources) == []
