@@ -2,10 +2,10 @@
 Certifying the loop length r = pi (1 - a^2)
 ===========================================
 
-Algebra meets numerics: the valuation of Seidel elements gives an exact
-lower bound for the Hofer length of the degree-two circle loop, and
-quadrature of the explicit Hamiltonian gives a matching upper bound.
-Together they pin the length down exactly.
+The valuation of Seidel elements gives an exact lower bound for the
+Hofer length of the degree-two circle loop, and the exact lengths of the
+explicit Hamiltonian give a matching upper bound.  Together they pin the
+length down exactly.
 """
 
 import math
@@ -38,9 +38,9 @@ print()
 
 # Upper bound: the loop is generated by the radial Hamiltonian
 # H = pi (c - s) with c the mean of s over the annulus a^2 <= s <= 1,
-# so its one-sided lengths come from a quadrature of that mean.
+# so its one-sided lengths are closed forms in that mean.
 loop = lengths_blowup_loop(2, a2)
-print(f"quadrature lengths: L+ = {loop.l_plus:.10f}, L- = {loop.l_minus:.10f}")
+print(f"exact lengths: L+ = {loop.l_plus:.10f}, L- = {loop.l_minus:.10f}")
 print(f"total / pi = {loop.total / math.pi:.12f}  vs  1 - a^2 = {float(1 - a2)}")
 print()
 

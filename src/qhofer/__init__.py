@@ -43,12 +43,15 @@ from .seidel_bounds import (
     GrowthRow,
     GrowthSummary,
     GrowthTable,
+    LoopLengths,
     MonotoneCaseError,
     RTildeCertificate,
     SeidelElement,
     delta_constant,
     ell_plus_lower_bound,
     growth_table,
+    lengths_blowup_loop,
+    mean_radius_sq_exact,
     omega_f,
     psi,
     q_element,
@@ -61,9 +64,8 @@ __version__ = "0.1.0"
 
 # numpy loads with the float side, on first use of one of these names.
 _FLOAT_API = (
-    "ExtremumReport", "LoopLengths", "PathLengths", "RadialHamiltonian", "SampledPath",
-    "fixed_extremum_check", "lengths_blowup_loop", "mean_radius_sq", "mean_radius_sq_exact",
-    "path_lengths", "radial_loop_path", "radial_mean",
+    "ExtremumReport", "PathLengths", "RadialHamiltonian", "SampledPath",
+    "fixed_extremum_check", "mean_radius_sq", "path_lengths", "radial_loop_path", "radial_mean",
 )
 
 

@@ -30,11 +30,14 @@ from .quantum_homology import (
 )
 from .seidel_bounds import (
     MonotoneCaseError,
+    ell_plus_lower_bound,
     growth_table,
+    lengths_blowup_loop,
     omega_f,
     psi,
     q_element,
     r_tilde_certificate,
+    two_sided_bound,
     two_sided_bounds,
 )
 
@@ -283,14 +286,10 @@ def cmd_rtilde(args) -> int:
 
 
 def cmd_lengths(args) -> int:
-    from .hofer_lengths import lengths_blowup_loop
-
     lengths = lengths_blowup_loop(args.k, args.a2)
     total_over_pi = lengths.total / math.pi
-    if args.k == 2:
-        reference = float(1 - args.a2)
-    else:
-        reference = 1.0
+    bound = two_sided_bound(args.k, args.a2)
+    reference = float(bound)
     text = (
         f"L+ = {lengths.l_plus:.12f}  ({lengths.l_plus / math.pi:.12f} x pi)\n"
         f"L- = {lengths.l_minus:.12f}  ({lengths.l_minus / math.pi:.12f} x pi)\n"
@@ -309,9 +308,15 @@ def cmd_lengths(args) -> int:
     if lengths.l_plus < 0 or lengths.l_minus < 0:
         raise CheckFailure("one-sided lengths must be nonnegative")
     if abs(total_over_pi - reference) > 1e-12:
-        raise CheckFailure(
-            f"L/pi = {total_over_pi} differs from the closed form {reference}"
-        )
+        raise CheckFailure(f"L/pi = {total_over_pi} differs from {reference} by over 1e-12")
+    # The lengths meet their lower bounds exactly: the sum always, each side
+    # away from 3a^2 = 1, where Psi is undefined.
+    if lengths.plus + lengths.minus != bound:
+        raise CheckFailure(f"L/pi differs from v(Q^k) + v(Q^-k) = {bound}")
+    if 3 * args.a2 != 1:
+        for j, length in ((args.k, lengths.plus), (-args.k, lengths.minus)):
+            if length != ell_plus_lower_bound(j, args.a2):
+                raise CheckFailure(f"one-sided length {length} differs from v(Psi({j}))")
     return EXIT_OK
 
 
@@ -320,8 +325,6 @@ def cmd_geocheck(args) -> int:
 
     try:
         path = SampledPath.from_csv(args.path)
-    except OSError as exc:
-        raise UsageProblem(f"cannot read {args.path}: {exc}") from exc
     except ValueError as exc:
         raise UsageProblem(str(exc)) from exc
     report = fixed_extremum_check(path, window=args.window)
@@ -359,7 +362,7 @@ def cmd_model_validate(args) -> int:
         raise UsageProblem(f"model file not found: {args.path}")
     try:
         model = load_model(args.path)
-    except (ModelError, json.JSONDecodeError) as exc:
+    except ModelError as exc:
         raise CheckFailure(f"invalid model: {exc}") from exc
     print(f"model {model.name!r} is valid: {len(model.basis)} basis classes, "
           f"{len(model.gw)} table entries")
@@ -476,7 +479,7 @@ def main(argv=None) -> int:
     except (MonotoneCaseError, NotInvertibleError, ModelError) as exc:
         print(f"qhofer: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"qhofer: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,4 +1,4 @@
-"""Hofer length numerics: radial means, rotation-loop lengths, geodesic check.
+"""Hofer length numerics: radial means, sampled paths, geodesic check.
 
 This is the floating-point side of the package.  The blown-up projective
 plane is coordinatized by s = |z1|^2 + |z2|^2 on [a^2, 1]; the pushforward of
@@ -7,6 +7,8 @@ means of radial functions reduce to one-dimensional quadrature.  One-sided
 lengths of a Hamiltonian path are time integrals of (max - mean) and
 (mean - min) per slice.  The geodesic criterion asks for a single sample
 point that attains the spatial extremum throughout every short time window.
+The rotation loops' own lengths are closed forms, computed exactly in
+``seidel_bounds``.
 
 Everything here is float arithmetic; tests state tolerances explicitly
 (1e-10 for quadrature checks, 1e-12 where a closed form is known).
@@ -22,8 +24,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .novikov import RationalLike, _frac
+from .novikov import RationalLike, _frac, _integer
 from .quantum_homology import _area_parameter
+from .seidel_bounds import lengths_blowup_loop  # noqa: F401  (perfbench's tracer looks it up here)
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ def radial_mean(h: RadialHamiltonian, quad_points: int) -> float:
     ``quad_points`` counts quadrature nodes (bumped by one if even, the
     Simpson rule wants an odd grid).
     """
-    quad_points = int(quad_points)
+    quad_points = _integer(quad_points)
     if quad_points < 16:
         raise ValueError("use at least 16 quadrature points")
     n = quad_points if quad_points % 2 == 1 else quad_points + 1
@@ -100,58 +103,6 @@ def mean_radius_sq(a_squared: RationalLike, quad_points: int = 4097) -> float:
     """Radial mean of s itself: the centering constant of the rotation loop."""
     h = RadialHamiltonian(profile=lambda s: s, a_squared=_frac(a_squared))
     return radial_mean(h, quad_points)
-
-
-def mean_radius_sq_exact(a_squared: RationalLike) -> Fraction:
-    """Closed form of the same constant, 2(1-a^6)/(3(1-a^4))."""
-    a2 = _area_parameter(a_squared)
-    return 2 * (1 - a2**3) / (3 * (1 - a2**2))
-
-
-@dataclass(frozen=True)
-class LoopLengths:
-    """One-sided Hofer lengths of a loop, in absolute units (pi included)."""
-
-    l_plus: float
-    l_minus: float
-
-    @property
-    def total(self) -> float:
-        return self.l_plus + self.l_minus
-
-    def __iter__(self):
-        return iter((self.l_plus, self.l_minus))
-
-
-def lengths_blowup_loop(
-    k: int, a_squared: RationalLike, quad_points: int = 4097
-) -> LoopLengths:
-    """Lengths of the k-fold rotation loop from its explicit Hamiltonian.
-
-    k = 2 uses H = pi (c - s) with c the radial mean of s, so the profile has
-    mean zero and L+ = pi (c - a^2), L- = pi (1 - c).  k = 1 uses the
-    generating function -pi |z1|^2; its fiberwise average over each radius
-    shell is -pi s / 2, which is what the radial measure sees.  Extrema and
-    means are computed from the sampled profiles, not from closed forms.
-    """
-    k = int(k)
-    a2 = _area_parameter(a_squared)
-    if k == 2:
-        c = mean_radius_sq(a2, quad_points)
-        h = RadialHamiltonian.linear(c, a2)
-        _, values = h.sample(quad_points if quad_points % 2 else quad_points + 1)
-        mean = radial_mean(h, quad_points)
-        return LoopLengths(values.max() - mean, mean - values.min())
-    if k == 1:
-        # Over the shell at radius s the coordinate |z1|^2 averages to s/2;
-        # the extrema live at |z1|^2 = 0 and |z1|^2 = 1 on the outer boundary.
-        shell_mean = RadialHamiltonian(
-            profile=lambda s: -math.pi * s / 2.0, a_squared=a2
-        )
-        mean = radial_mean(shell_mean, quad_points)
-        top, bottom = 0.0, -math.pi
-        return LoopLengths(top - mean, mean - bottom)
-    raise ValueError("only the loops k = 1 and k = 2 carry explicit profiles")
 
 
 class PathLengths(NamedTuple):
@@ -272,7 +223,7 @@ def fixed_extremum_check(
     clamped to the whole path.  ``atol`` loosens the comparison for data that
     went through lossy storage.
     """
-    window = int(window)
+    window = _integer(window)
     if window < 1:
         raise ValueError("window must be at least 1")
     values = p.values

@@ -69,9 +69,9 @@ def _accumulate(items, base=()) -> dict:
 
 
 def _integer(v) -> int:
-    """v as an int; a non-integral value raises instead of being truncated."""
+    """v as an int; a bool or a non-integral value raises instead of being truncated."""
     q = rational(v) if isinstance(v, str) else Fraction(v)
-    if q.denominator != 1:
+    if q.denominator != 1 or isinstance(v, bool):
         raise ValueError(f"expected an integer, got {v!r}")
     return q.numerator
 

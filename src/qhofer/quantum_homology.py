@@ -183,7 +183,7 @@ class ManifoldModel:
             if c not in self._index:
                 raise ModelError(f"unknown basis class {c!r}")
             return self._index[c]
-        i = int(c)
+        i = _integer(c)
         if not 0 <= i < len(self.basis):
             raise ModelError(f"basis index {i} out of range")
         return i
@@ -390,7 +390,7 @@ class _Lattice:
         """Lattice terms of x^k for k = 1 .. k_max."""
         step = self.encode(x)
         acc = self.unit
-        for _ in range(int(k_max)):
+        for _ in range(_integer(k_max)):
             acc = _contract(self.quantum, acc, step)
             yield acc
 
@@ -432,7 +432,7 @@ def classical_product(model: ManifoldModel, x: QHElement, y: QHElement) -> QHEle
 
 def power(model: ManifoldModel, x: QHElement, k: int) -> QHElement:
     """k-th quantum power; negative k demands an exact finite inverse."""
-    k = int(k)
+    k = _integer(k)
     if k < 0:
         x = exact_inverse(model, x)
         k = -k
@@ -660,7 +660,7 @@ def model_cpn(n: int, line_area: RationalLike = 1) -> ManifoldModel:
     2(n - k); the single exponent generator is the line class L with
     omega(L) = ``line_area`` and c1(L) = n + 1.
     """
-    n = int(n)
+    n = _integer(n)
     if n < 1:
         raise ValueError("complex dimension must be at least 1")
     area = _frac(line_area)
@@ -749,7 +749,7 @@ def model_from_dict(data: Mapping) -> ManifoldModel:
             c1=data["c1"],
             gw=gw,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ModelError):
             raise
         raise ModelError(f"malformed model data: {exc}") from exc
@@ -763,5 +763,8 @@ def save_model(model: ManifoldModel, path) -> None:
 
 def load_model(path) -> ManifoldModel:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ModelError(f"malformed model file: {exc}") from exc
     return model_from_dict(data)

@@ -12,19 +12,20 @@ Psi(k) is a lower bound for the positive Hofer length of every loop in its
 homotopy class, and the two-sided sum v(Q^k) + v(Q^{-k}) bounds the full
 length; the delta exponents cancel there, so the two-sided bound survives the
 pole at 3a^2 = 1.  Sweeping k and taking the minimum certifies the exact
-value omega(F) = 1 - a^2 once the numerical upper bound of the explicit
-rotation Hamiltonian meets it.
+value omega(F) = 1 - a^2 once the lengths of the explicit rotation
+Hamiltonian meet it; those lengths are closed forms, exact here too.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .novikov import RationalLike, SphereClass, _frac, valuation
+from .novikov import RationalLike, SphereClass, _frac, _integer, valuation
 from .quantum_homology import (
     ManifoldModel,
     QHElement,
@@ -69,6 +70,46 @@ def omega_f(a_squared: RationalLike) -> Fraction:
     return 1 - _area_parameter(a_squared)
 
 
+def mean_radius_sq_exact(a_squared: RationalLike) -> Fraction:
+    """Closed form of the radial mean of s, 2(1-a^6)/(3(1-a^4))."""
+    a2 = _area_parameter(a_squared)
+    return 2 * (1 - a2**3) / (3 * (1 - a2**2))
+
+
+@dataclass(frozen=True)
+class LoopLengths:
+    """Exact one-sided Hofer lengths ``plus``, ``minus`` of a loop, in units of pi.
+
+    ``l_plus``, ``l_minus`` and ``total`` are the lengths as floats, pi included.
+    """
+
+    plus: Fraction
+    minus: Fraction
+
+    l_plus = property(lambda self: math.pi * float(self.plus))
+    l_minus = property(lambda self: math.pi * float(self.minus))
+    total = property(lambda self: math.pi * float(self.plus + self.minus))
+
+    def __iter__(self):
+        return iter((self.l_plus, self.l_minus))
+
+
+def lengths_blowup_loop(k: int, a_squared: RationalLike) -> LoopLengths:
+    """Exact lengths of the k-fold rotation loop from its explicit Hamiltonian.
+
+    With c the radial mean of s: k = 2 uses H = pi (c - s), of mean zero,
+    largest at s = a^2 and smallest at s = 1.  k = 1 uses -pi |z1|^2: its
+    shell average -pi s / 2 has mean -pi c / 2, its extrema are 0 and -pi.
+    """
+    a2 = _area_parameter(a_squared)
+    c = mean_radius_sq_exact(a2)
+    if k == 2:
+        return LoopLengths(c - a2, 1 - c)
+    if k == 1:
+        return LoopLengths(c / 2, 1 - c / 2)
+    raise ValueError("only the loops k = 1 and k = 2 carry explicit profiles")
+
+
 @dataclass(frozen=True)
 class SeidelElement:
     """Action of the k-fold rotation loop on the quantum homology of ``model``."""
@@ -87,7 +128,7 @@ def psi(k: int, a_squared: RationalLike) -> SeidelElement:
     model = model_blowup_cp2(a2)
     shift = SphereClass((Fraction(1, 2) - 2 * delta, Fraction(1, 4) + delta))
     base = model.basis_element("F", shift)
-    return SeidelElement(int(k), a2, delta, power(model, base, int(k)), model)
+    return SeidelElement(_integer(k), a2, delta, power(model, base, k), model)
 
 
 def ell_plus_lower_bound(k: int, a_squared: RationalLike) -> Fraction:
@@ -105,14 +146,14 @@ def two_sided_bound(k: int, a_squared: RationalLike) -> Fraction:
     The delta exponents cancel in the sum, so this stays defined at the
     monotone value 3a^2 = 1.
     """
-    if int(k) < 1:
+    if _integer(k) < 1:
         raise ValueError("k must be at least 1")
     return two_sided_bounds(k, a_squared)[-1][1]
 
 
 def two_sided_bounds(k_max: int, a_squared: RationalLike) -> list:
     """[(k, two_sided_bound(k))] for k = 1..k_max, sharing work across k."""
-    k_max = int(k_max)
+    k_max = _integer(k_max)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     pos, neg = _q_valuations(k_max, a_squared)
@@ -196,7 +237,7 @@ def growth_table(k_max: int, a_squared: RationalLike) -> GrowthTable:
     The psi-rate column is None at the monotone value 3a^2 = 1, where the
     rotation element itself is out of reach; everything else survives.
     """
-    k_max = int(k_max)
+    k_max = _integer(k_max)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     a2 = _frac(a_squared)
@@ -264,7 +305,7 @@ class RTildeCertificate:
 
 
 def r_tilde_certificate(a_squared: RationalLike, k_max: int) -> RTildeCertificate:
-    k_max = int(k_max)
+    k_max = _integer(k_max)
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     a2 = _frac(a_squared)

@@ -1,5 +1,6 @@
 """Shared builders for the test suite: random elements with exact entries."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from qhofer import (
     truncate_below,
     valuation,
 )
+from qhofer.hofer_lengths import RadialHamiltonian, mean_radius_sq, radial_mean
 from qhofer.quantum_homology import _invert_rational_matrix
 
 # The standard sweep values for the exceptional area.
@@ -166,3 +168,20 @@ def oracle_invert(model, x: QHElement, floor: Fraction) -> QHElement:
         term = truncate_below(nov_mul(term, g), model.omega, cutoff)
         series = series + term
     return truncate_below(_oracle_scale(col, series), model.omega, floor)
+
+
+def oracle_loop_lengths(k: int, a2, quad_points: int = 4097) -> tuple:
+    """Reference (L+, L-) of the k-fold rotation loop by Simpson quadrature.
+
+    k = 2 samples H = pi (c - s), c the quadrature mean of s, and takes its
+    sampled extrema; k = 1 takes the shell mean -pi s / 2 of -pi |z1|^2
+    against the extrema 0 and -pi.
+    """
+    if k == 2:
+        h = RadialHamiltonian.linear(mean_radius_sq(a2, quad_points), a2)
+        _, values = h.sample(quad_points)
+        mean = radial_mean(h, quad_points)
+        return values.max() - mean, mean - values.min()
+    shell = RadialHamiltonian(profile=lambda s: -math.pi * s / 2.0, a_squared=a2)
+    mean = radial_mean(shell, quad_points)
+    return 0.0 - mean, mean + math.pi

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import qhofer.cli
 import qhofer.quantum_homology
-from qhofer import model_blowup_cp2
+from qhofer import LoopLengths, lengths_blowup_loop, model_blowup_cp2
 from qhofer.cli import build_parser, main
+from helpers import NINE_A2
 
 
 def run(capsys, *argv):
@@ -233,6 +235,40 @@ class TestLengthsAndGeocheck:
         assert code == 0
         assert "1.000000000000 x pi" in out
 
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_lengths_meet_the_exact_bounds(self, capsys, k):
+        for a2 in NINE_A2:
+            code, _, err = run(capsys, "lengths", "--a2", str(a2), "--k", k)
+            assert code == 0, err
+
+    def test_lengths_side_mismatch_fails(self, capsys, monkeypatch):
+        # The sum is kept, so only the one-sided equalities can see it.
+        shift = Fraction(1, 1000)
+        monkeypatch.setattr(
+            qhofer.cli, "lengths_blowup_loop",
+            lambda k, a2: LoopLengths(
+                lengths_blowup_loop(k, a2).plus - shift,
+                lengths_blowup_loop(k, a2).minus + shift,
+            ),
+        )
+        code, out, err = run(capsys, "lengths", "--a2", "1/10")
+        assert code == 2
+        assert "x pi" in out
+        assert "v(Psi(2))" in err
+
+    @pytest.mark.parametrize("shift", [Fraction(1, 1000), Fraction(1, 10**15)])
+    def test_lengths_sum_mismatch_fails_at_monotone_value(self, capsys, monkeypatch, shift):
+        # 10^-15 is below the 1e-12 float check; only the exact sum sees it.
+        monkeypatch.setattr(
+            qhofer.cli, "lengths_blowup_loop",
+            lambda k, a2: LoopLengths(
+                lengths_blowup_loop(k, a2).plus + shift, lengths_blowup_loop(k, a2).minus
+            ),
+        )
+        code, _, err = run(capsys, "lengths", "--a2", "1/3")
+        assert code == 2
+        assert "check failed: L/pi" in err
+
     def test_geocheck_passes_on_constant(self, capsys, tmp_path):
         grid = tmp_path / "const.csv"
         grid.write_text("1,2,3\n1,2,3\n1,2,3\n")
@@ -285,6 +321,10 @@ class TestLengthsAndGeocheck:
         assert "finite" in err
 
 
+# The two ways a model file is read; PATH stands for the file.
+MODEL_READERS = [["model-validate", "PATH"], ["product", "--model", "PATH", "E", "F"]]
+
+
 class TestModelFiles:
     def test_export_then_validate(self, capsys, tmp_path):
         target = tmp_path / "blowup.json"
@@ -311,7 +351,7 @@ class TestModelFiles:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("c1", [1.2, 2]), ("dim", 4.9), ("degree", 2.5)],
+        [("c1", [1.2, 2]), ("c1", [True, 2]), ("dim", 4.9), ("degree", 2.5)],
     )
     def test_validate_rejects_non_integral(self, capsys, tmp_path, field, value):
         target = tmp_path / "blowup.json"
@@ -362,6 +402,55 @@ class TestModelFiles:
         code, _, err = run(capsys, "model-validate", str(target))
         assert code == 2
         assert "singular" in err
+
+    @pytest.mark.parametrize(
+        "index", [1.5, True, float("inf")], ids=["fraction", "bool", "infinity"]
+    )
+    def test_validate_rejects_non_integer_class_index(self, capsys, tmp_path, index):
+        # Truncated, 1.5 and true would read as index 1, the class E.
+        target = tmp_path / "blowup.json"
+        run(capsys, "model-export", "--model", "blowup", "--a2", "1/4",
+            "--out", str(target))
+        data = json.loads(target.read_text())
+        row = next(r for r in data["gw"] if r["classes"][0] == "E")
+        row["classes"][0] = index
+        target.write_text(json.dumps(data))
+        code, _, err = run(capsys, "model-validate", str(target))
+        assert code == 2
+        assert "invalid model" in err
+
+    @pytest.mark.parametrize(
+        "content", [b"{not json", b'{"name": "\xff"}'], ids=["malformed", "not-utf8"]
+    )
+    @pytest.mark.parametrize("argv", MODEL_READERS)
+    def test_unreadable_model_file_is_invalid(self, capsys, tmp_path, content, argv):
+        target = tmp_path / "junk.json"
+        target.write_bytes(content)
+        code, out, err = run(capsys, *(str(target) if a == "PATH" else a for a in argv))
+        assert code == 2
+        assert out == ""
+        assert "malformed model file" in err
+
+    @pytest.mark.parametrize("argv", MODEL_READERS)
+    def test_directory_as_model_is_usage(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *(str(tmp_path) if a == "PATH" else a for a in argv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("qhofer: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lengths", "--a2", "1/4"],
+            ["bounds", "--a2", "1/4", "--kmax", "3"],
+            ["model-export", "--a2", "1/4"],
+        ],
+    )
+    def test_out_into_missing_directory_is_usage(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "gone" / "out.txt"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("qhofer: error: ") and err.count("\n") == 1
 
     def test_validate_missing_file_is_usage(self, capsys, tmp_path):
         code, _, _ = run(capsys, "model-validate", str(tmp_path / "gone.json"))
@@ -468,10 +557,11 @@ class TestUsage:
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FLOAT_API = [
-    "ExtremumReport", "LoopLengths", "PathLengths", "RadialHamiltonian", "SampledPath",
-    "fixed_extremum_check", "lengths_blowup_loop", "mean_radius_sq", "mean_radius_sq_exact",
-    "path_lengths", "radial_loop_path", "radial_mean",
+    "ExtremumReport", "PathLengths", "RadialHamiltonian", "SampledPath",
+    "fixed_extremum_check", "mean_radius_sq", "path_lengths", "radial_loop_path", "radial_mean",
 ]
+# The rotation loop's exact lengths live on the numpy-free side.
+EXACT_LENGTHS_API = ["LoopLengths", "lengths_blowup_loop", "mean_radius_sq_exact"]
 
 
 def fresh(code):
@@ -485,7 +575,7 @@ def fresh(code):
 
 
 class TestLazyNumpy:
-    """numpy loads only with the float side: lengths, geocheck, hofer_lengths."""
+    """numpy loads only with the float side: geocheck and hofer_lengths."""
 
     def test_exact_path_leaves_numpy_out(self):
         loaded = fresh(
@@ -501,11 +591,22 @@ class TestLazyNumpy:
         )
         assert loaded == [False, True, False, False, False]
 
-    def test_lengths_loads_numpy(self):
+    def test_lengths_leaves_numpy_out(self):
         loaded = fresh(
             "import json, sys\n"
             "import qhofer.cli\n"
             "code = qhofer.cli.main(['lengths', '--a2', '1/10'])\n"
+            "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+        )
+        assert loaded == [0, False]
+
+    def test_geocheck_loads_numpy(self, tmp_path):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("0,1\n0,1\n")
+        loaded = fresh(
+            "import json, sys\n"
+            "import qhofer.cli\n"
+            f"code = qhofer.cli.main(['geocheck', {str(grid)!r}])\n"
             "print(json.dumps([code, 'numpy' in sys.modules]))\n"
         )
         assert loaded == [0, True]
@@ -519,5 +620,7 @@ class TestLazyNumpy:
         assert set(FLOAT_API) <= set(dir(qhofer))
         for name in FLOAT_API:
             assert getattr(qhofer, name) is getattr(hofer_lengths, name)
+        for name in EXACT_LENGTHS_API:
+            assert getattr(qhofer, name) is getattr(qhofer.seidel_bounds, name)
         with pytest.raises(AttributeError, match="no_such_name"):
             qhofer.no_such_name

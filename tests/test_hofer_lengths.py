@@ -18,7 +18,7 @@ from qhofer import (
     radial_loop_path,
     radial_mean,
 )
-from helpers import NINE_A2
+from helpers import NINE_A2, oracle_loop_lengths
 
 
 class TestRadialMean:
@@ -93,6 +93,14 @@ class TestLoopLengths:
         c = mean_radius_sq(a2, 4097)
         lengths = lengths_blowup_loop(1, a2)
         assert abs(lengths.l_plus - math.pi * c / 2) < 1e-10
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_exact_lengths_match_quadrature_oracle(self, k):
+        for a2 in NINE_A2:
+            l_plus, l_minus = oracle_loop_lengths(k, a2)
+            lengths = lengths_blowup_loop(k, a2)
+            assert abs(lengths.l_plus - l_plus) < 1e-10
+            assert abs(lengths.l_minus - l_minus) < 1e-10
 
     def test_iterable_pair(self):
         l_plus, l_minus = lengths_blowup_loop(2, Fraction(1, 4))

@@ -2,27 +2,38 @@
 
 import csv
 import io
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import qhofer.seidel_bounds as sb
 from qhofer import (
     MonotoneCaseError,
+    RadialHamiltonian,
+    SampledPath,
     delta_constant,
     ell_plus_lower_bound,
+    fixed_extremum_check,
     growth_table,
+    lengths_blowup_loop,
+    mean_radius_sq_exact,
     model_blowup_cp2,
+    model_cpn,
+    model_to_dict,
     omega_f,
     power,
     psi,
     q_element,
     quantum_product,
     r_tilde_certificate,
+    radial_mean,
     SphereClass,
     two_sided_bound,
     two_sided_bounds,
     valuation,
+    valuation_walk,
 )
 from helpers import NINE_A2
 
@@ -271,3 +282,61 @@ class TestQElement:
             m, power(m, q_element(m), k), m.basis_element("1", shift)
         )
         assert recomposed == psi(k, a2).value
+
+
+class TestLoopLengthsMeetBounds:
+    """The explicit Hamiltonian's exact lengths equal the Seidel lower bounds."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_each_side_equals_its_valuation(self, k):
+        for a2 in NINE_A2:
+            lengths = lengths_blowup_loop(k, a2)
+            assert lengths.plus + lengths.minus == two_sided_bound(k, a2)
+            if 3 * a2 != 1:
+                assert lengths.plus == ell_plus_lower_bound(k, a2)
+                assert lengths.minus == ell_plus_lower_bound(-k, a2)
+
+    def test_closed_forms(self):
+        a2 = Fraction(1, 2)
+        c = mean_radius_sq_exact(a2)
+        assert c == Fraction(7, 9)
+        two, one = lengths_blowup_loop(2, a2), lengths_blowup_loop(1, a2)
+        assert (two.plus, two.minus) == (c - a2, 1 - c)
+        assert (one.plus, one.minus) == (c / 2, 1 - c / 2)
+
+    def test_floats_carry_pi(self):
+        lengths = lengths_blowup_loop(2, Fraction(1, 4))
+        assert isinstance(lengths.plus, Fraction)
+        assert lengths.l_plus == math.pi * float(lengths.plus)
+        assert lengths.total == math.pi * float(lengths.plus + lengths.minus)
+        assert tuple(lengths) == (lengths.l_plus, lengths.l_minus)
+
+
+_A2 = Fraction(1, 10)
+_MODEL = model_blowup_cp2(_A2)
+_Q = q_element(_MODEL)
+_PATH = SampledPath(np.tile([0.0, 1.0, 0.5], (5, 1)))
+_RADIAL = RadialHamiltonian(profile=lambda s: s * s, a_squared=_A2)
+
+# Each entry point with one integer argument; radial_mean needs at least 16
+# nodes, so it reads 11 n.
+INTEGER_ENTRY_POINTS = {
+    "lattice walk": lambda n: valuation_walk(_MODEL, _Q, n),
+    "power": lambda n: power(_MODEL, _Q, n),
+    "model_cpn": lambda n: model_to_dict(model_cpn(n)),
+    "psi": lambda n: psi(n, _A2),
+    "two_sided_bound": lambda n: two_sided_bound(n, _A2),
+    "two_sided_bounds": lambda n: two_sided_bounds(n, _A2),
+    "growth_table": lambda n: growth_table(n, _A2),
+    "r_tilde_certificate": lambda n: r_tilde_certificate(_A2, n),
+    "radial_mean": lambda n: radial_mean(_RADIAL, 11 * n),
+    "fixed_extremum_check": lambda n: fixed_extremum_check(_PATH, window=n),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_integer_arguments_are_not_truncated(entry):
+    call = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="expected an integer"):
+        call(2.5)
+    assert call(3.0) == call(3)
