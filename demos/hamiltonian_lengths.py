@@ -13,8 +13,6 @@ time window.
 import json
 from fractions import Fraction
 
-import numpy as np
-
 from qhofer import (
     SampledPath,
     fixed_extremum_check,
@@ -42,9 +40,14 @@ print()
 # the first sample point to the last, so no single witness works on the
 # windows that straddle the crossing.  (An even number of time samples
 # keeps the profile nonzero on every row.)
-t = np.linspace(0.0, 1.0, 8)[:, None]
-profile = np.linspace(1.0, -1.0, 33)[None, :]
-crossing = SampledPath((1.0 - 2.0 * t) * profile, label="crossing")
+def linspace(lo, hi, n):
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
+profile = linspace(1.0, -1.0, 33)
+grid = [[(1.0 - 2.0 * t) * x for x in profile] for t in linspace(0.0, 1.0, 8)]
+crossing = SampledPath(grid, label="crossing")
 report = fixed_extremum_check(crossing, window=2)
 print(
     f"crossing path: fixed max = {report.has_fixed_max_each_moment},"
@@ -58,9 +61,9 @@ print()
 # Grids round-trip through CSV, with an optional first row of sample
 # weights.  Weights shift the spatial mean and therefore the split
 # between L+ and L-, but not the total.
-grid = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+grid = [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
 plain = SampledPath(grid)
-weighted = SampledPath(grid, weights=np.array([3.0, 1.0]))
+weighted = SampledPath(grid, weights=[3.0, 1.0])
 for p in (plain, weighted):
     l = path_lengths(p)
     print(f"weights {p.weights}: L+ = {l.l_plus:.4f}, L- = {l.l_minus:.4f},"

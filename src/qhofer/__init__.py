@@ -62,7 +62,7 @@ from .seidel_bounds import (
 
 __version__ = "0.1.0"
 
-# numpy loads with the float side, on first use of one of these names.
+# The float module loads on first use of one of these names.
 _FLOAT_API = (
     "ExtremumReport", "PathLengths", "RadialHamiltonian", "SampledPath",
     "fixed_extremum_check", "mean_radius_sq", "path_lengths", "radial_loop_path", "radial_mean",

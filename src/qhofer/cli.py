@@ -321,6 +321,7 @@ def cmd_lengths(args) -> int:
 
 
 def cmd_geocheck(args) -> int:
+    # Imported here: no other subcommand needs the float module.
     from .hofer_lengths import SampledPath, fixed_extremum_check
 
     try:
@@ -328,17 +329,11 @@ def cmd_geocheck(args) -> int:
     except ValueError as exc:
         raise UsageProblem(str(exc)) from exc
     report = fixed_extremum_check(path, window=args.window)
-    text = (
-        f"fixed max at each moment: {report.has_fixed_max_each_moment}\n"
-        f"fixed min at each moment: {report.has_fixed_min_each_moment}"
-    )
+    sides = {"max": report.has_fixed_max_each_moment, "min": report.has_fixed_min_each_moment}
+    text = "\n".join(f"fixed {side} at each moment: {fixed}" for side, fixed in sides.items())
     _emit(args, text, report.to_dict())
-    if not (report.has_fixed_max_each_moment and report.has_fixed_min_each_moment):
-        missing = []
-        if not report.has_fixed_max_each_moment:
-            missing.append("max")
-        if not report.has_fixed_min_each_moment:
-            missing.append("min")
+    missing = [side for side, fixed in sides.items() if not fixed]
+    if missing:
         raise CheckFailure(f"no fixed {' and '.join(missing)} on some window")
     return EXIT_OK
 

@@ -10,23 +10,40 @@ point that attains the spatial extremum throughout every short time window.
 The rotation loops' own lengths are closed forms, computed exactly in
 ``seidel_bounds``.
 
-Everything here is float arithmetic; tests state tolerances explicitly
-(1e-10 for quadrature checks, 1e-12 where a closed form is known).
+Everything here is float arithmetic on the standard library; tests state
+tolerances explicitly (1e-10 for quadrature checks, 1e-12 for closed forms).
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .novikov import RationalLike, _frac, _integer
 from .quantum_homology import _area_parameter
 from .seidel_bounds import lengths_blowup_loop  # noqa: F401  (perfbench's tracer looks it up here)
+
+
+def _floats(items, problem: str, item=float) -> tuple:
+    """``item`` of each entry of ``items``; text counts as no entries, and
+    nesting or a non-iterable raises ValueError(problem)."""
+    try:
+        return tuple(map(item, () if isinstance(items, (str, bytes)) else items))
+    except TypeError:
+        raise ValueError(problem) from None
+
+
+def _linspace(lo: float, hi: float, n: int) -> tuple:
+    """n >= 2 equally spaced points lo + i * step, the last one exactly hi."""
+    if n < 2:
+        raise ValueError("need at least two points")
+    step = (hi - lo) / (n - 1)
+    return (*(lo + i * step for i in range(n - 1)), hi)
 
 
 @dataclass(frozen=True)
@@ -43,43 +60,40 @@ class RadialHamiltonian:
     @classmethod
     def linear(cls, c0: float, a_squared: RationalLike) -> "RadialHamiltonian":
         """The rotation-loop profile H(s) = pi (c0 - s)."""
-        return cls(
-            profile=lambda s: math.pi * (c0 - s),
-            a_squared=_frac(a_squared),
-            label=f"pi*({c0} - s)",
-        )
+        return cls(lambda s: math.pi * (c0 - s), _frac(a_squared), f"pi*({c0} - s)")
 
     @classmethod
-    def from_samples(
-        cls, values: Sequence[float], a_squared: RationalLike
-    ) -> "RadialHamiltonian":
-        """Piecewise-linear profile through equally spaced samples."""
+    def from_samples(cls, values: Sequence[float], a_squared: RationalLike) -> "RadialHamiltonian":
+        """Piecewise-linear profile through equally spaced samples, constant
+        beyond the first and last sample."""
         a2 = _frac(a_squared)
-        ys = np.asarray(values, dtype=float)
-        if ys.ndim != 1 or ys.size < 2:
-            raise ValueError("need at least two samples")
-        xs = np.linspace(float(a2), 1.0, ys.size)
-        return cls(
-            profile=lambda s: float(np.interp(s, xs, ys)),
-            a_squared=a2,
-            label=f"sampled[{ys.size}]",
-        )
+        ys = _floats(values, "samples must be a flat sequence of numbers")
+        xs = _linspace(float(a2), 1.0, len(ys))
+
+        def profile(s: float) -> float:
+            j = min(max(bisect_right(xs, s) - 1, 0), len(xs) - 2)
+            if s <= xs[j]:
+                return ys[j]
+            if s >= xs[j + 1]:
+                return ys[j + 1]
+            return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (s - xs[j]) + ys[j]
+
+        return cls(profile=profile, a_squared=a2, label=f"sampled[{len(ys)}]")
 
     def sample(self, n: int) -> tuple:
         """(s grid, H values) on n equally spaced points across the domain."""
-        s = np.linspace(float(self.a_squared), 1.0, n)
-        return s, np.array([self.profile(x) for x in s])
+        s = _linspace(float(self.a_squared), 1.0, n)
+        return s, tuple(map(self.profile, s))
 
 
-def _simpson(values: np.ndarray, step: float) -> float:
-    """Composite Simpson rule; values must sit on an odd-size uniform grid."""
-    n = values.size
+def _simpson(values: Sequence[float], step: float) -> float:
+    """Composite Simpson rule, weights 1, 4, 2, ..., 2, 4, 1; values must sit
+    on an odd-size uniform grid."""
+    n = len(values)
     if n < 3 or n % 2 == 0:
         raise ValueError("Simpson rule needs an odd number of points")
-    weights = np.ones(n)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(step / 3.0 * np.dot(weights, values))
+    inner = ((4.0 if i % 2 else 2.0) * v for i, v in enumerate(values[1:-1], 1))
+    return step / 3.0 * math.fsum((values[0], *inner, values[-1]))
 
 
 def radial_mean(h: RadialHamiltonian, quad_points: int) -> float:
@@ -94,9 +108,7 @@ def radial_mean(h: RadialHamiltonian, quad_points: int) -> float:
     n = quad_points if quad_points % 2 == 1 else quad_points + 1
     s, values = h.sample(n)
     step = (1.0 - float(h.a_squared)) / (n - 1)
-    numerator = _simpson(values * s, step)
-    denominator = _simpson(s, step)
-    return numerator / denominator
+    return _simpson([v * x for v, x in zip(values, s)], step) / _simpson(s, step)
 
 
 def mean_radius_sq(a_squared: RationalLike, quad_points: int = 4097) -> float:
@@ -114,37 +126,29 @@ class PathLengths(NamedTuple):
 class SampledPath:
     """Float samples H[t_i][x_j] of a Hamiltonian path on a grid.
 
-    ``weights`` are spatial quadrature weights for the per-slice mean
-    (uniform by default); ``time_step`` defaults to a parametrization of the
-    whole path over [0, 1].
+    ``values`` is a tuple of rows, one per time slice.  ``weights`` are
+    spatial quadrature weights for the per-slice mean (uniform by default);
+    ``time_step`` defaults to a parametrization of the whole path over [0, 1].
     """
 
-    def __init__(
-        self,
-        values,
-        time_step: Optional[float] = None,
-        weights=None,
-        label: str = "",
-    ) -> None:
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
-            raise ValueError("need a 2d grid with at least two samples per axis")
-        if not np.isfinite(arr).all():
+    def __init__(self, values, time_step: Optional[float] = None, weights=None, label="") -> None:
+        shape = "need a rectangular 2d grid with at least two samples per axis"
+        grid = _floats(values, shape, lambda row: _floats(row, shape))
+        n_x = len(grid[0]) if grid else 0
+        if len(grid) < 2 or n_x < 2 or any(len(row) != n_x for row in grid):
+            raise ValueError(shape)
+        if not all(all(map(math.isfinite, row)) for row in grid):
             raise ValueError("samples must be finite")
-        self.values = arr
-        self.time_step = (
-            1.0 / (arr.shape[0] - 1) if time_step is None else float(time_step)
-        )
+        self.values = grid
+        self.time_step = 1.0 / (len(grid) - 1) if time_step is None else float(time_step)
         if self.time_step <= 0:
             raise ValueError("time step must be positive")
-        if weights is None:
-            w = np.full(arr.shape[1], 1.0 / arr.shape[1])
-        else:
-            w = np.asarray(weights, dtype=float)
-            if w.shape != (arr.shape[1],):
-                raise ValueError("weights must list one value per sample point")
-            if not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
-                raise ValueError("weights must be finite, nonnegative, with positive sum")
+        per_point = "weights must list one value per sample point"
+        w = (1.0 / n_x,) * n_x if weights is None else _floats(weights, per_point)
+        if len(w) != n_x:
+            raise ValueError(per_point)
+        if not all(map(math.isfinite, w)) or min(w) < 0 or math.fsum(w) <= 0:
+            raise ValueError("weights must be finite, nonnegative, with positive sum")
         self.weights = w
         self.label = str(label)
 
@@ -153,20 +157,23 @@ class SampledPath:
         """Read a grid from CSV: one row per time slice.
 
         An optional first row whose leading cell is the word "weights"
-        supplies spatial weights in its remaining cells.
+        supplies spatial weights in its remaining cells.  Blank lines are
+        skipped; an empty cell in any other row is an error.
         """
-        import csv as _csv
-
+        rows = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in _csv.reader(fh) if any(c.strip() for c in row)]
+            reader = csv.reader(fh)
+            for row in reader:
+                if any(map(str.strip, row)):
+                    if not all(map(str.strip, row)):
+                        raise ValueError(f"{path}: empty cell in row {reader.line_num}")
+                    rows.append(row)
         if not rows:
             raise ValueError(f"{path}: empty grid")
-        weights = None
-        if rows and rows[0] and rows[0][0].strip().lower() == "weights":
-            weights = [float(c) for c in rows[0][1:] if c.strip()]
-            rows = rows[1:]
+        has_weights = rows[0][0].strip().lower() == "weights"
         try:
-            grid = [[float(c) for c in row if c.strip()] for row in rows]
+            weights = [float(c) for c in rows.pop(0)[1:]] if has_weights else None
+            grid = [[float(c) for c in row] for row in rows]
         except ValueError as exc:
             raise ValueError(f"{path}: non-numeric cell ({exc})") from exc
         if grid and any(len(r) != len(grid[0]) for r in grid):
@@ -174,13 +181,16 @@ class SampledPath:
         return cls(grid, time_step=time_step, weights=weights, label=str(path))
 
 
+def _trapezoid(values: Sequence[float], step: float) -> float:
+    return step * math.fsum((values[0] / 2, *values[1:-1], values[-1] / 2))
+
+
 def path_lengths(p: SampledPath) -> PathLengths:
     """Trapezoid-rule one-sided lengths of a sampled path."""
-    mx = p.values.max(axis=1)
-    mn = p.values.min(axis=1)
-    mean = p.values @ p.weights / p.weights.sum()
-    l_plus = float(np.trapezoid(mx - mean, dx=p.time_step))
-    l_minus = float(np.trapezoid(mean - mn, dx=p.time_step))
+    total_weight = math.fsum(p.weights)
+    means = [math.fsum(v * w for v, w in zip(row, p.weights)) / total_weight for row in p.values]
+    l_plus = _trapezoid([max(row) - m for row, m in zip(p.values, means)], p.time_step)
+    l_minus = _trapezoid([m - min(row) for row, m in zip(p.values, means)], p.time_step)
     return PathLengths(l_plus, l_minus, l_plus + l_minus)
 
 
@@ -214,9 +224,15 @@ class ExtremumReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def fixed_extremum_check(
-    p: SampledPath, window: int = 2, atol: float = 0.0
-) -> ExtremumReport:
+def _first_common(hits: list, window: int) -> tuple:
+    """Per run of ``window`` consecutive sets, the least index in all of them, or None."""
+    return tuple(
+        min(set.intersection(*hits[s : s + window]), default=None)
+        for s in range(len(hits) - window + 1)
+    )
+
+
+def fixed_extremum_check(p: SampledPath, window: int = 2, atol: float = 0.0) -> ExtremumReport:
     """Check for a fixed spatial extremum over each window of time slices.
 
     Windows slide one slice at a time; a window longer than the path is
@@ -226,38 +242,26 @@ def fixed_extremum_check(
     window = _integer(window)
     if window < 1:
         raise ValueError("window must be at least 1")
-    values = p.values
-    n_t = values.shape[0]
-    window = min(window, n_t)
-    row_max = values.max(axis=1)
-    row_min = values.min(axis=1)
-    max_witnesses = []
-    min_witnesses = []
-    for start in range(n_t - window + 1):
-        block = values[start : start + window]
-        hit_max = (block >= row_max[start : start + window, None] - atol).all(axis=0)
-        hit_min = (block <= row_min[start : start + window, None] + atol).all(axis=0)
-        idx_max = np.flatnonzero(hit_max)
-        idx_min = np.flatnonzero(hit_min)
-        max_witnesses.append(int(idx_max[0]) if idx_max.size else None)
-        min_witnesses.append(int(idx_min[0]) if idx_min.size else None)
+    window = min(window, len(p.values))
+    max_hits, min_hits = [], []
+    for row in p.values:
+        top, bottom = max(row) - atol, min(row) + atol
+        max_hits.append({j for j, v in enumerate(row) if v >= top})
+        min_hits.append({j for j, v in enumerate(row) if v <= bottom})
+    max_witnesses = _first_common(max_hits, window)
+    min_witnesses = _first_common(min_hits, window)
     return ExtremumReport(
         window=window,
-        has_fixed_max_each_moment=all(w is not None for w in max_witnesses),
-        has_fixed_min_each_moment=all(w is not None for w in min_witnesses),
-        max_witnesses=tuple(max_witnesses),
-        min_witnesses=tuple(min_witnesses),
+        has_fixed_max_each_moment=None not in max_witnesses,
+        has_fixed_min_each_moment=None not in min_witnesses,
+        max_witnesses=max_witnesses,
+        min_witnesses=min_witnesses,
         label=p.label,
     )
 
 
-def radial_loop_path(
-    a_squared: RationalLike, n_time: int = 16, n_space: int = 64
-) -> SampledPath:
+def radial_loop_path(a_squared: RationalLike, n_time: int = 16, n_space: int = 64) -> SampledPath:
     """The double-rotation Hamiltonian sampled as an (autonomous) path."""
     a2 = _frac(a_squared)
-    c = mean_radius_sq(a2)
-    h = RadialHamiltonian.linear(c, a2)
-    _, profile = h.sample(n_space)
-    values = np.tile(profile, (n_time, 1))
-    return SampledPath(values, label=f"radial rotation loop, a^2 = {a2}")
+    _, profile = RadialHamiltonian.linear(mean_radius_sq(a2), a2).sample(n_space)
+    return SampledPath([profile] * n_time, label=f"radial rotation loop, a^2 = {a2}")

@@ -48,7 +48,7 @@ def _frac(q: RationalLike) -> Fraction:
         return q
     if isinstance(q, str):
         return rational(q)
-    if isinstance(q, int):
+    if isinstance(q, int) and not isinstance(q, bool):
         return Fraction(q)
     raise TypeError(f"expected a rational, got {type(q).__name__}")
 

@@ -170,6 +170,17 @@ def oracle_invert(model, x: QHElement, floor: Fraction) -> QHElement:
     return truncate_below(_oracle_scale(col, series), model.omega, floor)
 
 
+def linspace(lo: float, hi: float, n: int) -> list:
+    """n equally spaced floats lo + i * step, the last one exactly hi."""
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
+def outer(a, b) -> list:
+    """The grid a[i] * b[j]."""
+    return [[x * y for y in b] for x in a]
+
+
 def oracle_loop_lengths(k: int, a2, quad_points: int = 4097) -> tuple:
     """Reference (L+, L-) of the k-fold rotation loop by Simpson quadrature.
 
@@ -181,7 +192,7 @@ def oracle_loop_lengths(k: int, a2, quad_points: int = 4097) -> tuple:
         h = RadialHamiltonian.linear(mean_radius_sq(a2, quad_points), a2)
         _, values = h.sample(quad_points)
         mean = radial_mean(h, quad_points)
-        return values.max() - mean, mean - values.min()
+        return max(values) - mean, mean - min(values)
     shell = RadialHamiltonian(profile=lambda s: -math.pi * s / 2.0, a_squared=a2)
     mean = radial_mean(shell, quad_points)
     return 0.0 - mean, mean + math.pi

@@ -295,6 +295,15 @@ class TestLengthsAndGeocheck:
         code, _, err = run(capsys, "geocheck", str(tmp_path / "nope.csv"))
         assert code == 1
 
+    def test_geocheck_empty_cell_is_usage(self, capsys, tmp_path):
+        # Skipping the empty cells would read a 2-column grid and misname witnesses.
+        grid = tmp_path / "holes.csv"
+        grid.write_text("1,,3\n4,,6\n")
+        code, out, err = run(capsys, "geocheck", str(grid))
+        assert code == 1
+        assert out == ""
+        assert f"{grid}: empty cell in row 1" in err
+
     def test_geocheck_malformed_is_usage(self, capsys, tmp_path):
         grid = tmp_path / "bad.csv"
         grid.write_text("a,b\nc,d\n")
@@ -366,6 +375,23 @@ class TestModelFiles:
         code, _, err = run(capsys, "model-validate", str(target))
         assert code == 2
         assert "must be integers" in err
+
+    @pytest.mark.parametrize("field", ["pairing", "value"])
+    def test_validate_rejects_bool_rationals(self, capsys, tmp_path, field):
+        # JSON true is not the rational 1.
+        target = tmp_path / "blowup.json"
+        run(capsys, "model-export", "--model", "blowup", "--a2", "1/4",
+            "--out", str(target))
+        data = json.loads(target.read_text())
+        assert data["pairing"][0][3] == "1" and data["gw"][0]["value"] == "1"
+        if field == "value":
+            data["gw"][0]["value"] = True
+        else:
+            data["pairing"][0][3] = True
+        target.write_text(json.dumps(data))
+        code, _, err = run(capsys, "model-validate", str(target))
+        assert code == 2
+        assert "invalid model" in err
 
     @pytest.mark.parametrize("field", ["dim", "value"])
     def test_validate_rejects_exponent_notation(self, capsys, tmp_path, field):
@@ -560,7 +586,7 @@ FLOAT_API = [
     "ExtremumReport", "PathLengths", "RadialHamiltonian", "SampledPath",
     "fixed_extremum_check", "mean_radius_sq", "path_lengths", "radial_loop_path", "radial_mean",
 ]
-# The rotation loop's exact lengths live on the numpy-free side.
+# The rotation loop's exact lengths live in seidel_bounds, on the exact side.
 EXACT_LENGTHS_API = ["LoopLengths", "lengths_blowup_loop", "mean_radius_sq_exact"]
 
 
@@ -574,42 +600,58 @@ def fresh(code):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-class TestLazyNumpy:
-    """numpy loads only with the float side: geocheck and hofer_lengths."""
+class TestImports:
+    """The package loads nothing outside the standard library, and the float
+    module loads only for geocheck and the float API."""
 
-    def test_exact_path_leaves_numpy_out(self):
-        loaded = fresh(
-            "import json, sys\n"
-            "seen = []\n"
-            "import qhofer; seen.append('numpy' in sys.modules)\n"
-            f"seen.append(set({FLOAT_API!r}) <= set(dir(qhofer)))\n"
-            "seen.append(hasattr(qhofer, 'no_such_name') or 'numpy' in sys.modules)\n"
-            "import qhofer.cli; seen.append('numpy' in sys.modules)\n"
-            "qhofer.cli.main(['bounds', '--a2', '1/10', '--kmax', '5'])\n"
-            "seen.append('numpy' in sys.modules)\n"
-            "print(json.dumps(seen))\n"
-        )
-        assert loaded == [False, True, False, False, False]
+    # Top-level modules outside the standard library that ``code`` imports,
+    # beyond those the interpreter had loaded at startup.
+    OUTSIDE = (
+        "import contextlib, io, json, sys\n"
+        "def outside():\n"
+        "    return {m.partition('.')[0] for m in sys.modules} - sys.stdlib_module_names\n"
+        "startup = outside() | {'qhofer'}\n"
+        "def loaded():\n"
+        "    return sorted(outside() - startup)\n"
+    )
 
-    def test_lengths_leaves_numpy_out(self):
-        loaded = fresh(
-            "import json, sys\n"
-            "import qhofer.cli\n"
-            "code = qhofer.cli.main(['lengths', '--a2', '1/10'])\n"
-            "print(json.dumps([code, 'numpy' in sys.modules]))\n"
-        )
-        assert loaded == [0, False]
-
-    def test_geocheck_loads_numpy(self, tmp_path):
+    def test_every_subcommand_stays_in_the_standard_library(self, tmp_path):
         grid = tmp_path / "grid.csv"
         grid.write_text("0,1\n0,1\n")
-        loaded = fresh(
-            "import json, sys\n"
-            "import qhofer.cli\n"
-            f"code = qhofer.cli.main(['geocheck', {str(grid)!r}])\n"
-            "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+        model = tmp_path / "model.json"
+        argvs = [[name, *args] for name, args in SMALL_INPUTS.items() if name != "geocheck"]
+        argvs += [
+            ["model-export", "--model", "blowup", "--a2", "1/4", "--out", str(model)],
+            ["model-validate", str(model)],
+            ["geocheck", str(grid)],
+        ]
+        seen = fresh(
+            self.OUTSIDE
+            + "import qhofer.cli\n"
+            "seen = []\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = qhofer.cli.main(argv)\n"
+            "    seen.append([argv[0], code, loaded(), 'qhofer.hofer_lengths' in sys.modules])\n"
+            "print(json.dumps(seen))\n"
         )
-        assert loaded == [0, True]
+        exact = [[argv[0], 0, [], False] for argv in argvs[:-1]]
+        assert seen == exact + [["geocheck", 0, [], True]]
+        (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert {row[0] for row in seen} == set(subs.choices)
+
+    def test_float_module_stays_in_the_standard_library(self):
+        seen = fresh(
+            self.OUTSIDE
+            + "seen = []\n"
+            "import qhofer; seen.append(loaded())\n"
+            f"seen.append(set({FLOAT_API!r}) <= set(dir(qhofer)))\n"
+            "seen.append(hasattr(qhofer, 'no_such_name'))\n"
+            "seen.append('qhofer.hofer_lengths' in sys.modules)\n"
+            "import qhofer.hofer_lengths; seen.append(loaded())\n"
+            "print(json.dumps(seen))\n"
+        )
+        assert seen == [[], True, False, False, []]
 
     def test_float_api_names(self):
         import qhofer

@@ -2,9 +2,9 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from qhofer import (
@@ -18,7 +18,7 @@ from qhofer import (
     radial_loop_path,
     radial_mean,
 )
-from helpers import NINE_A2, oracle_loop_lengths
+from helpers import NINE_A2, linspace, oracle_loop_lengths, outer
 
 
 class TestRadialMean:
@@ -127,23 +127,60 @@ class TestSampledPath:
             SampledPath([[1, 2], [3, 4]], time_step=0.0)
 
     def test_default_parametrization(self):
-        p = SampledPath(np.zeros((5, 3)))
+        p = SampledPath([[0.0] * 3] * 5)
         assert abs(p.time_step - 0.25) < 1e-15
-        assert abs(p.weights.sum() - 1.0) < 1e-15
+        assert abs(sum(p.weights) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, 2.0, 3.0], [[1.0, 2.0], [3.0]], [[[1.0, 2.0]], [[3.0, 4.0]]], ["12", "34"], 3.0],
+        ids=["1d", "ragged", "3d", "text-rows", "scalar"],
+    )
+    def test_grid_must_be_rectangular_2d(self, values):
+        with pytest.raises(ValueError, match="rectangular 2d grid"):
+            SampledPath(values)
+
+    def test_any_2d_iterable(self):
+        p = SampledPath(((i, i + 1) for i in range(3)), weights=iter([1, 3]))
+        assert p.values == ((0.0, 1.0), (1.0, 2.0), (2.0, 3.0))
+        assert p.weights == (1.0, 3.0)
+        assert all(isinstance(v, float) for row in p.values for v in row)
 
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text("0,1,2\n3,4,5\n")
         p = SampledPath.from_csv(path)
-        assert p.values.shape == (2, 3)
-        assert p.values[1, 2] == 5.0
+        assert len(p.values) == 2 and len(p.values[0]) == 3
+        assert p.values[1][2] == 5.0
 
     def test_csv_weights_row(self, tmp_path):
         path = tmp_path / "weighted.csv"
         path.write_text("weights,1,1,2\n0,1,0\n0,1,0\n")
         p = SampledPath.from_csv(path)
-        assert p.values.shape == (2, 3)
+        assert len(p.values) == 2 and len(p.values[0]) == 3
         assert list(p.weights) == [1.0, 1.0, 2.0]
+
+    def test_csv_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "spaced.csv"
+        path.write_text("\n0,1\n , \n\n0,1\n")
+        assert SampledPath.from_csv(path).values == ((0.0, 1.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1,,3\n4,,6\n", 1),
+            ("1,2,3\n\n4,5, \n", 3),
+            ("1,2\n3,4,\n", 2),
+            ("weights,1,,1\n0,1,0\n0,1,0\n", 1),
+        ],
+        ids=["middle", "blank-cell-after-blank-line", "trailing", "weights-row"],
+    )
+    def test_csv_empty_cell_rejected(self, tmp_path, text, line):
+        # Dropping the cell would shift later columns and misname witnesses.
+        path = tmp_path / "holes.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"holes.csv: empty cell in row {line}$"):
+            SampledPath.from_csv(path)
 
     def test_csv_errors(self, tmp_path):
         ragged = tmp_path / "ragged.csv"
@@ -162,28 +199,29 @@ class TestSampledPath:
 
 class TestPathLengths:
     def test_constant_in_space(self):
-        values = np.outer(np.linspace(0, 1, 6), np.ones(4))
+        values = outer(linspace(0, 1, 6), [1.0] * 4)
         lengths = path_lengths(SampledPath(values))
         assert lengths == (0.0, 0.0, 0.0)
 
     def test_separable_two_point(self):
-        values = np.tile([0.0, 1.0], (3, 1))
+        values = [[0.0, 1.0]] * 3
         lengths = path_lengths(SampledPath(values))
         assert abs(lengths.l_plus - 0.5) < 1e-15
         assert abs(lengths.l_minus - 0.5) < 1e-15
 
     def test_negation_swaps_sides(self):
-        rng = np.random.default_rng(31)
-        values = rng.normal(size=(7, 5))
-        weights = rng.uniform(0.5, 1.5, size=5)
+        rng = random.Random(31)
+        values = [[rng.gauss(0.0, 1.0) for _ in range(5)] for _ in range(7)]
+        weights = [rng.uniform(0.5, 1.5) for _ in range(5)]
         forward = path_lengths(SampledPath(values, weights=weights))
-        backward = path_lengths(SampledPath(-values, weights=weights))
+        negated = [[-v for v in row] for row in values]
+        backward = path_lengths(SampledPath(negated, weights=weights))
         assert abs(forward.l_plus - backward.l_minus) < 1e-12
         assert abs(forward.l_minus - backward.l_plus) < 1e-12
         assert abs(forward.total - backward.total) < 1e-12
 
     def test_weights_shift_the_mean(self):
-        values = np.tile([0.0, 1.0], (2, 1))
+        values = [[0.0, 1.0]] * 2
         uniform = path_lengths(SampledPath(values))
         tilted = path_lengths(SampledPath(values, weights=[3.0, 1.0]))
         assert tilted.l_plus > uniform.l_plus
@@ -191,38 +229,36 @@ class TestPathLengths:
     def test_refinement_invariance(self):
         # Positive separable path: per-slice extrema follow the time factor
         # linearly, so the trapezoid integral is unchanged by refinement.
-        t = np.linspace(0, 1, 9)
-        g = np.array([0.3, -1.2, 0.7, 2.0, -0.5])
-        coarse = SampledPath(np.outer(1 + t, g))
-        t_fine = np.linspace(0, 1, 17)
-        fine = SampledPath(np.outer(1 + t_fine, g))
+        g = [0.3, -1.2, 0.7, 2.0, -0.5]
+        coarse = SampledPath(outer([1 + t for t in linspace(0, 1, 9)], g))
+        fine = SampledPath(outer([1 + t for t in linspace(0, 1, 17)], g))
         a, b = path_lengths(coarse), path_lengths(fine)
         assert abs(a.total - b.total) < 1e-9
 
     def test_one_sided_lengths_nonnegative(self):
-        rng = np.random.default_rng(37)
+        rng = random.Random(37)
         for _ in range(50):
-            shape = (rng.integers(2, 9), rng.integers(2, 9))
-            lengths = path_lengths(SampledPath(rng.normal(size=shape)))
+            rows, cols = rng.randint(2, 8), rng.randint(2, 8)
+            values = [[rng.gauss(0.0, 1.0) for _ in range(cols)] for _ in range(rows)]
+            lengths = path_lengths(SampledPath(values))
             assert lengths.l_plus >= 0 and lengths.l_minus >= 0
 
 
 class TestFixedExtremum:
     def test_autonomous_path(self):
-        rng = np.random.default_rng(41)
-        profile = rng.normal(size=8)
-        p = SampledPath(np.tile(profile, (6, 1)))
+        rng = random.Random(41)
+        profile = [rng.gauss(0.0, 1.0) for _ in range(8)]
+        p = SampledPath([profile] * 6)
         report = fixed_extremum_check(p, window=3)
         assert report.has_fixed_max_each_moment
         assert report.has_fixed_min_each_moment
-        assert report.max_witnesses[0] == int(np.argmax(profile))
-        assert report.min_witnesses[0] == int(np.argmin(profile))
+        assert report.max_witnesses[0] == profile.index(max(profile))
+        assert report.min_witnesses[0] == profile.index(min(profile))
 
     def test_crossing_path_fails(self):
         # H_t = (1-t) g + t (-g): the maximizer jumps across t = 1/2.
-        g = np.array([0.0, 1.0, 0.0, -1.0])
-        t = np.linspace(0, 1, 5)
-        values = np.outer(1 - t, g) + np.outer(t, -g)
+        g = [0.0, 1.0, 0.0, -1.0]
+        values = [[(1 - t) * x + t * -x for x in g] for t in linspace(0, 1, 5)]
         report = fixed_extremum_check(SampledPath(values), window=5)
         assert not report.has_fixed_max_each_moment
         assert not report.has_fixed_min_each_moment
@@ -237,37 +273,37 @@ class TestFixedExtremum:
         assert set(report.min_witnesses) == {32}
 
     def test_window_one_always_succeeds(self):
-        rng = np.random.default_rng(43)
-        p = SampledPath(rng.normal(size=(5, 4)))
+        rng = random.Random(43)
+        p = SampledPath([[rng.gauss(0.0, 1.0) for _ in range(4)] for _ in range(5)])
         report = fixed_extremum_check(p, window=1)
         assert report.has_fixed_max_each_moment
         assert report.has_fixed_min_each_moment
         assert len(report.max_witnesses) == 5
 
     def test_window_clamped_to_path(self):
-        p = SampledPath(np.tile([0.0, 1.0], (3, 1)))
+        p = SampledPath([[0.0, 1.0]] * 3)
         report = fixed_extremum_check(p, window=10)
         assert report.window == 3
         assert len(report.max_witnesses) == 1
 
     def test_window_validated(self):
-        p = SampledPath(np.zeros((2, 2)))
+        p = SampledPath([[0.0, 0.0]] * 2)
         with pytest.raises(ValueError):
             fixed_extremum_check(p, window=0)
 
     def test_atol_absorbs_jitter(self):
         # One slice hands the max to a different point by a hair; a small
         # tolerance keeps the original witness.
-        noisy = np.tile([0.0, 1.0, 0.5], (4, 1))
-        noisy[2, 1] = 1.0 - 1e-15
-        noisy[2, 2] = 1.0
+        noisy = [[0.0, 1.0, 0.5] for _ in range(4)]
+        noisy[2][1] = 1.0 - 1e-15
+        noisy[2][2] = 1.0
         strict = fixed_extremum_check(SampledPath(noisy), window=4, atol=0.0)
         loose = fixed_extremum_check(SampledPath(noisy), window=4, atol=1e-12)
         assert not strict.has_fixed_max_each_moment
         assert loose.has_fixed_max_each_moment
 
     def test_report_serializes(self):
-        p = SampledPath(np.tile([0.0, 1.0], (3, 1)), label="demo")
+        p = SampledPath([[0.0, 1.0]] * 3, label="demo")
         report = fixed_extremum_check(p)
         data = json.loads(report.to_json())
         assert data["label"] == "demo"

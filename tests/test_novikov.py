@@ -22,7 +22,7 @@ from qhofer import (
     truncate_below,
     valuation,
 )
-from qhofer.novikov import rational
+from qhofer.novikov import _frac, rational
 from helpers import random_novikov
 
 GENS = ("E", "F")
@@ -37,6 +37,13 @@ class TestSphereClass:
         b = S("1/2", 3)
         assert b.coords == (Fraction(1, 2), Fraction(3))
         assert all(isinstance(c, Fraction) for c in b.coords)
+
+    def test_bools_are_not_rationals(self):
+        # bool is an int subclass; true in a model file must not read as 1.
+        for value in (True, False):
+            with pytest.raises(TypeError):
+                _frac(value)
+        assert _frac(1) == 1 and _frac("1") == 1
 
     def test_vector_operations(self):
         a, b = S(1, 2), S("1/2", -1)

@@ -5,7 +5,6 @@ import io
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import qhofer.seidel_bounds as sb
@@ -315,7 +314,7 @@ class TestLoopLengthsMeetBounds:
 _A2 = Fraction(1, 10)
 _MODEL = model_blowup_cp2(_A2)
 _Q = q_element(_MODEL)
-_PATH = SampledPath(np.tile([0.0, 1.0, 0.5], (5, 1)))
+_PATH = SampledPath([[0.0, 1.0, 0.5]] * 5)
 _RADIAL = RadialHamiltonian(profile=lambda s: s * s, a_squared=_A2)
 
 # Each entry point with one integer argument; radial_mean needs at least 16

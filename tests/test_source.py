@@ -1,7 +1,9 @@
-"""Source hygiene: every name a package module imports is used in it, and
-every private top-level definition is used somewhere in the package."""
+"""Source hygiene: every name a package module imports is used in it, every
+private top-level definition is used somewhere in the package, and the
+package imports nothing outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +110,38 @@ def test_orphan_checker_flags_unreferenced_private_definitions():
 def test_no_orphaned_private_definitions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert orphaned_private_definitions(sources) == []
+
+
+def third_party_imports(source: str) -> list:
+    """Absolute imports anywhere in ``source``, function-local ones included,
+    of modules outside the standard library, as (line, module)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        stdlib = sys.stdlib_module_names
+        found += [(node.lineno, n) for n in names if n.partition(".")[0] not in stdlib]
+    return sorted(found)
+
+
+def test_import_checker_flags_third_party_modules():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, scipy.linalg\n"
+        "from . import novikov\n"
+        "from .novikov import _frac\n"
+        "from fractions import Fraction\n"
+        "def f():\n"
+        "    import pandas as pd\n"
+        "    from sympy import Rational\n"
+    )
+    assert third_party_imports(source) == [(2, "scipy.linalg"), (7, "pandas"), (8, "sympy")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_standard_library_only(module):
+    assert third_party_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
