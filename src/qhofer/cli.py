@@ -20,13 +20,13 @@ from .quantum_homology import (
     ManifoldModel,
     ModelError,
     NotInvertibleError,
+    invert,
     load_model,
     model_blowup_cp2,
     model_cpn,
     model_to_dict,
     power,
     quantum_product,
-    save_model,
 )
 from .seidel_bounds import (
     MonotoneCaseError,
@@ -84,19 +84,18 @@ def _resolve_model(args) -> ManifoldModel:
     selector = getattr(args, "model", None) or "blowup"
     if selector == "blowup":
         if args.a2 is None:
-            raise UsageProblem("--a2 is required for the blow-up model")
+            raise ValueError("--a2 is required for the blow-up model")
         return model_blowup_cp2(args.a2)
     if selector == "cpn":
         if args.n is None:
-            raise UsageProblem("--n is required for the projective-space model")
+            raise ValueError("--n is required for the projective-space model")
+        # The model holds a dense (n+1) x (n+1) pairing; refuse before building it.
+        if args.n > 100:
+            raise ValueError(f"--n must be at most 100, got {args.n}")
         return model_cpn(args.n)
     if not os.path.exists(selector):
-        raise UsageProblem(f"model file not found: {selector}")
+        raise ValueError(f"model file not found: {selector}")
     return load_model(selector)
-
-
-class UsageProblem(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +118,6 @@ def cmd_power(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    from .quantum_homology import invert
-
     model = _resolve_model(args)
     x = model.element(args.x)
     z = invert(model, x, args.floor)
@@ -203,14 +200,18 @@ def cmd_bounds(args) -> int:
 def cmd_growth(args) -> int:
     table = growth_table(args.kmax, args.a2)
     s = table.summary
-    failures = [r.k for r in table.rows if r.k >= 2 and r.bound < s.omega_f]
+    of = s.omega_f
+    failures = [r.k for r in table.rows if r.k >= 2 and r.bound < of]
     lines = [f"{'k':>4}  {'v(Q^k)':>10}  {'v(Q^-k)':>10}  {'sum':>10}  {'psi/k':>10}"]
+    csv_lines = ["k,vQk,vQk_dec,vQnegk,vQnegk_dec,bound,bound_dec,omegaF,omegaF_dec"]
     for r in table.rows:
         rate = "-" if r.psi_rate is None else str(r.psi_rate)
         lines.append(
             f"{r.k:>4}  {str(r.v_qk):>10}  {str(r.v_qnegk):>10}  "
             f"{str(r.bound):>10}  {rate:>10}"
         )
+        cells = ",".join(f"{q},{float(q)}" for q in (r.v_qk, r.v_qnegk, r.bound, of))
+        csv_lines.append(f"{r.k},{cells}")
     lines.append(
         f"# v(Q^-k) bounded: {s.qneg_bounded} "
         f"(max {s.qneg_max} first at k = {s.qneg_argmax})"
@@ -236,7 +237,7 @@ def cmd_growth(args) -> int:
             for r in table.rows
         ],
         "summary": {
-            "omegaF": str(s.omega_f),
+            "omegaF": str(of),
             "regime_bounded": s.regime_bounded,
             "qneg_max": str(s.qneg_max),
             "qneg_argmax": s.qneg_argmax,
@@ -250,7 +251,7 @@ def cmd_growth(args) -> int:
             "psi_rate_reference": str(s.psi_rate_reference),
         },
     }
-    texts = {"text": "\n".join(lines), "csv": table.to_csv().rstrip("\n")}
+    texts = {"text": "\n".join(lines), "csv": "\n".join(csv_lines)}
     _emit(args, texts, payload)
     if failures:
         raise CheckFailure(f"two-sided bound >= omega(F) fails at k = {failures[0]}")
@@ -324,10 +325,7 @@ def cmd_geocheck(args) -> int:
     # Imported here: no other subcommand needs the float module.
     from .hofer_lengths import SampledPath, fixed_extremum_check
 
-    try:
-        path = SampledPath.from_csv(args.path)
-    except ValueError as exc:
-        raise UsageProblem(str(exc)) from exc
+    path = SampledPath.from_csv(args.path)
     report = fixed_extremum_check(path, window=args.window)
     sides = {"max": report.has_fixed_max_each_moment, "min": report.has_fixed_min_each_moment}
     text = "\n".join(f"fixed {side} at each moment: {fixed}" for side, fixed in sides.items())
@@ -344,17 +342,12 @@ def cmd_geocheck(args) -> int:
 
 
 def cmd_model_export(args) -> int:
-    model = _resolve_model(args)
-    if args.out:
-        save_model(model, args.out)
-    else:
-        print(json.dumps(model_to_dict(model), indent=2))
-    return EXIT_OK
+    return _emit(args, None, model_to_dict(_resolve_model(args)))
 
 
 def cmd_model_validate(args) -> int:
     if not os.path.exists(args.path):
-        raise UsageProblem(f"model file not found: {args.path}")
+        raise ValueError(f"model file not found: {args.path}")
     try:
         model = load_model(args.path)
     except ModelError as exc:
@@ -448,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("model-export", help="write a builtin model as JSON")
     _add_model_flags(sub)
     sub.add_argument("--out", help="output file (stdout when omitted)")
-    sub.set_defaults(handler=cmd_model_export)
+    sub.set_defaults(handler=cmd_model_export, format="json")
 
     sub = subs.add_parser("model-validate", help="check a model JSON file")
     sub.add_argument("path")
@@ -462,9 +455,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageProblem as exc:
-        print(f"qhofer: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ParseError as exc:
         print(f"qhofer: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

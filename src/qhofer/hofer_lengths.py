@@ -17,7 +17,6 @@ tolerances explicitly (1e-10 for quadrature checks, 1e-12 for closed forms).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -219,9 +218,6 @@ class ExtremumReport:
             "max_witnesses": list(self.max_witnesses),
             "min_witnesses": list(self.min_witnesses),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _first_common(hits: list, window: int) -> tuple:

@@ -298,60 +298,31 @@ def truncate_below(x, omega: OmegaFunctional, floor):
 # ---------------------------------------------------------------------------
 
 
-def _signed_chunks(text: str) -> list:
-    """Split on top-level + and - (outside braces) into (sign, chunk, offset)."""
-    chunks = []
-    current: list = []
-    sign = 1
-    start = 0
-    depth = 0
-    for pos, ch in enumerate(text):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced braces at offset {pos}")
-        if depth == 0 and ch in "+-":
-            if not "".join(current).strip():
-                # Sign prefix of the upcoming chunk, not a separator.
-                if ch == "-":
-                    sign = -sign
-                continue
-            chunks.append((sign, "".join(current).strip(), start))
-            current = []
-            sign = -1 if ch == "-" else 1
-            start = pos + 1
-            continue
-        current.append(ch)
-    if depth != 0:
-        raise ParseError("unbalanced braces")
-    tail = "".join(current).strip()
-    if not tail:
-        raise ParseError("dangling sign or empty term")
-    chunks.append((sign, tail, start))
-    return chunks
+# The text has four tokens: an exponential "e^{...}" with no braces inside, a
+# sign, "*", and a word (a coefficient or a name), with whitespace between
+# them.  Inner whitespace stays in a word, so a model file's name may hold
+# spaces.  A term is signs, then factors joined by "*"; its signs multiply
+# into it, and every term after the first needs at least one.
+_FACTOR = r"e\^\{[^{}]*\}|(?!e\^)[^\s{}*+-]+(?:\s+[^\s{}*+-]+)*"
+_TERM = re.compile(rf"([\s+-]*)((?:{_FACTOR})(?:\s*\*\s*(?:{_FACTOR}))*)\s*")
 
 
-def _split_factors(chunk: str) -> list:
-    """Split a term on top-level '*' into stripped factor strings."""
-    factors = []
-    current: list = []
-    depth = 0
-    for ch in chunk:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if depth == 0 and ch == "*":
-            factors.append("".join(current).strip())
-            current = []
-            continue
-        current.append(ch)
-    factors.append("".join(current).strip())
-    if any(not f for f in factors):
-        raise ParseError(f"empty factor in term {chunk!r}")
-    return factors
+def _terms(text: str) -> list:
+    """(sign, factors, offset) for each term of ``text``, factors as strings.
+
+    A factor is a word or a whole "e^{...}"; offset is where the term's first
+    factor starts.  Text the grammar does not cover raises ParseError.
+    """
+    terms, pos = [], 0
+    while pos < len(text) or not terms:
+        m = _TERM.match(text, pos)
+        if m is None:
+            raise ParseError(f"expected a term at offset {pos}: {text[pos:]!r}")
+        if terms and not m[1].strip():
+            raise ParseError(f"expected '*', '+' or '-' at offset {pos}: {text[pos:]!r}")
+        terms.append(((-1) ** m[1].count("-"), re.findall(_FACTOR, m[2]), m.start(2)))
+        pos = m.end()
+    return terms
 
 
 def _parse_rational(text: str, context: str) -> Fraction:
@@ -377,14 +348,11 @@ def parse_exponent(text: str, generators: Sequence[str]) -> SphereClass:
         return SphereClass.zero(rank)
     index = {g: i for i, g in enumerate(generators)}
     coords = [Fraction(0)] * rank
-    for sign, chunk, offset in _signed_chunks(text):
-        factors = _split_factors(chunk)
-        if len(factors) == 1:
-            coeff, name = Fraction(1), factors[0]
-        elif len(factors) == 2:
-            coeff, name = _parse_rational(factors[0], f"exponent at offset {offset}"), factors[1]
-        else:
-            raise ParseError(f"too many factors in exponent term {chunk!r}")
+    for sign, factors, offset in _terms(text):
+        *coeffs, name = factors
+        if len(coeffs) > 1:
+            raise ParseError(f"too many factors in exponent term at offset {offset}")
+        coeff = _parse_rational(coeffs[0], f"exponent at offset {offset}") if coeffs else 1
         if name not in index:
             raise ParseError(
                 f"unknown generator {name!r} at offset {offset}; expected one of {list(generators)}"
@@ -416,13 +384,6 @@ def format_novikov(x: NovikovElement, generators: Sequence[str]) -> str:
     return _format_terms(x, generators)
 
 
-def _parse_exp_factor(factor: str, generators: Sequence[str]) -> SphereClass:
-    """The class B of an 'e^{B}' factor."""
-    if not (factor.startswith("e^{") and factor.endswith("}")):
-        raise ParseError(f"malformed exponential {factor!r}")
-    return parse_exponent(factor[3:-1], generators)
-
-
 def _parse_terms(text: str, generators: Sequence[str], names=None) -> list:
     """(key, coefficient) pairs read from element text; "0" reads as none.
 
@@ -437,19 +398,19 @@ def _parse_terms(text: str, generators: Sequence[str], names=None) -> list:
     index = None if names is None else {n: i for i, n in enumerate(names)}
     zero = SphereClass.zero(len(generators))
     terms = []
-    for sign, chunk, offset in _signed_chunks(text):
-        factors = _split_factors(chunk)
-        exponents = [f for f in factors if f.startswith("e^")]
+    for sign, factors, offset in _terms(text):
+        term = " * ".join(factors)
+        exponents = [f[3:-1] for f in factors if f.startswith("e^")]
         plain = [f for f in factors if not f.startswith("e^")]
         if len(exponents) > 1 or (index is None and not exponents):
             need = "exactly one" if index is None else "at most one"
-            raise ParseError(f"term at offset {offset} needs {need} exponential factor: {chunk!r}")
-        B = _parse_exp_factor(exponents[0], generators) if exponents else zero
+            raise ParseError(f"term at offset {offset} needs {need} exponential factor: {term!r}")
+        B = parse_exponent(exponents[0], generators) if exponents else zero
         key = B
         if index is not None:
             # The last plain factor names the basis class; "1" is the unit.
             if not plain:
-                raise ParseError(f"term at offset {offset} needs a basis class: {chunk!r}")
+                raise ParseError(f"term at offset {offset} needs a basis class: {term!r}")
             name = plain.pop()
             if name not in index:
                 raise ParseError(
@@ -458,7 +419,7 @@ def _parse_terms(text: str, generators: Sequence[str], names=None) -> list:
                 )
             key = (index[name], B)
         if len(plain) > 1:
-            raise ParseError(f"too many coefficients in term {chunk!r}")
+            raise ParseError(f"too many coefficients in term {term!r}")
         coeff = _parse_rational(plain[0], f"term at offset {offset}") if plain else Fraction(1)
         terms.append((key, sign * coeff))
     return terms

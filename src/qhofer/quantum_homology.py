@@ -190,9 +190,6 @@ class ManifoldModel:
 
     # -- basic queries ----------------------------------------------------
 
-    def basis_index(self, name: str) -> int:
-        return self._as_index(name)
-
     def basis_element(self, c, B: Optional[SphereClass] = None) -> QHElement:
         i = self._as_index(c)
         return QHElement._of({(i, B if B is not None else self._zero_class): Fraction(1)})
@@ -672,11 +669,10 @@ def model_cpn(n: int, line_area: RationalLike = 1) -> ManifoldModel:
     gw = []
     for i in range(n + 1):
         for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                if i + j + k == n:
-                    gw.append(((i, j, k), (0,), 1))
-                elif i + j + k == 2 * n + 1:
-                    gw.append(((i, j, k), (1,), 1))
+            # The third index is fixed by i + j + k in {n, 2n + 1}.
+            for k, B in ((n - i - j, (0,)), (2 * n + 1 - i - j, (1,))):
+                if j <= k <= n:
+                    gw.append(((i, j, k), B, 1))
     return ManifoldModel(
         name=f"cp{n}",
         dim=2 * n,

@@ -18,8 +18,6 @@ Hamiltonian meet it; those lengths are closed forms, exact here too.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -196,39 +194,6 @@ class GrowthSummary:
 class GrowthTable:
     rows: tuple
     summary: GrowthSummary
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "k",
-                "vQk",
-                "vQk_dec",
-                "vQnegk",
-                "vQnegk_dec",
-                "bound",
-                "bound_dec",
-                "omegaF",
-                "omegaF_dec",
-            ]
-        )
-        of = self.summary.omega_f
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.k,
-                    str(row.v_qk),
-                    float(row.v_qk),
-                    str(row.v_qnegk),
-                    float(row.v_qnegk),
-                    str(row.bound),
-                    float(row.bound),
-                    str(of),
-                    float(of),
-                ]
-            )
-        return buf.getvalue()
 
 
 def growth_table(k_max: int, a_squared: RationalLike) -> GrowthTable:

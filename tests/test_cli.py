@@ -117,7 +117,8 @@ class TestPowerAndInvert:
         def shallow(model, y, floor):
             return invert(model, y, floor + 1)
 
-        monkeypatch.setattr(qhofer.quantum_homology, "invert", shallow)
+        # cmd_invert calls the name it imported into qhofer.cli.
+        monkeypatch.setattr(qhofer.cli, "invert", shallow)
         code, out, err = run(capsys, "invert", "--a2", "1/10", "--floor", "-3", x)
         assert code == 2 and not out
         assert "not below floor + v(x)" in err
@@ -539,6 +540,102 @@ class TestOutputPath:
         assert target.read_bytes() == out.encode()
         if fmt == "json":
             json.loads(out)
+
+
+GROWTH_CSV = (
+    "k,vQk,vQk_dec,vQnegk,vQnegk_dec,bound,bound_dec,omegaF,omegaF_dec\n"
+    "1,5/16,0.3125,11/16,0.6875,1,1.0,3/4,0.75\n"
+    "2,3/8,0.375,3/8,0.375,3/4,0.75,3/4,0.75\n"
+    "3,11/16,0.6875,5/16,0.3125,1,1.0,3/4,0.75\n"
+    "4,3/4,0.75,3/4,0.75,3/2,1.5,3/4,0.75\n"
+    "5,13/16,0.8125,11/16,0.6875,3/2,1.5,3/4,0.75\n"
+    "6,7/8,0.875,3/8,0.375,5/4,1.25,3/4,0.75\n"
+)
+CP2_MODEL = {
+    "name": "cp2",
+    "dim": 4,
+    "sphere_generators": ["L"],
+    "basis": [
+        {"name": "1", "degree": 4},
+        {"name": "x", "degree": 2},
+        {"name": "x^2", "degree": 0},
+    ],
+    "pairing": [["0", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]],
+    "omega": ["1"],
+    "c1": [3],
+    "gw": [
+        {"classes": ["1", "1", "x^2"], "B": ["0"], "value": "1"},
+        {"classes": ["1", "x", "x"], "B": ["0"], "value": "1"},
+        {"classes": ["x", "x^2", "x^2"], "B": ["1"], "value": "1"},
+    ],
+}
+GRID_REPORT = {
+    "label": "grid.csv",
+    "window": 2,
+    "has_fixed_max_each_moment": True,
+    "has_fixed_min_each_moment": True,
+    "max_witnesses": [2, 2],
+    "min_witnesses": [0, 0],
+}
+
+
+class TestGoldenBytes:
+    """Exact stdout, --out bytes and error lines of the cli renderers."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["growth", "--a2", "1/4", "--kmax", "6", "--format", "csv"], GROWTH_CSV),
+            (["model-export", "--model", "cpn", "--n", "2"], json.dumps(CP2_MODEL, indent=2) + "\n"),
+        ],
+        ids=["growth-csv", "model-export"],
+    )
+    def test_stdout_and_out_file(self, capsys, tmp_path, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
+        target = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == expected.encode()
+
+    def test_geocheck_json(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "grid.csv").write_text("0,1,2\n0,1,3\n0,2,3\n")
+        assert run(capsys, "geocheck", "grid.csv") == (0, json.dumps(GRID_REPORT, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["product", "E", "F"], "--a2 is required for the blow-up model"),
+            (["product", "--model", "cpn", "E", "F"], "--n is required for the projective-space model"),
+            (["model-validate", "missing.json"], "model file not found: missing.json"),
+            (["geocheck", "ragged.csv"], "ragged.csv: ragged rows"),
+        ],
+    )
+    def test_usage_error_lines(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ragged.csv").write_text("0,1,2\n0,1\n")
+        assert run(capsys, *argv) == (1, "", f"qhofer: error: {message}\n")
+
+
+class TestDimensionLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [["model-export"], ["product", "x", "x"], ["power", "--k", "2", "x"], ["invert", "x"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_n_above_100_refused_before_the_build(self, capsys, monkeypatch, argv):
+        def build(n):
+            raise AssertionError("model built")
+
+        monkeypatch.setattr(qhofer.cli, "model_cpn", build)
+        code, out, err = run(capsys, *argv, "--model", "cpn", "--n", "101")
+        assert (code, out) == (1, "")
+        assert err == "qhofer: error: --n must be at most 100, got 101\n"
+
+    def test_n_of_100_exports(self, capsys, tmp_path):
+        target = tmp_path / "cp100.json"
+        assert run(capsys, "model-export", "--model", "cpn", "--n", "100", "--out", str(target))[0] == 0
+        data = json.loads(target.read_text())
+        assert data["name"] == "cp100" and len(data["basis"]) == 101
 
 
 class TestUsage:

@@ -18,6 +18,7 @@ from qhofer import (
     radial_loop_path,
     radial_mean,
 )
+from qhofer.cli import main
 from helpers import NINE_A2, linspace, oracle_loop_lengths, outer
 
 
@@ -302,10 +303,12 @@ class TestFixedExtremum:
         assert not strict.has_fixed_max_each_moment
         assert loose.has_fixed_max_each_moment
 
-    def test_report_serializes(self):
-        p = SampledPath([[0.0, 1.0]] * 3, label="demo")
-        report = fixed_extremum_check(p)
-        data = json.loads(report.to_json())
+    def test_report_serializes(self, capsys, tmp_path, monkeypatch):
+        # geocheck labels the report with the path it read.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "demo").write_text("0.0,1.0\n" * 3)
+        assert main(["geocheck", "demo"]) == 0
+        data = json.loads(capsys.readouterr().out)
         assert data["label"] == "demo"
         assert data["has_fixed_max_each_moment"] is True
         assert data["max_witnesses"] == [1, 1]

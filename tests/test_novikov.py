@@ -185,6 +185,7 @@ class TestTextFormat:
         assert parse_exponent("F - 1/2*E", GENS) == S("-1/2", 1)
         assert parse_exponent("0", GENS) == S(0, 0)
         assert parse_exponent("E + E", GENS) == S(2, 0)
+        assert parse_exponent("E - - F", GENS) == S(1, 1)
 
     def test_element_format(self):
         x = NovikovElement.exp(S("1/2", "3/4"), -1)
@@ -202,6 +203,9 @@ class TestTextFormat:
     def test_parse_signs_and_spacing(self):
         x = parse_novikov(" -1 * e^{1*E}  +  e^{ -1*F } ", GENS)
         assert x == NovikovElement([(S(1, 0), -1), (S(0, -1), 1)])
+        # Signs before a term multiply into it.
+        assert parse_novikov("e^{0} - - e^{1*E}", GENS) == parse_novikov("e^{0} + e^{1*E}", GENS)
+        assert parse_novikov("- - e^{0}", GENS) == parse_novikov("e^{0}", GENS)
 
     def test_parse_zero(self):
         assert parse_novikov("0", GENS).is_zero()
@@ -222,6 +226,11 @@ class TestTextFormat:
             "e^{ }",           # the same with a blank
             "1e3 * e^{0}",     # exponent notation
             "e^{1e999999999*E}",  # the same in an exponent
+            "2 e^{0}",         # missing "*"
+            "{e^{0}}",         # brace outside an exponential
+            "2 * * e^{0}",     # empty factor
+            "2*-e^{0}",        # sign inside a term
+            "e^{1*E}}",        # unbalanced closing brace
         ],
     )
     def test_parse_errors(self, bad):

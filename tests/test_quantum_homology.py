@@ -623,12 +623,28 @@ class TestElementText:
         assert m.element("2 * 1") == 2 * m.unit()
         assert m.element("0").is_zero()
         assert m.format(m.unit()) == "1 * 1"
+        # Signs before a term multiply into it.
+        assert m.element("p - - E") == m.element("p + E")
+        assert m.element("- - p") == m.element("p")
 
     def test_roundtrip_random(self, m):
         rng = random.Random(23)
         for _ in range(150):
             x = random_qh(rng, m, max_terms=4)
             assert m.element(m.format(x)) == x
+
+    def test_names_may_hold_spaces(self, m):
+        # A model file may name a class "F x"; the text grammar keeps inner spaces.
+        data = model_to_dict(m)
+        for row in (*data["basis"], *data["gw"]):
+            if "name" in row:
+                row["name"] = "F x" if row["name"] == "F" else row["name"]
+            else:
+                row["classes"] = ["F x" if c == "F" else c for c in row["classes"]]
+        spaced = model_from_dict(data)
+        x = spaced.element("2 * F x - E * e^{1*F}")
+        assert x == 2 * spaced.basis_element("F x") - spaced.basis_element("E", SphereClass((0, 1)))
+        assert spaced.element(spaced.format(x)) == x
 
     def test_cpn_roundtrip(self):
         m3 = model_cpn(3)
@@ -647,6 +663,11 @@ class TestElementText:
             "p * e^{ }",              # the same with a blank
             "1e3 * p",                # exponent notation
             "1e999999999 * p",        # the same, too large to build
+            "2 p",                    # missing "*"
+            "{p}",                    # brace outside an exponential
+            "p * * E",                # empty factor
+            "2*-p",                   # sign inside a term
+            "e^{1*E}}",               # unbalanced closing brace
         ],
     )
     def test_parse_errors(self, bad, m):

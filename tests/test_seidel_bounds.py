@@ -34,6 +34,7 @@ from qhofer import (
     valuation,
     valuation_walk,
 )
+from qhofer.cli import main
 from helpers import NINE_A2
 
 
@@ -225,9 +226,10 @@ class TestGrowthTable:
         assert table.summary.psi_rate_reference == reference
         assert table.summary.psi_rate_min >= reference
 
-    def test_csv_shape_and_exactness(self):
+    def test_csv_shape_and_exactness(self, capsys):
         table = growth_table(6, Fraction(1, 5))
-        rows = list(csv.reader(io.StringIO(table.to_csv())))
+        assert main(["growth", "--kmax", "6", "--a2", "1/5", "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0] == [
             "k",
             "vQk",

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, every
-private top-level definition is used somewhere in the package, and the
-package imports nothing outside the standard library."""
+private top-level definition is used somewhere in the package, every method
+is referenced somewhere in the repository, and the package imports nothing
+outside the standard library."""
 
 import ast
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qhofer"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qhofer"
 # __init__.py imports names only to re-export them.
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -110,6 +112,64 @@ def test_orphan_checker_flags_unreferenced_private_definitions():
 def test_no_orphaned_private_definitions():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert orphaned_private_definitions(sources) == []
+
+
+def unreferenced_methods(package: dict, sources: list) -> list:
+    """Non-dunder methods defined in ``package`` (module name to text) whose
+    name no source text in ``sources`` references, as (module, class, name).
+
+    A reference is a bare name, an attribute or an imported name; the ``def``
+    of the method itself is not one."""
+    referenced = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.asname or node.name)
+    return sorted(
+        (module, cls.name, fn.name)
+        for module, source in package.items()
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in referenced
+    )
+
+
+def test_method_checker_flags_a_planted_orphan():
+    package = {
+        "a.py": (
+            "class A:\n"
+            "    def __init__(self): self.used()\n"
+            "    def used(self): pass\n"
+            "    def orphan(self): pass\n"
+            "    @property\n"
+            "    def size(self): return 1\n"
+            "    @classmethod\n"
+            "    def build(cls): return cls()\n"
+        ),
+    }
+    tests = "from a import A\nA.build().size\n"
+    assert unreferenced_methods(package, [*package.values(), tests]) == [("a.py", "A", "orphan")]
+
+
+# Methods that a standard-library base class calls by name.
+BASE_CLASS_HOOKS = [("cli.py", "_Parser", "error")]
+
+
+def test_every_method_is_referenced():
+    package = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    sources = [
+        p.read_text(encoding="utf-8")
+        for folder in ("src", "tests", "demos", "perfbench")
+        for p in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert unreferenced_methods(package, sources) == BASE_CLASS_HOOKS
 
 
 def third_party_imports(source: str) -> list:
