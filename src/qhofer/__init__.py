@@ -3,16 +3,11 @@
 from .novikov import (
     NEG_INF,
     ChernFunctional,
-    NovikovElement,
     OmegaFunctional,
     ParseError,
     SphereClass,
     format_exponent,
-    format_novikov,
-    nov_mul,
     parse_exponent,
-    parse_novikov,
-    truncate_below,
     valuation,
 )
 from .quantum_homology import (

@@ -1,10 +1,12 @@
-"""Exact arithmetic in the rational group ring of a lattice of sphere classes.
+"""Exponents, areas and the term scanner of quantum-homology elements.
 
-Elements are finite sums  sum_B q_B * e^B  with rational coefficients q_B,
-where the exponents B live in a fixed finite-rank rational vector space (the
-group generated by the sphere classes of interest).  Multiplication is
-convolution, e^B * e^C = e^{B+C}.  A linear area functional on exponents
-induces the leading-order filtration
+The coefficient ring is the rational group ring of a lattice of sphere
+classes: finite sums  sum_B q_B * e^B  with rational q_B, where the exponents
+B live in a fixed finite-rank rational vector space, multiplied by
+convolution, e^B * e^C = e^{B+C}.  Its elements are handled as module
+elements on the fundamental class (``quantum_homology.QHElement``); this
+module holds the exponents and the linear functionals on them.  The area
+functional induces the leading-order filtration
 
     v(sum q_B e^B) = max { area(B) : q_B != 0 },        v(0) = -infinity,
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -153,148 +155,20 @@ class ChernFunctional(_LinearFunctional):
     _coerce = staticmethod(_integer)
 
 
-TermsLike = Union[Mapping, Iterable[tuple]]
-
-
-class _SparseElement:
-    """Finite sum of keyed exponentials with rational coefficients, canonical form.
-
-    The shared core of ring and module elements.  The internal map never
-    stores a zero coefficient, so equality of elements is equality of
-    dictionaries.  A subclass says how a key is normalised (``_key``), where
-    the exponent class sits in a key (``_exponent``), and what the product of
-    two of its elements is (``_product``).
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: TermsLike = ()) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        key = self._key
-        self._terms = _accumulate((key(k), _frac(q)) for k, q in items)
-
-    @classmethod
-    def _of(cls, terms: dict):
-        """Wrap a canonical map (no zero coefficients) without copying it."""
-        out = object.__new__(cls)
-        out._terms = terms
-        return out
-
-    @property
-    def terms(self) -> dict:
-        """Copy of the coefficient map."""
-        return dict(self._terms)
-
-    def support_classes(self) -> Iterator[SphereClass]:
-        return map(self._exponent, self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._of(_accumulate(other._terms.items(), self._terms))
-
-    def __neg__(self):
-        return self._of({key: -q for key, q in self._terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, type(self)):
-            return self._product(other)
-        try:
-            q = _frac(other)
-        except TypeError:
-            return NotImplemented
-        return self._of({key: q * c for key, c in self._terms.items()} if q else {})
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __repr__(self) -> str:
-        name = type(self).__name__
-        if self.is_zero():
-            return f"{name}(0)"
-        n = len(self._terms)
-        return f"{name}({n} term{'s' if n != 1 else ''})"
-
-
-class NovikovElement(_SparseElement):
-    """Finite rational combination of exponentials e^B, keyed by the class B."""
-
-    __slots__ = ()
-
-    _key = staticmethod(_sphere_class)
-
-    @staticmethod
-    def _exponent(B: SphereClass) -> SphereClass:
-        return B
-
-    def _product(self, other: "NovikovElement") -> "NovikovElement":
-        return nov_mul(self, other)
-
-    @classmethod
-    def exp(cls, B: SphereClass, coefficient: RationalLike = 1) -> "NovikovElement":
-        return cls(((B, coefficient),))
-
-    @classmethod
-    def one(cls, rank: int) -> "NovikovElement":
-        return cls.exp(SphereClass.zero(rank))
-
-    def coefficient(self, B: SphereClass) -> Fraction:
-        return self._terms.get(B, Fraction(0))
-
-
-def nov_mul(x: NovikovElement, y: NovikovElement) -> NovikovElement:
-    """Convolution product; exponents add, coefficients multiply."""
-    return NovikovElement._of(
-        _accumulate(
-            (B + C, q * r) for B, q in x._terms.items() for C, r in y._terms.items()
-        )
-    )
-
-
 def valuation(x, omega: OmegaFunctional):
-    """Largest area over the support of x, or -infinity when x = 0.
-
-    Works for any element exposing ``support_classes`` and ``is_zero``, so the
-    same function serves ring elements and module elements downstream.
-    """
+    """Largest area over the support of the element x, or -infinity when x = 0."""
     if x.is_zero():
         return NEG_INF
     return max(omega(B) for B in x.support_classes())
-
-
-def truncate_below(x, omega: OmegaFunctional, floor):
-    """Drop every term whose area is strictly below ``floor``; ring or module."""
-    exponent = x._exponent
-    return x._of({key: q for key, q in x._terms.items() if omega(exponent(key)) >= floor})
 
 
 # ---------------------------------------------------------------------------
 # Text form.
 #
 # An exponent prints as "c1*G1 + c2*G2" against a fixed generator list, with
-# zero coordinates omitted and the zero class printing as "0".  A ring element
-# prints as "q * e^{...}" terms joined by " + ", the zero element as "0"; a
-# module element as "q * name * e^{...}" terms, through the same grammar.
-# Parsing accepts coordinates in any order and tolerates surrounding space.
+# zero coordinates omitted and the zero class printing as "0".  Parsing
+# accepts coordinates in any order and tolerates surrounding space.  Element
+# text ("q * name * e^{...}" terms) is read by the same term scanner.
 # ---------------------------------------------------------------------------
 
 
@@ -359,71 +233,3 @@ def parse_exponent(text: str, generators: Sequence[str]) -> SphereClass:
             )
         coords[index[name]] += sign * coeff
     return SphereClass(tuple(coords))
-
-
-def _format_terms(x: _SparseElement, generators: Sequence[str], names=None) -> str:
-    """Text of a ring element, or of a module element when ``names`` is given.
-
-    A ring term prints as "q * e^{B}"; a module term as "q * name * e^{B}",
-    with the exponential left out when B = 0.  Terms are sorted by basis
-    index, then by exponent coordinates.
-    """
-    if x.is_zero():
-        return "0"
-    rows = []
-    for key, q in x._terms.items():
-        i, B = (0, key) if names is None else key
-        factors = [str(q)] if names is None else [str(q), names[i]]
-        if names is None or not B.is_zero():
-            factors.append(f"e^{{{format_exponent(B, generators)}}}")
-        rows.append(((i, B.coords), " * ".join(factors)))
-    return " + ".join(text for _, text in sorted(rows))
-
-
-def format_novikov(x: NovikovElement, generators: Sequence[str]) -> str:
-    return _format_terms(x, generators)
-
-
-def _parse_terms(text: str, generators: Sequence[str], names=None) -> list:
-    """(key, coefficient) pairs read from element text; "0" reads as none.
-
-    Ring terms (``names`` None) are "[q *] e^{B}", keyed by B.  Module terms
-    are "[q *] name [* e^{B}]", keyed by (index of name in ``names``, B), with
-    B = 0 when the exponential is left out.  Factors may come in any order,
-    except that a module term's coefficient precedes its basis name.
-    """
-    text = text.strip()
-    if text == "0":
-        return []
-    index = None if names is None else {n: i for i, n in enumerate(names)}
-    zero = SphereClass.zero(len(generators))
-    terms = []
-    for sign, factors, offset in _terms(text):
-        term = " * ".join(factors)
-        exponents = [f[3:-1] for f in factors if f.startswith("e^")]
-        plain = [f for f in factors if not f.startswith("e^")]
-        if len(exponents) > 1 or (index is None and not exponents):
-            need = "exactly one" if index is None else "at most one"
-            raise ParseError(f"term at offset {offset} needs {need} exponential factor: {term!r}")
-        B = parse_exponent(exponents[0], generators) if exponents else zero
-        key = B
-        if index is not None:
-            # The last plain factor names the basis class; "1" is the unit.
-            if not plain:
-                raise ParseError(f"term at offset {offset} needs a basis class: {term!r}")
-            name = plain.pop()
-            if name not in index:
-                raise ParseError(
-                    f"unknown basis class {name!r} at offset {offset}; "
-                    f"expected one of {list(names)}"
-                )
-            key = (index[name], B)
-        if len(plain) > 1:
-            raise ParseError(f"too many coefficients in term {term!r}")
-        coeff = _parse_rational(plain[0], f"term at offset {offset}") if plain else Fraction(1)
-        terms.append((key, sign * coeff))
-    return terms
-
-
-def parse_novikov(text: str, generators: Sequence[str]) -> NovikovElement:
-    return NovikovElement(_parse_terms(text, generators))

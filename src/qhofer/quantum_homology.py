@@ -32,21 +32,23 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from operator import add, itemgetter, mul
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .novikov import (
     NEG_INF,
     ChernFunctional,
     OmegaFunctional,
+    ParseError,
     RationalLike,
     SphereClass,
-    _SparseElement,
     _accumulate,
-    _format_terms,
     _frac,
     _integer,
-    _parse_terms,
+    _parse_rational,
     _sphere_class,
+    _terms,
+    format_exponent,
+    parse_exponent,
 )
 
 
@@ -58,29 +60,86 @@ class ModelError(ValueError):
     """Raised when a manifold model fails its consistency checks."""
 
 
-class QHElement(_SparseElement):
+class QHElement:
     """Finite sum of basis classes tensored with exponentials, canonical form.
 
-    Keys of the internal map are (basis index, exponent class).  Products
-    need a model, so ``x * y`` raises; use ``quantum_product(model, x, y)``.
+    Keys of the internal map are (basis index, exponent class), and the map
+    never stores a zero coefficient, so equality of elements is equality of
+    dictionaries.  Products need a model, so ``x * y`` raises; use
+    ``quantum_product(model, x, y)``.
     """
 
-    __slots__ = ()
+    __slots__ = ("_terms",)
 
-    @staticmethod
-    def _key(key) -> tuple:
-        i, B = key
-        return _integer(i), _sphere_class(B)
-
-    _exponent = staticmethod(itemgetter(1))
-
-    def _product(self, other: "QHElement"):
-        raise TypeError(
-            "element products need a model; use quantum_product(model, x, y)"
+    def __init__(self, terms: Union[Mapping, Iterable[tuple]] = ()) -> None:
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        self._terms = _accumulate(
+            ((_integer(i), _sphere_class(B)), _frac(q)) for (i, B), q in items
         )
 
-    def coefficient(self, i: int, B: SphereClass) -> Fraction:
-        return self._terms.get((i, B), Fraction(0))
+    @classmethod
+    def _of(cls, terms: dict) -> "QHElement":
+        """Wrap a canonical map (no zero coefficients) without copying it."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
+
+    @property
+    def terms(self) -> dict:
+        """Copy of the coefficient map."""
+        return dict(self._terms)
+
+    def support_classes(self) -> Iterator[SphereClass]:
+        return map(itemgetter(1), self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def coefficient(self, i: int, B) -> Fraction:
+        return self._terms.get((i, _sphere_class(B)), Fraction(0))
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QHElement):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __add__(self, other: "QHElement") -> "QHElement":
+        if not isinstance(other, QHElement):
+            return NotImplemented
+        return self._of(_accumulate(other._terms.items(), self._terms))
+
+    def __neg__(self) -> "QHElement":
+        return self._of({key: -q for key, q in self._terms.items()})
+
+    def __sub__(self, other: "QHElement") -> "QHElement":
+        if not isinstance(other, QHElement):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other) -> "QHElement":
+        if isinstance(other, QHElement):
+            raise TypeError(
+                "element products need a model; use quantum_product(model, x, y)"
+            )
+        try:
+            q = _frac(other)
+        except TypeError:
+            return NotImplemented
+        return self._of({key: q * c for key, c in self._terms.items()} if q else {})
+
+    __rmul__ = __mul__
+
+    def __repr__(self) -> str:
+        if self.is_zero():
+            return "QHElement(0)"
+        n = len(self._terms)
+        return f"QHElement({n} term{'s' if n != 1 else ''})"
 
 
 def _invert_rational_matrix(rows: Sequence[Sequence[Fraction]]) -> list:
@@ -192,7 +251,10 @@ class ManifoldModel:
 
     def basis_element(self, c, B: Optional[SphereClass] = None) -> QHElement:
         i = self._as_index(c)
-        return QHElement._of({(i, B if B is not None else self._zero_class): Fraction(1)})
+        B = self._zero_class if B is None else _sphere_class(B)
+        if B.rank != self.rank:
+            raise ValueError(f"rank mismatch: {B.rank} vs {self.rank}")
+        return QHElement._of({(i, B): Fraction(1)})
 
     def unit(self) -> QHElement:
         """The fundamental class, the identity for both products."""
@@ -317,10 +379,9 @@ class _Lattice:
     a_i (x) e^B becomes the int key (i, D*B_1, ..., D*B_rank), so an output
     term is one tuple sum, and its area omega(B)*D*W, W the lcm of the omega
     denominators, is an int dot product.  Coefficients stay ints while they
-    are integral.  ``quantum`` and ``classical`` map j to i to the terms
-    (l, -D*B, w) of a_i * a_j = sum w a_l e^{-B}: the table contracted with
-    the dual pairing, summed over the middle index.  The classical table
-    keeps only the B = 0 stratum.
+    are integral.  ``quantum`` maps j to i to the terms (l, -D*B, w) of
+    a_i * a_j = sum w a_l e^{-B}: the table contracted with the dual pairing,
+    summed over the middle index.
     """
 
     def __init__(self, model: ManifoldModel, D: int) -> None:
@@ -330,14 +391,11 @@ class _Lattice:
         self.scale = D * W
         self.weights = (0,) + tuple(int(v * W) for v in model.omega.values)
         self.unit = {(model._fund,) + (0,) * model.rank: 1}
-        self.quantum = self._table(model, classical=False)
-        self.classical = self._table(model, classical=True)
+        self.quantum = self._table(model)
 
-    def _table(self, model: ManifoldModel, classical: bool) -> dict:
+    def _table(self, model: ManifoldModel) -> dict:
         sums: dict = {}
         for ((i, j, k), B), value in model.gw.items():
-            if classical and not B.is_zero():
-                continue
             shift = self._exponent(-B)
             for a, b, c in {(i, j, k), (i, k, j), (j, k, i)}:
                 for l, g in model._dual[c]:
@@ -349,6 +407,17 @@ class _Lattice:
             if w:
                 entry = (l, shift, _lattice_number(w))
                 table.setdefault(j, {}).setdefault(i, []).append(entry)
+        return table
+
+    @cached_property
+    def classical(self) -> dict:
+        """``quantum`` cut to its zero-shift entries: the B = 0 stratum."""
+        table: dict = {}
+        for j, rows in self.quantum.items():
+            for i, entries in rows.items():
+                kept = [entry for entry in entries if not any(entry[1])]
+                if kept:
+                    table.setdefault(j, {})[i] = kept
         return table
 
     def _exponent(self, B: SphereClass) -> tuple:
@@ -687,18 +756,56 @@ def model_cpn(n: int, line_area: RationalLike = 1) -> ManifoldModel:
 
 # ---------------------------------------------------------------------------
 # Text form for module elements: "q * name * e^{...}" terms joined by " + ",
-# read and written by the term grammar of ``novikov``.  The exponential is
-# left out when B = 0, so the unit prints as "1 * 1" (the fundamental class
-# is named "1"); parsing also lets a coefficient of 1 be left out.
+# sorted by basis index, then by exponent coordinates; the zero element is
+# "0".  The exponential is left out when B = 0, so the unit prints as "1 * 1"
+# (the fundamental class is named "1").  Parsing runs the term scanner of
+# ``novikov``; it also lets a coefficient of 1 be left out, and takes factors
+# in any order, except that a term's coefficient precedes its basis name.
 # ---------------------------------------------------------------------------
 
 
 def format_qh(x: QHElement, model: ManifoldModel) -> str:
-    return _format_terms(x, model.sphere_generators, model.basis_names)
+    if x.is_zero():
+        return "0"
+    rows = []
+    for (i, B), q in x._terms.items():
+        factors = [str(q), model.basis_names[i]]
+        if not B.is_zero():
+            factors.append(f"e^{{{format_exponent(B, model.sphere_generators)}}}")
+        rows.append(((i, B.coords), " * ".join(factors)))
+    return " + ".join(text for _, text in sorted(rows))
 
 
 def parse_qh(text: str, model: ManifoldModel) -> QHElement:
-    return QHElement(_parse_terms(text, model.sphere_generators, model.basis_names))
+    text = text.strip()
+    if text == "0":
+        return QHElement()
+    terms = []
+    for sign, factors, offset in _terms(text):
+        term = " * ".join(factors)
+        exponents = [f[3:-1] for f in factors if f.startswith("e^")]
+        plain = [f for f in factors if not f.startswith("e^")]
+        if len(exponents) > 1:
+            raise ParseError(
+                f"term at offset {offset} needs at most one exponential factor: {term!r}"
+            )
+        B = model._zero_class
+        if exponents:
+            B = parse_exponent(exponents[0], model.sphere_generators)
+        # The last plain factor names the basis class; "1" is the unit.
+        if not plain:
+            raise ParseError(f"term at offset {offset} needs a basis class: {term!r}")
+        name = plain.pop()
+        if name not in model._index:
+            raise ParseError(
+                f"unknown basis class {name!r} at offset {offset}; "
+                f"expected one of {list(model.basis_names)}"
+            )
+        if len(plain) > 1:
+            raise ParseError(f"too many coefficients in term {term!r}")
+        coeff = _parse_rational(plain[0], f"term at offset {offset}") if plain else Fraction(1)
+        terms.append(((model._index[name], B), sign * coeff))
+    return QHElement(terms)
 
 
 # ---------------------------------------------------------------------------

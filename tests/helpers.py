@@ -4,15 +4,7 @@ import math
 import random
 from fractions import Fraction
 
-from qhofer import (
-    NotInvertibleError,
-    NovikovElement,
-    QHElement,
-    SphereClass,
-    nov_mul,
-    truncate_below,
-    valuation,
-)
+from qhofer import NotInvertibleError, QHElement, SphereClass, valuation
 from qhofer.hofer_lengths import RadialHamiltonian, mean_radius_sq, radial_mean
 from qhofer.quantum_homology import _invert_rational_matrix
 
@@ -33,14 +25,6 @@ def random_sphere_class(rng: random.Random, rank: int) -> SphereClass:
     return SphereClass(
         tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 4))) for _ in range(rank))
     )
-
-
-def random_novikov(rng: random.Random, rank: int, max_terms: int = 3) -> NovikovElement:
-    terms = [
-        (random_sphere_class(rng, rank), random_fraction(rng))
-        for _ in range(rng.randint(1, max_terms))
-    ]
-    return NovikovElement(terms)
 
 
 def random_qh(rng: random.Random, model, max_terms: int = 3) -> QHElement:
@@ -89,32 +73,49 @@ def oracle_walk(model, x: QHElement, k_max: int):
         yield acc
 
 
-def _oracle_scale(x: QHElement, lam: NovikovElement) -> QHElement:
+# Ring elements of the oracle are {SphereClass: Fraction} dicts with no zero
+# coefficient.
+
+
+def ring_sum(parts) -> dict:
+    """Sum of ring elements."""
+    out: dict = {}
+    for part in parts:
+        for B, q in part.items():
+            out[B] = out.get(B, 0) + q
+    return {B: q for B, q in out.items() if q}
+
+
+def ring_product(x: dict, y: dict) -> dict:
+    """Convolution: exponents add, coefficients multiply."""
+    return ring_sum({B + C: q * r} for B, q in x.items() for C, r in y.items())
+
+
+def _oracle_scale(x: QHElement, lam: dict) -> QHElement:
     """A module element times a ring element, exponents adding termwise."""
     return QHElement(
-        ((i, B + C), q * r) for (i, B), q in x.terms.items() for C, r in lam.terms.items()
+        ((i, B + C), q * r) for (i, B), q in x.terms.items() for C, r in lam.items()
     )
 
 
-def _oracle_det(matrix: list) -> NovikovElement:
-    """Laplace expansion along the first row, entries NovikovElements."""
+def _oracle_det(matrix: list) -> dict:
+    """Laplace expansion along the first row, entries ring elements."""
     if len(matrix) == 1:
         return matrix[0][0]
-    return sum(
-        (nov_mul(entry, _oracle_cofactor(matrix, 0, col)) for col, entry in enumerate(matrix[0])),
-        NovikovElement(),
+    return ring_sum(
+        ring_product(entry, _oracle_cofactor(matrix, 0, col)) for col, entry in enumerate(matrix[0])
     )
 
 
-def _oracle_cofactor(matrix: list, row: int, col: int) -> NovikovElement:
+def _oracle_cofactor(matrix: list, row: int, col: int) -> dict:
     n = len(matrix)
     minor = [[matrix[i][j] for j in range(n) if j != col] for i in range(n) if i != row]
     det = _oracle_det(minor)
-    return -det if (row + col) % 2 else det
+    return {B: -q for B, q in det.items()} if (row + col) % 2 else det
 
 
 def oracle_cramer(model, x: QHElement) -> tuple:
-    """Reference Cramer step on NovikovElement entries: (adj / (c0 e^{B0}), g).
+    """Reference Cramer step on ring-element entries: (adj / (c0 e^{B0}), g).
 
     det M_x = c0 e^{B0} (1 - g), with c0 e^{B0} its unique term of largest
     area, and adj the adjugate column dual to the unit.  M_x comes from
@@ -124,32 +125,26 @@ def oracle_cramer(model, x: QHElement) -> tuple:
     if x.is_zero():
         raise NotInvertibleError("the zero element has no inverse")
     n = len(model.basis)
-    ((u, zero),) = model.unit().terms
+    ((u, _),) = model.unit().terms
     cols = [oracle_contract(model, x, model.basis_element(j)).terms for j in range(n)]
-    matrix = [
-        [NovikovElement({B: q for (i, B), q in col.items() if i == k}) for col in cols]
-        for k in range(n)
-    ]
+    matrix = [[{B: q for (i, B), q in col.items() if i == k} for col in cols] for k in range(n)]
     cofactors = [_oracle_cofactor(matrix, u, k) for k in range(n)]
-    det = sum((nov_mul(e, c) for e, c in zip(matrix[u], cofactors)), NovikovElement())
-    if det.is_zero():
+    det = ring_sum(ring_product(e, c) for e, c in zip(matrix[u], cofactors))
+    if not det:
         raise NotInvertibleError(
             "multiplication matrix is singular; the element is a zero divisor"
         )
-    top = valuation(det, model.omega)
-    leaders = [(B, q) for B, q in det.terms.items() if model.omega(B) == top]
+    top = max(map(model.omega, det))
+    leaders = [(B, q) for B, q in det.items() if model.omega(B) == top]
     if len(leaders) != 1:
         raise NotInvertibleError(
             "no leading monomial: maximal area is attained by "
             f"{len(leaders)} terms, so the geometric series cannot start"
         )
     ((B0, c0),) = leaders
-    lead_inverse = NovikovElement.exp(-B0, 1 / c0)
-    g = NovikovElement.exp(zero) - nov_mul(det, lead_inverse)
-    adj = QHElement(
-        ((k, B), q) for k, entry in enumerate(cofactors) for B, q in entry.terms.items()
-    )
-    return _oracle_scale(adj, lead_inverse), g
+    g = {B - B0: -q / c0 for B, q in det.items() if B != B0}
+    adj = QHElement(((k, B), q) for k, entry in enumerate(cofactors) for B, q in entry.items())
+    return _oracle_scale(adj, {-B0: 1 / c0}), g
 
 
 def oracle_invert(model, x: QHElement, floor: Fraction) -> QHElement:
@@ -160,14 +155,15 @@ def oracle_invert(model, x: QHElement, floor: Fraction) -> QHElement:
     the exact inverse and is returned whole.
     """
     col, g = oracle_cramer(model, x)
-    if g.is_zero():
+    if not g:
         return col
     cutoff = floor - valuation(col, model.omega)
-    series = term = NovikovElement.one(model.rank)
-    while not term.is_zero():
-        term = truncate_below(nov_mul(term, g), model.omega, cutoff)
-        series = series + term
-    return truncate_below(_oracle_scale(col, series), model.omega, floor)
+    series = term = {model.zero_class(): Fraction(1)}
+    while term:
+        term = {B: q for B, q in ring_product(term, g).items() if model.omega(B) >= cutoff}
+        series = ring_sum((series, term))
+    product = _oracle_scale(col, series)
+    return QHElement({(i, B): q for (i, B), q in product.terms.items() if model.omega(B) >= floor})
 
 
 def linspace(lo: float, hi: float, n: int) -> list:

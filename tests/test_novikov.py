@@ -1,4 +1,4 @@
-"""Exact group-ring arithmetic, valuations, and the text grammar."""
+"""Sphere classes, functionals, the ring on the fundamental class, valuations, and text."""
 
 import random
 from fractions import Fraction
@@ -8,22 +8,18 @@ import pytest
 from qhofer import (
     NEG_INF,
     ChernFunctional,
-    NovikovElement,
     OmegaFunctional,
     ParseError,
     QHElement,
     SphereClass,
     format_exponent,
-    format_novikov,
     model_blowup_cp2,
-    nov_mul,
     parse_exponent,
-    parse_novikov,
-    truncate_below,
+    quantum_product,
     valuation,
 )
 from qhofer.novikov import _frac, rational
-from helpers import random_novikov
+from helpers import random_fraction, random_qh, random_sphere_class
 
 GENS = ("E", "F")
 
@@ -88,90 +84,91 @@ class TestFunctionals:
 
 
 class TestNovikovElement:
-    def test_canonical_form_drops_zeros(self):
-        x = NovikovElement([(S(1, 0), 2), (S(1, 0), -2), (S(0, 1), "1/2")])
-        assert x.terms == {S(0, 1): Fraction(1, 2)}
+    """Novikov-ring elements as the engine holds them: elements on the fundamental class.
 
-    def test_zero_element(self):
-        assert NovikovElement().is_zero()
-        assert NovikovElement([(S(1, 0), 0)]).is_zero()
-        assert len(NovikovElement()) == 0
+    On that class the quantum product is the group-ring product, e^B e^C = e^{B+C}.
+    """
+
+    M = model_blowup_cp2("1/4")
+    ((FUND, _),) = M.unit().terms
+
+    def exp(self, B, q=1):
+        return QHElement({(self.FUND, B): q})
+
+    def random_ring(self, rng):
+        return QHElement(
+            ((self.FUND, random_sphere_class(rng, 2)), random_fraction(rng))
+            for _ in range(rng.randint(1, 3))
+        )
+
+    def product(self, x, y):
+        return quantum_product(self.M, x, y)
 
     def test_addition_cancels(self):
-        x = NovikovElement.exp(S(1, 0))
+        x = self.exp(S(1, 0))
         assert (x - x).is_zero()
         assert (x + -x).is_zero()
 
     def test_scalar_multiplication(self):
-        x = NovikovElement.exp(S(1, 0), 3)
-        assert (Fraction(1, 3) * x).coefficient(S(1, 0)) == 1
+        x = self.exp(S(1, 0), 3)
+        assert (Fraction(1, 3) * x).coefficient(self.FUND, S(1, 0)) == 1
         assert (0 * x).is_zero()
 
     def test_one_is_neutral(self):
-        one = NovikovElement.one(2)
+        one = self.M.unit()
         rng = random.Random(7)
         for _ in range(20):
-            x = random_novikov(rng, 2)
-            assert nov_mul(one, x) == x
+            x = self.random_ring(rng)
+            assert self.product(one, x) == x
 
     def test_exponents_add_under_product(self):
-        x = NovikovElement.exp(S("1/2", "1/4"))
-        y = NovikovElement.exp(S("1/2", "1/4"), -3)
-        xy = nov_mul(x, y)
-        assert xy == NovikovElement.exp(S(1, "1/2"), -3)
+        x = self.exp(S("1/2", "1/4"))
+        y = self.exp(S("1/2", "1/4"), -3)
+        assert self.product(x, y) == self.exp(S(1, "1/2"), -3)
 
     def test_difference_of_squares(self):
-        one = NovikovElement.one(2)
-        u = NovikovElement.exp(S(1, -1))
-        lhs = nov_mul(one + u, one - u)
-        assert lhs == one - NovikovElement.exp(S(2, -2))
+        one = self.M.unit()
+        u = self.exp(S(1, -1))
+        assert self.product(one + u, one - u) == one - self.exp(S(2, -2))
 
     def test_product_commutes_and_associates(self):
         rng = random.Random(11)
         for _ in range(60):
-            x, y, z = (random_novikov(rng, 2) for _ in range(3))
-            assert nov_mul(x, y) == nov_mul(y, x)
-            assert nov_mul(nov_mul(x, y), z) == nov_mul(x, nov_mul(y, z))
-
-    def test_equality_and_hash(self):
-        x = NovikovElement([(S(1, 0), 1), (S(0, 1), 2)])
-        y = NovikovElement([(S(0, 1), 2), (S(1, 0), 1)])
-        assert x == y and hash(x) == hash(y)
+            x, y, z = (self.random_ring(rng) for _ in range(3))
+            assert self.product(x, y) == self.product(y, x)
+            assert self.product(self.product(x, y), z) == self.product(x, self.product(y, z))
 
 
 class TestValuation:
-    OMEGA = OmegaFunctional((Fraction(1, 4), Fraction(3, 4)))
+    M = model_blowup_cp2("1/4")
+    OMEGA = M.omega
 
     def test_zero_is_minus_infinity(self):
-        assert valuation(NovikovElement(), self.OMEGA) == NEG_INF
+        assert valuation(QHElement(), self.OMEGA) == NEG_INF
 
     def test_single_term(self):
-        x = NovikovElement.exp(S("1/2", "1/4"))
+        x = QHElement({(3, S("1/2", "1/4")): 1})
         assert valuation(x, self.OMEGA) == Fraction(5, 16)
 
     def test_maximum_over_support(self):
-        x = NovikovElement([(S(0, 0), 1), (S(-1, 0), 5)])
+        x = QHElement([((3, S(0, 0)), 1), ((1, S(-1, 0)), 5)])
         assert valuation(x, self.OMEGA) == 0
 
     def test_subadditive_with_equality_on_monomials(self):
         rng = random.Random(13)
         for _ in range(60):
-            x, y = random_novikov(rng, 2), random_novikov(rng, 2)
-            xy = nov_mul(x, y)
+            x, y = random_qh(rng, self.M), random_qh(rng, self.M)
+            xy = quantum_product(self.M, x, y)
             if not xy.is_zero():
                 assert valuation(xy, self.OMEGA) <= valuation(x, self.OMEGA) + valuation(
                     y, self.OMEGA
                 )
-        a = NovikovElement.exp(S(1, 2), 5)
-        b = NovikovElement.exp(S(-3, 1), "1/2")
-        assert valuation(nov_mul(a, b), self.OMEGA) == valuation(a, self.OMEGA) + valuation(
-            b, self.OMEGA
-        )
-
-    def test_truncate_below(self):
-        x = NovikovElement([(S(0, 0), 1), (S(-4, -4), 1), (S(1, 0), 1)])
-        cut = truncate_below(x, self.OMEGA, Fraction(0))
-        assert cut.terms == {S(0, 0): Fraction(1), S(1, 0): Fraction(1)}
+        # Monomials on the fundamental class, index 3, multiply as e^B e^C = e^{B+C}.
+        a = QHElement({(3, S(1, 2)): 5})
+        b = QHElement({(3, S(-3, 1)): "1/2"})
+        assert valuation(quantum_product(self.M, a, b), self.OMEGA) == valuation(
+            a, self.OMEGA
+        ) + valuation(b, self.OMEGA)
 
 
 class TestTextFormat:
@@ -187,55 +184,32 @@ class TestTextFormat:
         assert parse_exponent("E + E", GENS) == S(2, 0)
         assert parse_exponent("E - - F", GENS) == S(1, 1)
 
-    def test_element_format(self):
-        x = NovikovElement.exp(S("1/2", "3/4"), -1)
-        assert format_novikov(x, GENS) == "-1 * e^{1/2*E + 3/4*F}"
-        assert format_novikov(NovikovElement(), GENS) == "0"
-        one = NovikovElement.one(2)
-        assert format_novikov(one, GENS) == "1 * e^{0}"
-
-    def test_roundtrip_random(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            x = random_novikov(rng, 2, max_terms=4)
-            assert parse_novikov(format_novikov(x, GENS), GENS) == x
-
-    def test_parse_signs_and_spacing(self):
-        x = parse_novikov(" -1 * e^{1*E}  +  e^{ -1*F } ", GENS)
-        assert x == NovikovElement([(S(1, 0), -1), (S(0, -1), 1)])
-        # Signs before a term multiply into it.
-        assert parse_novikov("e^{0} - - e^{1*E}", GENS) == parse_novikov("e^{0} + e^{1*E}", GENS)
-        assert parse_novikov("- - e^{0}", GENS) == parse_novikov("e^{0}", GENS)
-
-    def test_parse_zero(self):
-        assert parse_novikov("0", GENS).is_zero()
-
     @pytest.mark.parametrize(
         "bad",
         [
-            "e^{1*E",          # unbalanced brace
-            "e^{1*G}",         # unknown generator
+            "{1*E",            # unbalanced brace
+            "1*G",             # unknown generator
             "2 * ",            # dangling factor
-            "1/0 * e^{0}",     # bad rational
-            "2 * 3 * e^{0}",   # two coefficients
-            "e^{0} * e^{0}",   # two exponentials
+            "1/0*E",           # bad rational
+            "2*3*E",           # two coefficients
+            "E*F",             # two generators
             "+",               # dangling sign
-            "e^2",             # exponential without braces
-            "3 * e^{0} + e^F", # the same in a later term
-            "e^{}",            # empty exponential
-            "e^{ }",           # the same with a blank
-            "1e3 * e^{0}",     # exponent notation
-            "e^{1e999999999*E}",  # the same in an exponent
-            "2 e^{0}",         # missing "*"
-            "{e^{0}}",         # brace outside an exponential
-            "2 * * e^{0}",     # empty factor
-            "2*-e^{0}",        # sign inside a term
-            "e^{1*E}}",        # unbalanced closing brace
+            "e^{1*E}",         # exponential inside an exponent
+            "1*E + 1*G",       # unknown generator in a later term
+            "",                # empty
+            " ",               # the same with a blank
+            "1e3*E",           # exponent notation
+            "1e999999999*E",   # the same, too large to build
+            "2 E",             # missing "*"
+            "{E}",             # braces
+            "2 * * E",         # empty factor
+            "2*-E",            # sign inside a term
+            "1*E}",            # unbalanced closing brace
         ],
     )
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
-            parse_novikov(bad, GENS)
+            parse_exponent(bad, GENS)
 
     @pytest.mark.parametrize(
         "text, value",
@@ -252,29 +226,3 @@ class TestTextFormat:
     def test_rational_rejects(self, text):
         with pytest.raises(ValueError):
             rational(text)
-
-
-class TestSharedCore:
-    """Ring and module elements run on one sparse core but never mix."""
-
-    def test_ring_and_module_elements_differ(self):
-        m = model_blowup_cp2("1/4")
-        one, unit = NovikovElement.one(2), m.unit()
-        assert one != unit and not (one == unit) and not (unit == one)
-        with pytest.raises(TypeError):
-            one + unit
-        with pytest.raises(TypeError):
-            unit * one
-
-    def test_same_arithmetic_on_both(self):
-        m = model_blowup_cp2("1/4")
-        for x in (NovikovElement([(S(1, 0), 2), (S(0, 1), -1)]), m.element("2 * p - E")):
-            assert (x - x).is_zero() and len(x) == 2
-            assert 3 * x == x * 3 == x + x + x
-            assert -x == (-1) * x and (0 * x).is_zero()
-            assert x.terms == (x + type(x)()).terms and x.terms is not x.terms
-
-    def test_repr_names_the_type(self):
-        assert repr(NovikovElement()) == "NovikovElement(0)"
-        assert repr(NovikovElement.one(1)) == "NovikovElement(1 term)"
-        assert repr(QHElement([((0, (0,)), 1), ((1, (0,)), 1)])) == "QHElement(2 terms)"

@@ -1,4 +1,4 @@
-"""Property tests of the shared element core, the one term grammar and invert.
+"""Property tests of the element type, the term grammar, the product and invert.
 
 Runs derandomized, so the suite stays deterministic; the seeded random suites
 in the other modules are kept alongside.
@@ -16,20 +16,17 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from qhofer import (  # noqa: E402
     NotInvertibleError,
-    NovikovElement,
     ParseError,
     QHElement,
     SphereClass,
-    format_novikov,
     invert,
     model_blowup_cp2,
     model_cpn,
-    nov_mul,
-    parse_novikov,
     quantum_product,
     valuation,
 )
 from qhofer.cli import main  # noqa: E402
+from helpers import ring_product  # noqa: E402
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -43,10 +40,9 @@ def sphere_classes(rank):
     return st.tuples(*[coordinates] * rank).map(SphereClass)
 
 
-def novikov_elements(rank=2):
-    return st.lists(st.tuples(sphere_classes(rank), coefficients), max_size=4).map(
-        NovikovElement
-    )
+def ring_elements(rank):
+    """{SphereClass: Fraction} dicts with no zero coefficient."""
+    return st.dictionaries(sphere_classes(rank), coefficients.filter(bool), max_size=4)
 
 
 def qh_elements(model):
@@ -67,17 +63,6 @@ element_texts = st.lists(st.sampled_from(TOKENS), max_size=8).map(" ".join)
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_novikov(self, name):
-        generators = MODELS[name].sphere_generators
-
-        @SETTINGS
-        @given(novikov_elements(len(generators)))
-        def check(x):
-            assert parse_novikov(format_novikov(x, generators), generators) == x
-
-        check()
-
-    @pytest.mark.parametrize("name", sorted(MODELS))
     def test_qh(self, name):
         model = MODELS[name]
 
@@ -90,32 +75,62 @@ class TestRoundTrip:
 
 
 class TestRingAxioms:
+    MODEL = MODELS["blowup"]
+
+    def product(self, x, y):
+        return quantum_product(self.MODEL, x, y)
+
     @SETTINGS
-    @given(novikov_elements(), novikov_elements(), novikov_elements())
+    @given(qh_elements(MODEL), qh_elements(MODEL), qh_elements(MODEL))
     def test_associative(self, x, y, z):
-        assert (x * y) * z == x * (y * z)
+        assert self.product(self.product(x, y), z) == self.product(x, self.product(y, z))
 
     @SETTINGS
-    @given(novikov_elements(), novikov_elements())
+    @given(qh_elements(MODEL), qh_elements(MODEL))
     def test_commutative(self, x, y):
-        assert x * y == y * x == nov_mul(x, y)
+        assert self.product(x, y) == self.product(y, x)
 
     @SETTINGS
-    @given(novikov_elements(), novikov_elements(), novikov_elements())
+    @given(qh_elements(MODEL), qh_elements(MODEL), qh_elements(MODEL))
     def test_distributive(self, x, y, z):
-        assert x * (y + z) == x * y + x * z
-        assert x * (y - z) == x * y - x * z
+        assert self.product(x, y + z) == self.product(x, y) + self.product(x, z)
+        assert self.product(x, y - z) == self.product(x, y) - self.product(x, z)
 
     @SETTINGS
-    @given(novikov_elements())
+    @given(qh_elements(MODEL))
     def test_unit_and_negation(self, x):
-        assert NovikovElement.one(2) * x == x
-        assert (x + -x).is_zero() and x + -x == NovikovElement()
+        assert self.product(self.MODEL.unit(), x) == x
+        assert (x + -x).is_zero() and x + -x == QHElement()
 
     @SETTINGS
-    @given(novikov_elements(), coefficients)
+    @given(qh_elements(MODEL), coefficients)
     def test_scalars(self, x, q):
-        assert q * x == x * q == NovikovElement.exp(SphereClass.zero(2), q) * x
+        assert q * x == x * q == self.product(q * self.MODEL.unit(), x)
+
+
+RING_MODELS = {"blowup": MODELS["blowup"], **{f"cp{n}": model_cpn(n) for n in (1, 2, 3)}}
+
+
+class TestRingIdentity:
+    """On the fundamental class the quantum product is the group-ring convolution.
+
+    Inversion multiplies ring elements this way, as module elements on the unit.
+    """
+
+    @pytest.mark.parametrize("name", sorted(RING_MODELS))
+    def test_product_is_convolution(self, name):
+        model = RING_MODELS[name]
+        ((u, _),) = model.unit().terms
+
+        def lift(a):
+            return QHElement({(u, B): q for B, q in a.items()})
+
+        @SETTINGS
+        @given(ring_elements(model.rank), ring_elements(model.rank))
+        def check(a, b):
+            assert quantum_product(model, lift(a), lift(b)) == lift(ring_product(a, b))
+
+        check()
 
 
 # Models for the inverse: areas of integral exponents are multiples of 1/2 or
@@ -160,11 +175,10 @@ class TestFuzzedText:
     @given(element_texts)
     def test_parsers_raise_only_parse_errors(self, text):
         model = MODELS["blowup"]
-        for parse in (model.element, lambda t: parse_novikov(t, model.sphere_generators)):
-            try:
-                parse(text)
-            except ParseError:
-                pass
+        try:
+            model.element(text)
+        except ParseError:
+            pass
 
     @settings(SETTINGS, max_examples=50)
     @given(element_texts)

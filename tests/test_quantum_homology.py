@@ -30,7 +30,6 @@ from qhofer import (
     quantum_product,
     rationality_index,
     save_model,
-    truncate_below,
     valuation,
     validate_model,
     valuation_walk,
@@ -627,6 +626,16 @@ class TestElementText:
         assert m.element("p - - E") == m.element("p + E")
         assert m.element("- - p") == m.element("p")
 
+    def test_element_format(self, m):
+        x = m.basis_element("p", SphereClass(("1/2", "3/4")))
+        assert m.format(-x) == "-1 * p * e^{1/2*E + 3/4*F}"
+        assert m.format(QHElement()) == "0"
+
+    def test_parse_signs_and_spacing(self, m):
+        x = m.element(" -1 * E * e^{1*E}  +  p * e^{ -1*F } ")
+        assert x == QHElement([((1, (1, 0)), -1), ((0, (0, -1)), 1)])
+        assert m.element("p * e^{0} - - E * e^{1*E}") == m.element("p + E * e^{1*E}")
+
     def test_roundtrip_random(self, m):
         rng = random.Random(23)
         for _ in range(150):
@@ -668,6 +677,13 @@ class TestElementText:
             "p * * E",                # empty factor
             "2*-p",                   # sign inside a term
             "e^{1*E}}",               # unbalanced closing brace
+            "p * e^{1*E",             # unbalanced brace
+            "p * e^{1*G}",            # unknown generator
+            "2 * ",                   # dangling factor
+            "1/0 * p",                # bad rational
+            "+",                      # dangling sign
+            "3 * p + p * e^F",        # exponential without braces in a later term
+            "p * e^{1e999999999*E}",  # exponent notation in an exponent
         ],
     )
     def test_parse_errors(self, bad, m):
@@ -686,10 +702,52 @@ class TestModuleElement:
         assert x == 2 * m.basis_element("F")
         assert x.coefficient(2, m.zero_class()) == 2
 
-    def test_truncate_below_keeps_basis_indices(self, m):
+    def test_truncate_keeps_basis_indices(self, m):
         x = m.element("2 * p + E * e^{-1*E} + F * e^{1*F}")
-        assert truncate_below(x, m.omega, 0) == m.element("2 * p + F * e^{1*F}")
-        assert truncate_below(x, m.omega, 1).is_zero()
+        lattice = m._lattice(x)
+        terms = lattice.encode(x)
+        assert lattice.decode(lattice.truncate(terms, 0)) == m.element("2 * p + F * e^{1*F}")
+        assert lattice.decode(lattice.truncate(terms, 1)).is_zero()
+
+    def test_canonical_form_drops_zeros(self):
+        x = QHElement([((0, (1, 0)), 2), ((0, (1, 0)), -2), ((1, (0, 1)), "1/2")])
+        assert x.terms == {(1, SphereClass((0, 1))): Fraction(1, 2)}
+
+    def test_zero_element(self):
+        assert QHElement().is_zero()
+        assert QHElement([((0, (1, 0)), 0)]).is_zero()
+        assert len(QHElement()) == 0
+
+    def test_arithmetic(self, m):
+        x = m.element("2 * p - E")
+        assert (x - x).is_zero() and (x + -x).is_zero() and len(x) == 2
+        assert 3 * x == x * 3 == x + x + x
+        assert -x == (-1) * x and (0 * x).is_zero()
+        assert (Fraction(1, 2) * x).coefficient(0, m.zero_class()) == 1
+        assert x.terms == (x + QHElement()).terms and x.terms is not x.terms
+
+    def test_equality_and_hash(self):
+        x = QHElement([((0, (1, 0)), 1), ((1, (0, 1)), 2)])
+        y = QHElement([((1, (0, 1)), 2), ((0, (1, 0)), 1)])
+        assert x == y and hash(x) == hash(y)
+
+    def test_repr(self):
+        assert repr(QHElement()) == "QHElement(0)"
+        assert repr(QHElement([((0, (0,)), 1)])) == "QHElement(1 term)"
+        assert repr(QHElement([((0, (0,)), 1), ((1, (0,)), 1)])) == "QHElement(2 terms)"
+
+    def test_tuple_exponents_normalised(self, m):
+        x = m.basis_element("F", (Fraction(1, 2), Fraction(1, 4)))
+        assert x == m.element("F * e^{1/2*E + 1/4*F}")
+        assert m.format(x) == "1 * F * e^{1/2*E + 1/4*F}"
+        assert quantum_product(m, x, m.unit()) == x
+        assert x.coefficient(2, (Fraction(1, 2), Fraction(1, 4))) == 1
+        assert x.coefficient(2, ("1/2", "1/4")) == 1
+
+    def test_basis_element_rejects_wrong_rank(self, m):
+        for B in ((1,), SphereClass((1, 0, 0))):
+            with pytest.raises(ValueError, match="rank"):
+                m.basis_element("F", B)
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +815,7 @@ class TestExactInverse:
 
 
 # ---------------------------------------------------------------------------
-# Inversion on the lattice against the NovikovElement reference.
+# Inversion on the lattice against the reference on {SphereClass: Fraction} dicts.
 # ---------------------------------------------------------------------------
 
 ORACLE_MODELS = [model_blowup_cp2(a2) for a2 in NINE_A2] + [model_cpn(n) for n in (1, 2, 3)]
@@ -796,12 +854,12 @@ class TestLatticeInversion:
                 with pytest.raises(NotInvertibleError):
                     exact_inverse(model, x)
                 continue
-            if g.is_zero():
+            if not g:
                 assert exact_inverse(model, x) == col
             else:
                 with pytest.raises(NotInvertibleError, match="infinite series"):
                     exact_inverse(model, x)
-            found[g.is_zero()] += 1
+            found[not g] += 1
         assert found[True] and found[False]
 
     def test_deep_series_matches_oracle(self):

@@ -1,9 +1,10 @@
 """Source hygiene: every name a package module imports is used in it, every
 private top-level definition is used somewhere in the package, every method
-is referenced somewhere in the repository, and the package imports nothing
-outside the standard library."""
+is referenced somewhere in the repository, the package imports nothing
+outside the standard library, and the README's library tour runs."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -205,3 +206,12 @@ def test_import_checker_flags_third_party_modules():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_standard_library_only(module):
     assert third_party_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_readme_tour_runs():
+    """The tour's first two python blocks run as written, in one namespace;
+    the third reads a CSV file that the README does not ship."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    namespace: dict = {}
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S)[:2]:
+        exec(block, namespace)
