@@ -31,6 +31,7 @@ from .quantum_homology import (
     quantum_product,
     rationality_index,
     save_model,
+    tropical_valuations,
     validate_model,
     valuation_walk,
 )

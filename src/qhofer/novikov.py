@@ -19,7 +19,6 @@ the first Chern number of each generator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -78,14 +77,46 @@ def _integer(v) -> int:
     return q.numerator
 
 
-@dataclass(frozen=True)
-class SphereClass:
+class _Frozen:
+    """Immutable value object over the fields named in ``_fields``.
+
+    ``__init__`` sets each field once through ``object.__setattr__``; assigning
+    or deleting an attribute afterwards raises AttributeError.  Two objects of
+    the same class are equal, and hash alike, when their fields are.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({inner})"
+
+
+class SphereClass(_Frozen):
     """Exact rational coordinate vector in a fixed basis of sphere classes."""
 
-    coords: tuple
+    __slots__ = _fields = ("coords",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(_frac(c) for c in self.coords))
+    def __init__(self, coords) -> None:
+        object.__setattr__(self, "coords", tuple(_frac(c) for c in coords))
 
     @classmethod
     def zero(cls, rank: int) -> "SphereClass":
@@ -128,14 +159,13 @@ def _sphere_class(B) -> SphereClass:
     return B if isinstance(B, SphereClass) else SphereClass(tuple(B))
 
 
-@dataclass(frozen=True)
-class _LinearFunctional:
+class _LinearFunctional(_Frozen):
     """Linear functional on sphere classes, given by its generator values."""
 
-    values: tuple
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(map(self._coerce, self.values)))
+    def __init__(self, values) -> None:
+        object.__setattr__(self, "values", tuple(map(self._coerce, values)))
 
     def __call__(self, B: SphereClass) -> Fraction:
         if len(B.coords) != len(self.values):
@@ -146,12 +176,14 @@ class _LinearFunctional:
 class OmegaFunctional(_LinearFunctional):
     """Area functional on sphere classes; values are rationals in units of pi."""
 
+    __slots__ = ()
     _coerce = staticmethod(_frac)
 
 
 class ChernFunctional(_LinearFunctional):
     """First Chern number, extended linearly over rational exponents."""
 
+    __slots__ = ()
     _coerce = staticmethod(_integer)
 
 

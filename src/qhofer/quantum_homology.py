@@ -522,6 +522,76 @@ def valuation_walk(model: ManifoldModel, x: QHElement, k_max: int) -> list:
     return [lattice.valuation(acc) for acc in lattice.walk(x, k_max)]
 
 
+def tropical_valuations(model: ManifoldModel, x: QHElement, k_max: int) -> list:
+    """[v(x^1), ..., v(x^k_max)] as a max-plus sequence; equals ``valuation_walk``.
+
+    A term (l, B) of x^k sums the products of entries along the walks of
+    length k from the unit to basis class l through the matrix M_x, the
+    exponents adding up to B.  When ``_check_signs`` passes, each walk
+    contributes one term, and all walks to (l, B) carry the same sign, so no
+    coefficient cancels: the support of x^k is the set of walk ends, and
+    v(x^k) is the largest total area over walks of length k.  ValueError when
+    either check fails.
+    """
+    lattice = model._lattice(x)
+    matrix = _mult_matrix(lattice, lattice.encode(x), len(model.basis))
+    _check_signs(matrix)
+    # (l, j, integer area of B) for each entry c e^B of M_x in row l, column j.
+    steps = [
+        (l, j, lattice.area(key))
+        for l, row in enumerate(matrix) for j, entry in enumerate(row) for key in entry
+    ]
+    n = len(matrix)
+    # best[l]: the largest area of a walk of length k from the unit to l.
+    best = [NEG_INF] * n
+    best[model._fund] = 0
+    out = []
+    for _ in range(_integer(k_max)):
+        new = [NEG_INF] * n
+        for l, j, area in steps:
+            if best[j] + area > new[l]:
+                new[l] = best[j] + area
+        best = new
+        top = max(best)
+        out.append(NEG_INF if top == NEG_INF else Fraction(top, lattice.scale))
+    return out
+
+
+def _check_signs(matrix: list) -> None:
+    """Check that the lattice matrix ``matrix`` is monomial with a sign character.
+
+    Every nonzero entry must be one term c e^B.  Its sign must then satisfy
+    [c < 0] = s_l + s_j + b.B (mod 2) for the entry in row l and column j,
+    with one bit s_i per basis class and one bit b_i per exponent coordinate.
+    The system is solved over GF(2) by elimination on bit masks.  Raises
+    ValueError, naming the check, when an entry has several terms or the
+    system has no solution.
+    """
+    n = len(matrix)
+    pivots: dict = {}  # leading bit -> (mask, right-hand side) of a reduced equation
+    for l, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            if len(entry) > 1:
+                raise ValueError(
+                    f"monomial check failed: entry ({l}, {j}) of the multiplication "
+                    f"matrix has {len(entry)} terms, so coefficients of its powers may cancel"
+                )
+            for (_, *e), c in entry.items():
+                mask = (1 << l) ^ (1 << j) ^ sum((ei & 1) << (n + i) for i, ei in enumerate(e))
+                rhs = c < 0
+                while mask and mask.bit_length() - 1 in pivots:
+                    pivot, pivot_rhs = pivots[mask.bit_length() - 1]
+                    mask, rhs = mask ^ pivot, rhs ^ pivot_rhs
+                if mask:
+                    pivots[mask.bit_length() - 1] = mask, rhs
+                elif rhs:
+                    raise ValueError(
+                        "sign check failed: the signs of the multiplication matrix "
+                        "follow no character s_l + s_j + b.B mod 2, so coefficients "
+                        "of its powers may cancel"
+                    )
+
+
 # ---------------------------------------------------------------------------
 # Inversion.
 # ---------------------------------------------------------------------------

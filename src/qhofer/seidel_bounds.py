@@ -19,11 +19,11 @@ Hamiltonian meet it; those lengths are closed forms, exact here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .novikov import RationalLike, SphereClass, _frac, _integer, valuation
+from .novikov import RationalLike, SphereClass, _Frozen, _frac, _integer
+from .novikov import valuation  # noqa: F401  (perfbench's tracing test looks it up here)
 from .quantum_homology import (
     ManifoldModel,
     QHElement,
@@ -32,7 +32,7 @@ from .quantum_homology import (
     model_blowup_cp2,
     power,
     power_walk,  # noqa: F401  (perfbench's tracing test looks it up here)
-    valuation_walk,
+    tropical_valuations,
 )
 
 
@@ -55,12 +55,16 @@ def q_element(model: ManifoldModel) -> QHElement:
     return model.basis_element("F", SphereClass((Fraction(1, 2), Fraction(1, 4))))
 
 
-def _q_valuations(k_max: int, a_squared: RationalLike) -> tuple:
-    """([v(Q^k)], [v(Q^-k)]) for k = 1..k_max, one walk each way."""
-    model = model_blowup_cp2(a_squared)
+def _q_sequence(model: ManifoldModel, k_max: int, inverse: bool) -> list:
+    """[v(Q^k)] for k = 1..k_max, or [v(Q^-k)] when ``inverse``."""
     q = q_element(model)
-    qi = exact_inverse(model, q)
-    return valuation_walk(model, q, k_max), valuation_walk(model, qi, k_max)
+    return tropical_valuations(model, exact_inverse(model, q) if inverse else q, k_max)
+
+
+def _q_valuations(k_max: int, a_squared: RationalLike) -> tuple:
+    """([v(Q^k)], [v(Q^-k)]) for k = 1..k_max, one max-plus sequence each way."""
+    model = model_blowup_cp2(a_squared)
+    return _q_sequence(model, k_max, False), _q_sequence(model, k_max, True)
 
 
 def omega_f(a_squared: RationalLike) -> Fraction:
@@ -74,15 +78,17 @@ def mean_radius_sq_exact(a_squared: RationalLike) -> Fraction:
     return 2 * (1 - a2**3) / (3 * (1 - a2**2))
 
 
-@dataclass(frozen=True)
-class LoopLengths:
+class LoopLengths(_Frozen):
     """Exact one-sided Hofer lengths ``plus``, ``minus`` of a loop, in units of pi.
 
     ``l_plus``, ``l_minus`` and ``total`` are the lengths as floats, pi included.
     """
 
-    plus: Fraction
-    minus: Fraction
+    __slots__ = _fields = ("plus", "minus")
+
+    def __init__(self, plus: Fraction, minus: Fraction) -> None:
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
 
     l_plus = property(lambda self: math.pi * float(self.plus))
     l_minus = property(lambda self: math.pi * float(self.minus))
@@ -108,15 +114,22 @@ def lengths_blowup_loop(k: int, a_squared: RationalLike) -> LoopLengths:
     raise ValueError("only the loops k = 1 and k = 2 carry explicit profiles")
 
 
-@dataclass(frozen=True)
-class SeidelElement:
-    """Action of the k-fold rotation loop on the quantum homology of ``model``."""
+class SeidelElement(_Frozen):
+    """Action of the k-fold rotation loop on the quantum homology of ``model``.
 
-    loop_multiple: int
-    a_squared: Fraction
-    delta: Fraction
-    value: QHElement
-    model: ManifoldModel = field(repr=False, compare=False)
+    Equality, hashing and repr leave ``model`` out: it is the blow-up at
+    ``a_squared``.
+    """
+
+    _fields = ("loop_multiple", "a_squared", "delta", "value")
+    __slots__ = (*_fields, "model")
+
+    def __init__(
+        self, loop_multiple: int, a_squared: Fraction, delta: Fraction,
+        value: QHElement, model: ManifoldModel,
+    ) -> None:
+        for name, v in zip(self.__slots__, (loop_multiple, a_squared, delta, value, model)):
+            object.__setattr__(self, name, v)
 
 
 def psi(k: int, a_squared: RationalLike) -> SeidelElement:
@@ -132,10 +145,18 @@ def psi(k: int, a_squared: RationalLike) -> SeidelElement:
 def ell_plus_lower_bound(k: int, a_squared: RationalLike) -> Fraction:
     """Certified lower bound for the positive length of the k-fold loop.
 
-    Returns v(Psi(k)) in units of pi; exact rational.
+    Returns v(Psi(k)) in units of pi; exact rational.  The shift e^{k delta
+    (F - 2E)} is a monomial, so v(Psi(k)) = v(Q^k) + k delta omega(F - 2E),
+    with omega(F - 2E) = 1 - 3a^2, read off the max-plus sequence of Q or
+    Q^-1; Psi(0) is the unit, of valuation 0.
     """
-    element = psi(k, a_squared)
-    return valuation(element.value, element.model.omega)
+    a2 = _frac(a_squared)
+    delta = delta_constant(a2)
+    k = _integer(k)
+    if k == 0:
+        return Fraction(0)
+    v = _q_sequence(model_blowup_cp2(a2), abs(k), k < 0)[-1]
+    return v + k * delta * (1 - 3 * a2)
 
 
 def two_sided_bound(k: int, a_squared: RationalLike) -> Fraction:
@@ -158,8 +179,7 @@ def two_sided_bounds(k_max: int, a_squared: RationalLike) -> list:
     return [(k, p + n) for k, (p, n) in enumerate(zip(pos, neg), 1)]
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     k: int
     v_qk: Fraction
     v_qnegk: Fraction
@@ -167,8 +187,7 @@ class GrowthRow:
     psi_rate: Optional[Fraction]
 
 
-@dataclass(frozen=True)
-class GrowthSummary:
+class GrowthSummary(NamedTuple):
     """Companion verdicts for a growth table.
 
     ``qneg_bounded`` holds when no new maximum of v(Q^{-k}) appears in the
@@ -190,8 +209,7 @@ class GrowthSummary:
     psi_rate_reference: Fraction
 
 
-@dataclass(frozen=True)
-class GrowthTable:
+class GrowthTable(NamedTuple):
     rows: tuple
     summary: GrowthSummary
 
@@ -254,8 +272,7 @@ def growth_table(k_max: int, a_squared: RationalLike) -> GrowthTable:
     return GrowthTable(rows, summary)
 
 
-@dataclass(frozen=True)
-class RTildeCertificate:
+class RTildeCertificate(NamedTuple):
     """Result of the two-sided sweep: the minimum bound and where it sits."""
 
     a_squared: Fraction

@@ -215,6 +215,11 @@ class TestBoundsAndGrowth:
         assert "attained at k = 2" in out
         assert "1/2 (x pi)" in out
 
+    def test_rtilde_large_kmax(self, capsys):
+        code, out, _ = run(capsys, "rtilde", "--a2", "1/10", "--kmax", "100000")
+        assert code == 0
+        assert "[1, 100000] of v(Q^k) + v(Q^-k) = 9/10 (x pi), attained at k = 2" in out
+
     def test_rtilde_json(self, capsys):
         code, out, _ = run(
             capsys, "rtilde", "--a2", "3/4", "--format", "json"
@@ -698,11 +703,13 @@ def fresh(code):
 
 
 class TestImports:
-    """The package loads nothing outside the standard library, and the float
-    module loads only for geocheck and the float API."""
+    """The package loads nothing outside the standard library, the float
+    module loads only for geocheck and the float API, and the exact
+    subcommands load neither ``dataclasses`` nor ``inspect``."""
 
     # Top-level modules outside the standard library that ``code`` imports,
-    # beyond those the interpreter had loaded at startup.
+    # and the class-generation modules it imports, beyond those the
+    # interpreter had loaded at startup.
     OUTSIDE = (
         "import contextlib, io, json, sys\n"
         "def outside():\n"
@@ -710,6 +717,9 @@ class TestImports:
         "startup = outside() | {'qhofer'}\n"
         "def loaded():\n"
         "    return sorted(outside() - startup)\n"
+        "heavy_at_startup = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "def heavy():\n"
+        "    return sorted({'dataclasses', 'inspect'} & set(sys.modules) - heavy_at_startup)\n"
     )
 
     def test_every_subcommand_stays_in_the_standard_library(self, tmp_path):
@@ -729,11 +739,12 @@ class TestImports:
             f"for argv in {argvs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = qhofer.cli.main(argv)\n"
-            "    seen.append([argv[0], code, loaded(), 'qhofer.hofer_lengths' in sys.modules])\n"
+            "    seen.append([argv[0], code, loaded(), 'qhofer.hofer_lengths' in sys.modules, heavy()])\n"
             "print(json.dumps(seen))\n"
         )
-        exact = [[argv[0], 0, [], False] for argv in argvs[:-1]]
-        assert seen == exact + [["geocheck", 0, [], True]]
+        exact = [[argv[0], 0, [], False, []] for argv in argvs[:-1]]
+        assert seen[:-1] == exact
+        assert seen[-1][:4] == ["geocheck", 0, [], True]
         (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         assert {row[0] for row in seen} == set(subs.choices)
 

@@ -13,8 +13,10 @@ from qhofer import (
     QHElement,
     SphereClass,
     format_exponent,
+    lengths_blowup_loop,
     model_blowup_cp2,
     parse_exponent,
+    psi,
     quantum_product,
     valuation,
 )
@@ -81,6 +83,27 @@ class TestFunctionals:
     def test_rank_checked(self):
         with pytest.raises(ValueError):
             OmegaFunctional((1,))(S(1, 2))
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda a2: S(1, a2), "coords"),
+        (lambda a2: OmegaFunctional((a2, 1)), "values"),
+        (lambda a2: lengths_blowup_loop(2, a2), "plus"),
+        (lambda a2: psi(2, a2), "value"),
+    ],
+    ids=["SphereClass", "OmegaFunctional", "LoopLengths", "SeidelElement"],
+)
+def test_value_objects_are_immutable_and_compared_by_value(build, field):
+    x, y = build("1/4"), build(Fraction(1, 4))
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+    assert x != build(Fraction(1, 5))
+    with pytest.raises(AttributeError):
+        setattr(x, field, None)
+    with pytest.raises(AttributeError):
+        delattr(x, field)
+    assert x == y
 
 
 class TestNovikovElement:

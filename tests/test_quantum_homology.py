@@ -30,6 +30,7 @@ from qhofer import (
     quantum_product,
     rationality_index,
     save_model,
+    tropical_valuations,
     valuation,
     validate_model,
     valuation_walk,
@@ -574,12 +575,51 @@ class TestLatticeKernel:
             c1=(1,),
             gw=[(("pt", "1", "1"), (0,), 1)],
         )
-        assert valuation_walk(surface, surface.basis_element("pt"), 2) == [0, NEG_INF]
         # pt * pt = 3/4 e^{-A/2}, so the walk steps by omega(-A/2) = -1/3.
         c = model_half_integral()
-        assert valuation_walk(c, c.basis_element("pt"), 3) == [
-            0, Fraction(-1, 3), Fraction(-1, 3)
-        ]
+        for sequence in (valuation_walk, tropical_valuations):
+            assert sequence(surface, surface.basis_element("pt"), 2) == [0, NEG_INF]
+            assert sequence(c, c.basis_element("pt"), 3) == [
+                0, Fraction(-1, 3), Fraction(-1, 3)
+            ]
+
+
+class TestTropicalValuations:
+    """The max-plus sequence against the exact walk, and its two refusals."""
+
+    @pytest.mark.parametrize("a2", NINE_A2 + [Fraction(1, 3)], ids=str)
+    def test_matches_walk_on_the_sweep(self, a2):
+        model = model_blowup_cp2(a2)
+        q = model.element(Q_TEXT)
+        for x in (q, exact_inverse(model, q)):
+            assert tropical_valuations(model, x, 200) == valuation_walk(model, x, 200)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_walk_on_projective_space(self, n):
+        model = model_cpn(n)
+        x = model.basis_element("x")
+        assert tropical_valuations(model, x, 40) == valuation_walk(model, x, 40)
+
+    def test_refuses_a_non_monomial_entry(self):
+        model = model_blowup_cp2(Fraction(1, 10))
+        x = model.element(Q_TEXT) + model.unit()
+        with pytest.raises(ValueError, match="monomial check failed"):
+            tropical_valuations(model, x, 5)
+
+    def test_refuses_signs_without_a_character(self):
+        model = model_blowup_cp2(Fraction(1, 10))
+        q = model.element(Q_TEXT)
+        lattice = model._lattice(q)
+        matrix = qh._mult_matrix(lattice, lattice.encode(q), len(model.basis))
+        qh._check_signs(matrix)
+        # Entry (0, 1) lies on the cycle p <- E <- F <- 1 <- p.  Its exponents
+        # sum to zero, so a character needs its signs to multiply to +1, and
+        # one flipped sign leaves the system without a solution.
+        flipped = [[dict(entry) for entry in row] for row in matrix]
+        ((key, c),) = flipped[0][1].items()
+        flipped[0][1][key] = -c
+        with pytest.raises(ValueError, match="sign check failed"):
+            qh._check_signs(flipped)
 
 
 def list_golden_gw():

@@ -31,6 +31,7 @@ from qhofer import (
     SphereClass,
     two_sided_bound,
     two_sided_bounds,
+    tropical_valuations,
     valuation,
     valuation_walk,
 )
@@ -127,6 +128,17 @@ class TestEllPlus:
             for k in (1, 2, 3, 5):
                 expected = valuation(power(m, q, k), m.omega) + k * d * (1 - 3 * a2)
                 assert ell_plus_lower_bound(k, a2) == expected
+
+    @pytest.mark.parametrize("a2", NINE_A2, ids=str)
+    def test_matches_psi_valuation(self, a2):
+        m = model_blowup_cp2(a2)
+        for j in range(-6, 7):
+            assert ell_plus_lower_bound(j, a2) == valuation(psi(j, a2).value, m.omega)
+
+    def test_monotone_value_rejected(self):
+        for j in (-1, 0, 2):
+            with pytest.raises(MonotoneCaseError):
+                ell_plus_lower_bound(j, Fraction(1, 3))
 
     def test_builds_one_model(self, monkeypatch):
         built = []
@@ -323,6 +335,8 @@ _RADIAL = RadialHamiltonian(profile=lambda s: s * s, a_squared=_A2)
 # nodes, so it reads 11 n.
 INTEGER_ENTRY_POINTS = {
     "lattice walk": lambda n: valuation_walk(_MODEL, _Q, n),
+    "max-plus sequence": lambda n: tropical_valuations(_MODEL, _Q, n),
+    "ell_plus_lower_bound": lambda n: ell_plus_lower_bound(n, _A2),
     "power": lambda n: power(_MODEL, _Q, n),
     "model_cpn": lambda n: model_to_dict(model_cpn(n)),
     "psi": lambda n: psi(n, _A2),
