@@ -15,31 +15,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .novikov import ParseError, SphereClass, rational, valuation
-from .quantum_homology import (
-    ManifoldModel,
-    ModelError,
-    NotInvertibleError,
-    invert,
-    load_model,
-    model_blowup_cp2,
-    model_cpn,
-    model_to_dict,
-    power,
-    quantum_product,
-)
-from .seidel_bounds import (
-    MonotoneCaseError,
-    ell_plus_lower_bound,
-    growth_table,
-    lengths_blowup_loop,
-    omega_f,
-    psi,
-    q_element,
-    r_tilde_certificate,
-    two_sided_bound,
-    two_sided_bounds,
-)
+# Each handler imports the names it uses, so a job loads only its own stack:
+# geocheck and usage errors never load the exact modules.
+from .novikov import CheckError, ParseError, rational
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,7 +58,9 @@ def _dec(q) -> str:
     return f"{float(q):.12g}"
 
 
-def _resolve_model(args) -> ManifoldModel:
+def _resolve_model(args):
+    from .quantum_homology import load_model, model_blowup_cp2, model_cpn
+
     selector = getattr(args, "model", None) or "blowup"
     if selector == "blowup":
         if args.a2 is None:
@@ -104,6 +84,8 @@ def _resolve_model(args) -> ManifoldModel:
 
 
 def cmd_product(args) -> int:
+    from .quantum_homology import quantum_product
+
     model = _resolve_model(args)
     result = quantum_product(model, model.element(args.x), model.element(args.y))
     text = model.format(result)
@@ -111,6 +93,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_power(args) -> int:
+    from .quantum_homology import power
+
     model = _resolve_model(args)
     result = power(model, model.element(args.x), args.k)
     text = model.format(result)
@@ -118,6 +102,9 @@ def cmd_power(args) -> int:
 
 
 def cmd_invert(args) -> int:
+    from .novikov import valuation
+    from .quantum_homology import invert, quantum_product
+
     model = _resolve_model(args)
     x = model.element(args.x)
     z = invert(model, x, args.floor)
@@ -148,6 +135,10 @@ def cmd_invert(args) -> int:
 
 
 def cmd_psi(args) -> int:
+    from .novikov import SphereClass, valuation
+    from .quantum_homology import power, quantum_product
+    from .seidel_bounds import psi, q_element
+
     element = psi(args.k, args.a2)
     model = element.model
     # Independent composition: multiply Q^k by 1 (x) e^{shift} afterwards.
@@ -172,6 +163,8 @@ def cmd_psi(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .seidel_bounds import omega_f, two_sided_bounds
+
     a2 = args.a2
     of = omega_f(a2)
     rows = two_sided_bounds(args.kmax, a2)
@@ -198,6 +191,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    from .seidel_bounds import growth_table
+
     table = growth_table(args.kmax, args.a2)
     s = table.summary
     of = s.omega_f
@@ -259,6 +254,8 @@ def cmd_growth(args) -> int:
 
 
 def cmd_rtilde(args) -> int:
+    from .seidel_bounds import r_tilde_certificate
+
     cert = r_tilde_certificate(args.a2, args.kmax)
     text = (
         f"min over k in [1, {cert.k_max}] of v(Q^k) + v(Q^-k) = "
@@ -287,6 +284,8 @@ def cmd_rtilde(args) -> int:
 
 
 def cmd_lengths(args) -> int:
+    from .seidel_bounds import ell_plus_lower_bound, lengths_blowup_loop, two_sided_bound
+
     lengths = lengths_blowup_loop(args.k, args.a2)
     total_over_pi = lengths.total / math.pi
     bound = two_sided_bound(args.k, args.a2)
@@ -322,7 +321,6 @@ def cmd_lengths(args) -> int:
 
 
 def cmd_geocheck(args) -> int:
-    # Imported here: no other subcommand needs the float module.
     from .hofer_lengths import SampledPath, fixed_extremum_check
 
     path = SampledPath.from_csv(args.path)
@@ -342,12 +340,16 @@ def cmd_geocheck(args) -> int:
 
 
 def cmd_model_export(args) -> int:
+    from .quantum_homology import model_to_dict
+
     return _emit(args, None, model_to_dict(_resolve_model(args)))
 
 
 def cmd_model_validate(args) -> int:
     if not os.path.exists(args.path):
         raise ValueError(f"model file not found: {args.path}")
+    from .quantum_homology import ModelError, load_model
+
     try:
         model = load_model(args.path)
     except ModelError as exc:
@@ -461,7 +463,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"qhofer: check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    except (MonotoneCaseError, NotInvertibleError, ModelError) as exc:
+    except CheckError as exc:
         print(f"qhofer: {exc}", file=sys.stderr)
         return EXIT_CHECK
     except (ValueError, OSError) as exc:

@@ -19,13 +19,10 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
+from itertools import compress
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .novikov import RationalLike, _frac, _integer
-from .quantum_homology import _area_parameter
-from .seidel_bounds import lengths_blowup_loop  # noqa: F401  (perfbench's tracer looks it up here)
+from .novikov import RationalLike, _area_parameter, _frac, _Frozen, _integer
 
 
 def _floats(items, problem: str, item=float) -> tuple:
@@ -45,16 +42,16 @@ def _linspace(lo: float, hi: float, n: int) -> tuple:
     return (*(lo + i * step for i in range(n - 1)), hi)
 
 
-@dataclass(frozen=True)
-class RadialHamiltonian:
+class RadialHamiltonian(_Frozen):
     """A function of the radial coordinate s on [a^2, 1]."""
 
-    profile: Callable[[float], float]
-    a_squared: Fraction
-    label: str = ""
+    __slots__ = _fields = ("profile", "a_squared", "label")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a_squared", _area_parameter(self.a_squared))
+    def __init__(
+        self, profile: Callable[[float], float], a_squared: RationalLike, label: str = ""
+    ) -> None:
+        for name, v in zip(self._fields, (profile, _area_parameter(a_squared), label)):
+            object.__setattr__(self, name, v)
 
     @classmethod
     def linear(cls, c0: float, a_squared: RationalLike) -> "RadialHamiltonian":
@@ -193,8 +190,7 @@ def path_lengths(p: SampledPath) -> PathLengths:
     return PathLengths(l_plus, l_minus, l_plus + l_minus)
 
 
-@dataclass(frozen=True)
-class ExtremumReport:
+class ExtremumReport(_Frozen):
     """Verdict of the fixed-extremum geodesic criterion on a sampled path.
 
     ``max_witnesses[i]`` is a sample-point index attaining the spatial max on
@@ -202,12 +198,19 @@ class ExtremumReport:
     likewise for minima.
     """
 
-    window: int
-    has_fixed_max_each_moment: bool
-    has_fixed_min_each_moment: bool
-    max_witnesses: tuple
-    min_witnesses: tuple
-    label: str = ""
+    __slots__ = _fields = (
+        "window", "has_fixed_max_each_moment", "has_fixed_min_each_moment",
+        "max_witnesses", "min_witnesses", "label",
+    )
+
+    def __init__(
+        self, window: int, has_fixed_max_each_moment: bool, has_fixed_min_each_moment: bool,
+        max_witnesses: tuple, min_witnesses: tuple, label: str = "",
+    ) -> None:
+        values = (window, has_fixed_max_each_moment, has_fixed_min_each_moment,
+                  max_witnesses, min_witnesses, label)
+        for name, v in zip(self._fields, values):
+            object.__setattr__(self, name, v)
 
     def to_dict(self) -> dict:
         return {
@@ -240,10 +243,11 @@ def fixed_extremum_check(p: SampledPath, window: int = 2, atol: float = 0.0) -> 
         raise ValueError("window must be at least 1")
     window = min(window, len(p.values))
     max_hits, min_hits = [], []
+    points = range(len(p.values[0]))
     for row in p.values:
         top, bottom = max(row) - atol, min(row) + atol
-        max_hits.append({j for j, v in enumerate(row) if v >= top})
-        min_hits.append({j for j, v in enumerate(row) if v <= bottom})
+        max_hits.append(set(compress(points, map(top.__le__, row))))
+        min_hits.append(set(compress(points, map(bottom.__ge__, row))))
     max_witnesses = _first_common(max_hits, window)
     min_witnesses = _first_common(min_hits, window)
     return ExtremumReport(

@@ -14,6 +14,10 @@ and every length bound produced downstream is read off from v.  Area values
 are kept as exact rationals in units of pi, so comparisons never touch
 floating point.  Degrees enter through a second linear functional recording
 the first Chern number of each generator.
+
+Every other module imports this one, so it also holds what they share: the
+rational readers, the immutable record base and the two error bases,
+``ParseError`` and ``CheckError``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,12 @@ NEG_INF = float("-inf")
 
 class ParseError(ValueError):
     """Raised when a serialized element or exponent cannot be read back."""
+
+
+class CheckError(ValueError):
+    """Base of the errors a failed mathematical check raises: an invalid
+    model, a non-invertible element, the monotone pole.  The command line
+    exits 2 on them; other ValueErrors are usage errors (exit 1)."""
 
 
 # Fraction alone also reads exponent notation, so a short text such as
@@ -52,6 +62,14 @@ def _frac(q: RationalLike) -> Fraction:
     if isinstance(q, int) and not isinstance(q, bool):
         return Fraction(q)
     raise TypeError(f"expected a rational, got {type(q).__name__}")
+
+
+def _area_parameter(a_squared: RationalLike) -> Fraction:
+    """The exceptional area a^2 as a Fraction; ValueError unless 0 < a^2 < 1."""
+    a2 = _frac(a_squared)
+    if not 0 < a2 < 1:
+        raise ValueError("a_squared must lie strictly between 0 and 1")
+    return a2
 
 
 def _accumulate(items, base=()) -> dict:

@@ -36,12 +36,14 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .novikov import (
     NEG_INF,
+    CheckError,
     ChernFunctional,
     OmegaFunctional,
     ParseError,
     RationalLike,
     SphereClass,
     _accumulate,
+    _area_parameter,
     _frac,
     _integer,
     _parse_rational,
@@ -52,11 +54,11 @@ from .novikov import (
 )
 
 
-class NotInvertibleError(ValueError):
+class NotInvertibleError(CheckError):
     """Raised when an element has no inverse in the completed ring."""
 
 
-class ModelError(ValueError):
+class ModelError(CheckError):
     """Raised when a manifold model fails its consistency checks."""
 
 
@@ -740,14 +742,6 @@ def rationality_index(model: ManifoldModel):
 # ---------------------------------------------------------------------------
 # Built-in models.
 # ---------------------------------------------------------------------------
-
-
-def _area_parameter(a_squared: RationalLike) -> Fraction:
-    """The exceptional area a^2 as a Fraction; ValueError unless 0 < a^2 < 1."""
-    a2 = _frac(a_squared)
-    if not 0 < a2 < 1:
-        raise ValueError("a_squared must lie strictly between 0 and 1")
-    return a2
 
 
 def model_blowup_cp2(a_squared: RationalLike) -> ManifoldModel:

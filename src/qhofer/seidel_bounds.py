@@ -22,12 +22,13 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .novikov import RationalLike, SphereClass, _Frozen, _frac, _integer
+from .novikov import (
+    CheckError, RationalLike, SphereClass, _Frozen, _area_parameter, _frac, _integer,
+)
 from .novikov import valuation  # noqa: F401  (perfbench's tracing test looks it up here)
 from .quantum_homology import (
     ManifoldModel,
     QHElement,
-    _area_parameter,
     exact_inverse,
     model_blowup_cp2,
     power,
@@ -36,7 +37,7 @@ from .quantum_homology import (
 )
 
 
-class MonotoneCaseError(ValueError):
+class MonotoneCaseError(CheckError):
     """Raised where the rotation constant delta has its pole, 3a^2 = 1."""
 
 

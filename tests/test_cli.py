@@ -13,6 +13,7 @@ import pytest
 
 import qhofer.cli
 import qhofer.quantum_homology
+import qhofer.seidel_bounds
 from qhofer import LoopLengths, lengths_blowup_loop, model_blowup_cp2
 from qhofer.cli import build_parser, main
 from helpers import NINE_A2
@@ -117,8 +118,8 @@ class TestPowerAndInvert:
         def shallow(model, y, floor):
             return invert(model, y, floor + 1)
 
-        # cmd_invert calls the name it imported into qhofer.cli.
-        monkeypatch.setattr(qhofer.cli, "invert", shallow)
+        # cmd_invert imports invert from its module when it runs.
+        monkeypatch.setattr(qhofer.quantum_homology, "invert", shallow)
         code, out, err = run(capsys, "invert", "--a2", "1/10", "--floor", "-3", x)
         assert code == 2 and not out
         assert "not below floor + v(x)" in err
@@ -251,7 +252,7 @@ class TestLengthsAndGeocheck:
         # The sum is kept, so only the one-sided equalities can see it.
         shift = Fraction(1, 1000)
         monkeypatch.setattr(
-            qhofer.cli, "lengths_blowup_loop",
+            qhofer.seidel_bounds, "lengths_blowup_loop",
             lambda k, a2: LoopLengths(
                 lengths_blowup_loop(k, a2).plus - shift,
                 lengths_blowup_loop(k, a2).minus + shift,
@@ -266,7 +267,7 @@ class TestLengthsAndGeocheck:
     def test_lengths_sum_mismatch_fails_at_monotone_value(self, capsys, monkeypatch, shift):
         # 10^-15 is below the 1e-12 float check; only the exact sum sees it.
         monkeypatch.setattr(
-            qhofer.cli, "lengths_blowup_loop",
+            qhofer.seidel_bounds, "lengths_blowup_loop",
             lambda k, a2: LoopLengths(
                 lengths_blowup_loop(k, a2).plus + shift, lengths_blowup_loop(k, a2).minus
             ),
@@ -631,7 +632,7 @@ class TestDimensionLimit:
         def build(n):
             raise AssertionError("model built")
 
-        monkeypatch.setattr(qhofer.cli, "model_cpn", build)
+        monkeypatch.setattr(qhofer.quantum_homology, "model_cpn", build)
         code, out, err = run(capsys, *argv, "--model", "cpn", "--n", "101")
         assert (code, out) == (1, "")
         assert err == "qhofer: error: --n must be at most 100, got 101\n"
@@ -760,6 +761,55 @@ class TestImports:
             "print(json.dumps(seen))\n"
         )
         assert seen == [[], True, False, False, []]
+
+    EXACT_MODULES = ("qhofer.quantum_homology", "qhofer.seidel_bounds")
+
+    def test_import_loads_no_submodule(self):
+        code = "import json, sys, qhofer\nprint(json.dumps([m for m in sys.modules if m.startswith('qhofer.')]))"
+        assert fresh(code) == []
+
+    def test_float_and_usage_jobs_skip_the_exact_stack(self, tmp_path):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("0,1\n0,1\n")
+        argvs = [
+            ["geocheck", str(grid)],
+            ["bounds", "--a2", "abc", "--kmax", "5"],
+            ["lengths", "--a2", "1/4", "--k", "3"],
+        ]
+        seen = fresh(
+            self.OUTSIDE
+            + "import qhofer.cli\n"
+            "seen = []\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            code = qhofer.cli.main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            code = exc.code\n"
+            f"    seen.append([argv[0], code, [m for m in {self.EXACT_MODULES!r} if m in sys.modules], heavy()])\n"
+            "print(json.dumps(seen))\n"
+        )
+        assert seen == [["geocheck", 0, [], []], ["bounds", 1, [], []], ["lengths", 1, [], []]]
+
+    def test_every_public_name_resolves_to_its_module(self):
+        import importlib
+
+        import qhofer
+
+        namespace: dict = {}
+        exec("from qhofer import *", namespace)
+        for name, module in qhofer._MODULE_OF.items():
+            owner = importlib.import_module(f"qhofer.{module}")
+            assert getattr(qhofer, name) is getattr(owner, name) is namespace[name]
+        # The table lists every public class and function the library modules
+        # define; novikov's flag reader ``rational`` serves the command line.
+        for module in set(qhofer._MODULE_OF.values()):
+            owner = importlib.import_module(f"qhofer.{module}")
+            defined = {
+                name for name, value in vars(owner).items()
+                if not name.startswith("_") and getattr(value, "__module__", None) == owner.__name__
+            }
+            assert defined - {"rational"} <= set(qhofer.__all__), module
 
     def test_float_api_names(self):
         import qhofer

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qhofer import (
+    ExtremumReport,
     RadialHamiltonian,
     SampledPath,
     fixed_extremum_check,
@@ -303,6 +304,14 @@ class TestFixedExtremum:
         assert not strict.has_fixed_max_each_moment
         assert loose.has_fixed_max_each_moment
 
+    @pytest.mark.parametrize("atol", [0.0, 0.5])
+    def test_ties_go_to_the_least_index(self, atol):
+        # Columns 1 and 2 tie for the max on every slice, 0 and 3 for the min.
+        values = [[0.0, 2.0, 2.0, 0.0], [-1.0, 3.0, 3.0, -1.0], [1.0, 5.0, 5.0, 1.0]]
+        report = fixed_extremum_check(SampledPath(values), window=2, atol=atol)
+        assert report.max_witnesses == (1, 1)
+        assert report.min_witnesses == (0, 0)
+
     def test_report_serializes(self, capsys, tmp_path, monkeypatch):
         # geocheck labels the report with the path it read.
         monkeypatch.chdir(tmp_path)
@@ -312,3 +321,42 @@ class TestFixedExtremum:
         assert data["label"] == "demo"
         assert data["has_fixed_max_each_moment"] is True
         assert data["max_witnesses"] == [1, 1]
+
+
+class TestRecords:
+    """The float records: frozen, compared by class and fields, with the repr
+    and the JSON key order they had as dataclasses."""
+
+    def test_radial_hamiltonian(self):
+        h = RadialHamiltonian(profile=math.sqrt, a_squared="1/4")
+        assert repr(h) == (
+            "RadialHamiltonian(profile=<built-in function sqrt>, a_squared=Fraction(1, 4), label='')"
+        )
+        same = RadialHamiltonian(math.sqrt, Fraction(1, 4), "")
+        assert h == same and hash(h) == hash(same)
+        assert h != RadialHamiltonian(math.sqrt, Fraction(1, 4), "other")
+        with pytest.raises(AttributeError):
+            h.a_squared = Fraction(1, 2)
+        with pytest.raises(TypeError):
+            RadialHamiltonian(math.sqrt, 0.25)
+
+    def test_extremum_report(self):
+        report = fixed_extremum_check(SampledPath([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]], label="g"))
+        assert repr(report) == (
+            "ExtremumReport(window=2, has_fixed_max_each_moment=True, "
+            "has_fixed_min_each_moment=True, max_witnesses=(0,), min_witnesses=(2,), label='g')"
+        )
+        fields = (2, True, True, (0,), (2,))
+        assert report == ExtremumReport(*fields, label="g")
+        assert report != ExtremumReport(*fields)
+
+        class Copy(ExtremumReport):
+            __slots__ = ()
+
+        assert report != Copy(*fields, label="g")
+        with pytest.raises(AttributeError):
+            report.window = 3
+        assert list(report.to_dict()) == [
+            "label", "window", "has_fixed_max_each_moment", "has_fixed_min_each_moment",
+            "max_witnesses", "min_witnesses",
+        ]

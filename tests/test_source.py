@@ -1,7 +1,9 @@
 """Source hygiene: every name a package module imports is used in it, every
 private top-level definition is used somewhere in the package, every method
 is referenced somewhere in the repository, the package imports nothing
-outside the standard library, and the README's library tour runs."""
+outside the standard library, the float module and the command line's
+module level import no package module but ``novikov``, and the README's
+library tour runs."""
 
 import ast
 import re
@@ -206,6 +208,50 @@ def test_import_checker_flags_third_party_modules():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_standard_library_only(module):
     assert third_party_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str, module_level: bool = False) -> list:
+    """Package modules that ``source`` imports, relatively or by absolute name,
+    as (line, module); only the top-level statements when ``module_level``."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body if module_level else ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # The package is flat, so a relative import has level 1.
+            module = f"qhofer.{node.module or ''}".rstrip(".") if node.level else node.module
+            names = [f"qhofer.{a.name}" for a in node.names] if module == "qhofer" else [module]
+        else:
+            continue
+        found += [(node.lineno, n.partition(".")[2]) for n in names if n.startswith("qhofer.")]
+    return sorted(found)
+
+
+def test_package_import_checker():
+    source = (
+        "import json, qhofer.cli\n"
+        "from . import novikov\n"
+        "from .novikov import _frac\n"
+        "from qhofer import seidel_bounds\n"
+        "from qhofer.quantum_homology import power\n"
+        "def f():\n"
+        "    from .hofer_lengths import SampledPath\n"
+    )
+    top = [(1, "cli"), (2, "novikov"), (3, "novikov"), (4, "seidel_bounds"), (5, "quantum_homology")]
+    assert package_imports(source, module_level=True) == top
+    assert package_imports(source) == [*top, (7, "hofer_lengths")]
+
+
+def test_float_module_imports_only_novikov():
+    source = (PACKAGE / "hofer_lengths.py").read_text(encoding="utf-8")
+    assert {name for _, name in package_imports(source)} == {"novikov"}
+
+
+def test_cli_module_level_imports_only_novikov():
+    # Each subcommand imports its own stack when it runs.
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert {name for _, name in package_imports(source, module_level=True)} == {"novikov"}
 
 
 def test_readme_tour_runs():
