@@ -16,10 +16,12 @@ elements are module elements on the fundamental class: it acts as the
 identity, so the module product multiplies them.  The multiplication-by-x
 matrix M_x has a group-ring determinant; x is invertible in the area-completed
 ring exactly when det M_x has a unique term of maximal area (the associated
-graded ring is a domain whose units are monomials).  The leading monomial is
-peeled off and the remainder expanded as a geometric series, truncated at a
-caller-chosen valuation floor; when the series is finite the result is the
-exact inverse.
+graded ring is a domain whose units are monomials).  Cayley-Hamilton gives
+det M_x and the adjugate column from the traces of the powers of M_x, which
+x acting on the N basis classes yields in N^2 kernel products.  The leading
+monomial is peeled off and the remainder expanded as a geometric series,
+truncated at a caller-chosen valuation floor; when the series is finite the
+result is the exact inverse.
 
 Built-in models: complex projective space of any dimension, and the one-point
 blow-up of the projective plane with a size-a exceptional divisor.
@@ -31,6 +33,7 @@ import json
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -609,32 +612,6 @@ def _mult_matrix(lattice: _Lattice, x: dict, n: int) -> list:
     return matrix
 
 
-def _nov_det(table: dict, matrix: list) -> dict:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    # Expand along the row with the most zeros.
-    row = max(range(n), key=lambda i: sum(not e for e in matrix[i]))
-    return _expand(table, matrix[row], lambda col: _cofactor(table, matrix, row, col))
-
-
-def _expand(table: dict, entries: list, cofactor) -> dict:
-    """Laplace expansion along one row: sum of entry * cofactor(col)."""
-    det: dict = {}
-    for col, entry in enumerate(entries):
-        if entry:
-            det = _accumulate(_contract(table, entry, cofactor(col)).items(), det)
-    return det
-
-
-def _cofactor(table: dict, matrix: list, row: int, col: int) -> dict:
-    """(-1)^(row + col) times the determinant of matrix without row and col."""
-    n = len(matrix)
-    minor = [[matrix[i][j] for j in range(n) if j != col] for i in range(n) if i != row]
-    det = _nov_det(table, minor)
-    return {key: -q for key, q in det.items()} if (row + col) % 2 else det
-
-
 def _leading_monomial(lattice: _Lattice, x: dict) -> tuple:
     """The unique maximal-area term (key, coefficient); error on a tie."""
     top = max(map(lattice.area, x))
@@ -650,19 +627,39 @@ def _leading_monomial(lattice: _Lattice, x: dict) -> tuple:
 def _cramer(model: ManifoldModel, x: QHElement) -> tuple:
     """(lattice, adj / (c0 e^{B0}), g) with det M_x = c0 e^{B0} (1 - g).
 
-    adj is the adjugate column dual to the fundamental class: the cofactors
-    along the unit's row u.  The determinant is expanded along the same row,
-    so each cofactor is computed once.  Every term of g has strictly negative
-    area, and x^-1 = adj / det is the second result times sum g^m.
+    adj = adj(M_x) 1 comes from Cayley-Hamilton.  With det(t - M_x) = t^N +
+    c_1 t^{N-1} + ... + c_N, Newton's identities give k c_k = -sum_{i<=k}
+    c_{k-i} p_i from the traces p_i = tr(M_x^i), and x^-1 = -sum_k c_k
+    x^{N-1-k} / c_N.  c_N = (-1)^N det M_x stands for det M_x: the sign
+    cancels in the quotient.  Every term of g has strictly negative area, and
+    x^-1 is the second result times sum g^m.
     """
     if x.is_zero():
         raise NotInvertibleError("the zero element has no inverse")
     lattice = model._lattice(x)
     table = lattice.quantum
-    matrix = _mult_matrix(lattice, lattice.encode(x), len(model.basis))
-    u = model._fund
-    cofactors = [_cofactor(table, matrix, u, k) for k in range(len(matrix))]
-    det = _expand(table, matrix[u], cofactors.__getitem__)
+    step = lattice.encode(x)
+    n = len(model.basis)
+    ((u, *zero),) = lattice.unit
+    # p[k] = tr(M_x^k), read off x acting k times on each basis class: the
+    # table need not be associative, so tr(M_{x^k}) would not do.  Acting on
+    # the unit, the same loop gives the powers x^0 .. x^(N-1).
+    p = [{} for _ in range(n + 1)]
+    powers = []
+    for j in range(n):
+        column = {(j, *zero): 1}
+        for k in range(1, n + 1):
+            if j == u:
+                powers.append(column)
+            column = _contract(table, column, step)
+            p[k] = _accumulate((((u, *e), q) for (i, *e), q in column.items() if i == j), p[k])
+    # Newton's identities; c_0 = 1, so the i = k term is p_k itself.
+    c = [lattice.unit]
+    for k in range(1, n + 1):
+        products = (_contract(table, c[k - i], p[i]).items() for i in range(1, k))
+        s = _accumulate(chain.from_iterable(products), p[k])
+        c.append({key: _lattice_number(Fraction(-q) / k) for key, q in s.items()})
+    det = c[n]
     if not det:
         raise NotInvertibleError(
             "multiplication matrix is singular; the element is a zero divisor"
@@ -672,8 +669,10 @@ def _cramer(model: ManifoldModel, x: QHElement) -> tuple:
     # det / lead starts with the unit term, which 1 - det / lead cancels.
     det = _contract(table, det, lead_inverse)
     g = {key: -q for key, q in det.items() if key not in lattice.unit}
-    adj_col = {(k, *e): q for k, entry in enumerate(cofactors) for (_, *e), q in entry.items()}
-    return lattice, _contract(table, adj_col, lead_inverse), g
+    # sum_k c_k x^(N-1-k), whose k = 0 term is x^(N-1).
+    products = (_contract(table, c[k], powers[n - 1 - k]).items() for k in range(1, n))
+    adj = _accumulate(chain.from_iterable(products), powers[n - 1])
+    return lattice, _contract(table, adj, {key: -q for key, q in lead_inverse.items()}), g
 
 
 def invert(
@@ -878,9 +877,7 @@ def parse_qh(text: str, model: ManifoldModel) -> QHElement:
 
 
 def model_to_dict(model: ManifoldModel) -> dict:
-    gw_rows = sorted(
-        model.gw.items(), key=lambda kv: (kv[0][1].coords, kv[0][0])
-    )
+    gw_rows = sorted(model.gw.items(), key=lambda kv: (kv[0][1].coords, kv[0][0]))
     return {
         "name": model.name,
         "dim": model.dim,
@@ -902,19 +899,21 @@ def model_to_dict(model: ManifoldModel) -> dict:
 
 def model_from_dict(data: Mapping) -> ManifoldModel:
     try:
-        gw = [
-            (tuple(row["classes"]), tuple(row["B"]), row["value"])
-            for row in data["gw"]
-        ]
+        gw = [(tuple(row["classes"]), tuple(row["B"]), row["value"]) for row in data["gw"]]
+        basis = [(b["name"], b["degree"]) for b in data["basis"]]
+        # JSON types are checked, not coerced: "4" is no dimension and 1 no name.
+        for kind, what, values in (
+            (str, "names and sphere generators must be strings",
+             (data["name"], *data["sphere_generators"], *(n for n, _ in basis))),
+            (int, "dim, degrees and c1 must be integers",
+             (data["dim"], *data["c1"], *(d for _, d in basis))),
+        ):
+            bad = [v for v in values if type(v) is not kind]  # a bool is no int
+            if bad:
+                raise TypeError(f"{what}, not {bad[0]!r}")
         return ManifoldModel(
-            name=data["name"],
-            dim=data["dim"],
-            sphere_generators=data["sphere_generators"],
-            basis=[(b["name"], b["degree"]) for b in data["basis"]],
-            pairing=data["pairing"],
-            omega=data["omega"],
-            c1=data["c1"],
-            gw=gw,
+            data["name"], data["dim"], data["sphere_generators"], basis,
+            data["pairing"], data["omega"], data["c1"], gw,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ModelError):

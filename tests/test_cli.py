@@ -400,8 +400,12 @@ class TestModelFiles:
         assert code == 2
         assert "invalid model" in err
 
-    @pytest.mark.parametrize("field", ["dim", "value"])
-    def test_validate_rejects_exponent_notation(self, capsys, tmp_path, field):
+    # A rational is read as text and refuses exponent notation; an integer
+    # field refuses any text before it is read.
+    @pytest.mark.parametrize(
+        "field, refusal", [("dim", "must be integers"), ("value", "plain decimal")]
+    )
+    def test_validate_rejects_exponent_notation(self, capsys, tmp_path, field, refusal):
         target = tmp_path / "blowup.json"
         run(capsys, "model-export", "--model", "blowup", "--a2", "1/4",
             "--out", str(target))
@@ -413,7 +417,32 @@ class TestModelFiles:
         target.write_text(json.dumps(data))
         code, _, err = run(capsys, "model-validate", str(target))
         assert code == 2
-        assert "plain decimal" in err
+        assert refusal in err
+
+    # A JSON value of the wrong type is refused, not coerced by str() or read
+    # as a rational.
+    @pytest.mark.parametrize(
+        "edit, refusal",
+        [
+            (lambda d: d.update(name=["x"]), "must be strings, not ['x']"),
+            (lambda d: d["basis"][1].update(name=2), "must be strings, not 2"),
+            (lambda d: d.update(sphere_generators=[1, 2]), "must be strings, not 1"),
+            (lambda d: d.update(dim="4"), "must be integers, not '4'"),
+            (lambda d: d["basis"][0].update(degree="0"), "must be integers, not '0'"),
+            (lambda d: d.update(c1=[1, "2"]), "must be integers, not '2'"),
+        ],
+        ids=["name", "basis-name", "sphere-generators", "dim", "degree", "c1"],
+    )
+    def test_validate_refuses_coercion(self, capsys, tmp_path, edit, refusal):
+        target = tmp_path / "blowup.json"
+        run(capsys, "model-export", "--model", "blowup", "--a2", "1/4",
+            "--out", str(target))
+        data = json.loads(target.read_text())
+        edit(data)
+        target.write_text(json.dumps(data))
+        code, out, err = run(capsys, "model-validate", str(target))
+        assert code == 2 and not out
+        assert "malformed model data" in err and refusal in err
 
     def test_validate_rejects_singular_pairing(self, capsys, tmp_path):
         # Symmetric and degree-respecting, with equal E and F rows.

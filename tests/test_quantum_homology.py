@@ -858,8 +858,26 @@ class TestExactInverse:
 # Inversion on the lattice against the reference on {SphereClass: Fraction} dicts.
 # ---------------------------------------------------------------------------
 
-ORACLE_MODELS = [model_blowup_cp2(a2) for a2 in NINE_A2] + [model_cpn(n) for n in (1, 2, 3)]
-ORACLE_IDS = [f"blowup-{a2}" for a2 in NINE_A2] + ["cp1", "cp2", "cp3"]
+def model_flipped_blowup():
+    """The blow-up at a^2 = 1/10 with n(E, E, E; E) = 1 in place of -1.
+
+    It passes validation, yet its product is not associative, so tr(M_x^k)
+    and tr(M_{x^k}) differ on it.
+    """
+    data = model_to_dict(model_blowup_cp2(Fraction(1, 10)))
+    (row,) = [row for row in data["gw"] if row["classes"] == ["E", "E", "E"]]
+    row["value"] = "1"
+    return model_from_dict(data)
+
+
+ORACLE_MODELS = (
+    [model_blowup_cp2(a2) for a2 in NINE_A2]
+    + [model_cpn(n) for n in (1, 2, 3, 4, 5)]
+    + [model_flipped_blowup()]
+)
+ORACLE_IDS = (
+    [f"blowup-{a2}" for a2 in NINE_A2] + [f"cp{n}" for n in (1, 2, 3, 4, 5)] + ["blowup-flipped"]
+)
 
 
 def oracle_elements(model, count=10):
@@ -908,3 +926,44 @@ class TestLatticeInversion:
         z = invert(m, x, -40)
         assert z == oracle_invert(m, x, Fraction(-40))
         assert len(z) == 624
+
+    def test_contractions_quadratic_in_basis_size(self, monkeypatch):
+        # The Cramer step makes O(N^2) products for a basis of N classes.
+        calls = []
+        inner = qh._contract
+
+        def counting(table, x, y):
+            calls.append(None)
+            return inner(table, x, y)
+
+        monkeypatch.setattr(qh, "_contract", counting)
+        for n in range(3, 8):
+            model = model_cpn(n)
+            x = model.element(" + ".join(["1", "x"] + [f"x^{k}" for k in range(2, n + 1)]))
+            calls.clear()
+            qh._cramer(model, x)
+            size = n + 1
+            assert len(calls) <= 2 * size * size + 4 * size, n
+
+
+class TestToricRelations:
+    """Batyrev's quantum Stanley-Reisner relations of the blow-up.
+
+    The fan has normals v1 = (1, 0), v2 = (1, 1), v3 = (0, 1), v4 = (-1, -1),
+    with divisors D1 = D3 = F, D2 = E and D4 = E + F.  v1 + v3 = v2 gives
+    D1 D3 = q^E D2, and v2 + v4 = 0 gives D2 D4 = q^F, with q^B = e^{-B}.
+    """
+
+    @pytest.mark.parametrize("a2", NINE_A2, ids=str)
+    def test_relations_hold(self, a2):
+        m = model_blowup_cp2(a2)
+        assert quantum_product(m, m.element("F"), m.element("F")) == m.element("E * e^{-1*E}")
+        assert quantum_product(m, m.element("E"), m.element("E + F")) == m.element(
+            "1 * e^{-1*F}"
+        )
+
+    def test_flipped_table_breaks_the_second(self):
+        m = model_flipped_blowup()
+        assert quantum_product(m, m.element("F"), m.element("F")) == m.element("E * e^{-1*E}")
+        product = quantum_product(m, m.element("E"), m.element("E + F"))
+        assert m.format(product) == "2 * F * e^{-1*E} + 1 * 1 * e^{-1*F}"

@@ -225,11 +225,16 @@ class TestGrowthTable:
         rows = {r.k: r.v_qnegk for r in table.rows}
         assert (rows[40] - rows[20]) / 20 == 0
 
-    def test_monotone_value_skips_psi_column(self):
+    def test_monotone_value_skips_psi_column(self, capsys):
         table = growth_table(10, Fraction(1, 3))
         assert all(r.psi_rate is None for r in table.rows)
         assert table.summary.psi_rate_min is None
         assert table.summary.regime_bounded
+        # The printed period is 4 here, though the max-plus state of Q^-1
+        # repeats with period 1 at 3a^2 = 1.
+        assert table.summary.period == 4
+        assert main(["growth", "--a2", "1/3", "--kmax", "10"]) == 0
+        assert "\n# slope over last period (4): " in capsys.readouterr().out
 
     def test_psi_rate_floor(self):
         a2 = Fraction(1, 4)
