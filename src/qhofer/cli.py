@@ -9,7 +9,6 @@ input data fails validation, 1 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -43,6 +42,7 @@ def _emit(args, text, payload) -> int:
     entry for the format when a subcommand has several text renderings.
     """
     if args.format == "json":
+        import json
         text = json.dumps(payload, indent=2)
     elif isinstance(text, dict):
         text = text[args.format]

@@ -29,7 +29,6 @@ blow-up of the projective plane with a size-a exceptional divisor.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -473,13 +472,18 @@ def _contract(table: dict, x: dict, y: dict) -> dict:
     acc: dict = {}
     get = acc.get
     for (j, *e), d in y.items():
-        # Added to an x key (i, e1), a shift gives the output key (l, e1 + e + b).
-        shifts = {
-            i: [((l - i, *map(add, e, b)), d * w) for l, b, w in entries]
-            for i, entries in table.get(j, {}).items()
-        }
+        column = table.get(j, {})
+        # Added to an x key (i, e1), a shift gives the output key (l, e1 + e + b);
+        # row i's shifts are built when the first x key in that row needs them.
+        shifts: dict = {}
         for key, c in x.items():
-            for shift, dw in shifts.get(key[0], ()):
+            row = shifts.get(key[0])
+            if row is None:
+                i = key[0]
+                row = shifts[i] = [
+                    ((l - i, *map(add, e, b)), d * w) for l, b, w in column.get(i, ())
+                ]
+            for shift, dw in row:
                 out = tuple(map(add, key, shift))
                 acc[out] = get(out, 0) + c * dw
     return {key: c for key, c in acc.items() if c}
@@ -901,8 +905,12 @@ def model_from_dict(data: Mapping) -> ManifoldModel:
     try:
         gw = [(tuple(row["classes"]), tuple(row["B"]), row["value"]) for row in data["gw"]]
         basis = [(b["name"], b["degree"]) for b in data["basis"]]
-        # JSON types are checked, not coerced: "4" is no dimension and 1 no name.
+        # JSON types are checked, not coerced: "EF" is no list, "4" no dimension, 1 no name.
         for kind, what, values in (
+            (list, "lists must be JSON arrays",
+             (data["sphere_generators"], data["basis"], data["pairing"], *data["pairing"],
+              data["omega"], data["c1"], data["gw"],
+              *(row[field] for row in data["gw"] for field in ("classes", "B")))),
             (str, "names and sphere generators must be strings",
              (data["name"], *data["sphere_generators"], *(n for n, _ in basis))),
             (int, "dim, degrees and c1 must be integers",
@@ -922,12 +930,14 @@ def model_from_dict(data: Mapping) -> ManifoldModel:
 
 
 def save_model(model: ManifoldModel, path) -> None:
+    import json
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(model), fh, indent=2)
         fh.write("\n")
 
 
 def load_model(path) -> ManifoldModel:
+    import json
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

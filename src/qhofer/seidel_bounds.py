@@ -11,15 +11,16 @@ with a^2 the area of the exceptional divisor (units of pi).  The valuation of
 Psi(k) is a lower bound for the positive Hofer length of every loop in its
 homotopy class, and the two-sided sum v(Q^k) + v(Q^{-k}) bounds the full
 length; the delta exponents cancel there, so the two-sided bound survives the
-pole at 3a^2 = 1.  Sweeping k and taking the minimum certifies the exact
-value omega(F) = 1 - a^2 once the lengths of the explicit rotation
-Hamiltonian meet it; those lengths are closed forms, exact here too.
+pole at 3a^2 = 1.  The sweeps over k read Q and Q^-1 from one source per
+area, built once per process; their minimum certifies omega(F) = 1 - a^2 once
+the closed-form lengths of the explicit rotation Hamiltonian meet it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .novikov import (
@@ -56,16 +57,21 @@ def q_element(model: ManifoldModel) -> QHElement:
     return model.basis_element("F", SphereClass((Fraction(1, 2), Fraction(1, 4))))
 
 
-def _q_sequence(model: ManifoldModel, k_max: int, inverse: bool) -> list:
-    """[v(Q^k)] for k = 1..k_max, or [v(Q^-k)] when ``inverse``."""
+@lru_cache(maxsize=16)
+def _rotation(a2: Fraction) -> tuple:
+    """(model, Q, Q^-1) on the blow-up at ``a2``: built once per area and process."""
+    model = model_blowup_cp2(a2)
     q = q_element(model)
-    return tropical_valuations(model, exact_inverse(model, q) if inverse else q, k_max)
+    return model, q, exact_inverse(model, q)
 
 
-def _q_valuations(k_max: int, a_squared: RationalLike) -> tuple:
-    """([v(Q^k)], [v(Q^-k)]) for k = 1..k_max, one max-plus sequence each way."""
-    model = model_blowup_cp2(a_squared)
-    return _q_sequence(model, k_max, False), _q_sequence(model, k_max, True)
+def _q_valuations(k_max: int, a_squared: RationalLike, signs: tuple = (1, -1)) -> list:
+    """[v(Q^(s k)) for k = 1..k_max] for each sign s in ``signs``, one max-plus sequence each."""
+    k_max = _integer(k_max)
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    model, q, q_inverse = _rotation(_frac(a_squared))
+    return [tropical_valuations(model, q if s > 0 else q_inverse, k_max) for s in signs]
 
 
 def omega_f(a_squared: RationalLike) -> Fraction:
@@ -156,7 +162,7 @@ def ell_plus_lower_bound(k: int, a_squared: RationalLike) -> Fraction:
     k = _integer(k)
     if k == 0:
         return Fraction(0)
-    v = _q_sequence(model_blowup_cp2(a2), abs(k), k < 0)[-1]
+    v = _q_valuations(abs(k), a2, signs=(k,))[0][-1]
     return v + k * delta * (1 - 3 * a2)
 
 
@@ -173,9 +179,6 @@ def two_sided_bound(k: int, a_squared: RationalLike) -> Fraction:
 
 def two_sided_bounds(k_max: int, a_squared: RationalLike) -> list:
     """[(k, two_sided_bound(k))] for k = 1..k_max, sharing work across k."""
-    k_max = _integer(k_max)
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
     pos, neg = _q_valuations(k_max, a_squared)
     return [(k, p + n) for k, (p, n) in enumerate(zip(pos, neg), 1)]
 
@@ -221,11 +224,8 @@ def growth_table(k_max: int, a_squared: RationalLike) -> GrowthTable:
     The psi-rate column is None at the monotone value 3a^2 = 1, where the
     rotation element itself is out of reach; everything else survives.
     """
-    k_max = _integer(k_max)
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    a2 = _frac(a_squared)
-    pos, neg = (dict(enumerate(v, 1)) for v in _q_valuations(k_max, a2))
+    pos, neg = (dict(enumerate(v, 1)) for v in _q_valuations(k_max, a_squared))
+    a2, k_max = _frac(a_squared), len(pos)
 
     monotone = 3 * a2 == 1
     delta = None if monotone else delta_constant(a2)

@@ -14,6 +14,20 @@ NINE_A2 = [Fraction(i, 10) for i in range(1, 10)]
 Q_TEXT = "F * e^{1/2*E + 1/4*F}"
 
 
+def count_rotation_builds(monkeypatch) -> dict:
+    """Empty the per-area rotation cache, then count blow-up builds and exact inverses."""
+    import qhofer.seidel_bounds as sb
+
+    counts = {"builds": 0, "inverses": 0}
+    for key, name in (("builds", "model_blowup_cp2"), ("inverses", "exact_inverse")):
+        def counting(*args, _key=key, _fn=getattr(sb, name)):
+            counts[_key] += 1
+            return _fn(*args)
+        monkeypatch.setattr(sb, name, counting)
+    sb._rotation.cache_clear()
+    return counts
+
+
 def random_fraction(rng: random.Random, lo: int = -5, hi: int = 5) -> Fraction:
     num = 0
     while num == 0:

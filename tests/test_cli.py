@@ -16,7 +16,7 @@ import qhofer.quantum_homology
 import qhofer.seidel_bounds
 from qhofer import LoopLengths, lengths_blowup_loop, model_blowup_cp2
 from qhofer.cli import build_parser, main
-from helpers import NINE_A2
+from helpers import NINE_A2, count_rotation_builds
 
 
 def run(capsys, *argv):
@@ -248,6 +248,12 @@ class TestLengthsAndGeocheck:
             code, _, err = run(capsys, "lengths", "--a2", str(a2), "--k", k)
             assert code == 0, err
 
+    def test_lengths_builds_one_model_and_one_inverse(self, capsys, monkeypatch):
+        counts = count_rotation_builds(monkeypatch)
+        code, _, err = run(capsys, "lengths", "--a2", "1/4", "--k", "2")
+        assert code == 0, err
+        assert counts == {"builds": 1, "inverses": 1}
+
     def test_lengths_side_mismatch_fails(self, capsys, monkeypatch):
         # The sum is kept, so only the one-sided equalities can see it.
         shift = Fraction(1, 1000)
@@ -420,7 +426,8 @@ class TestModelFiles:
         assert refusal in err
 
     # A JSON value of the wrong type is refused, not coerced by str() or read
-    # as a rational.
+    # as a rational; a string where a list belongs is not read as a list of
+    # characters, and a JSON object (here empty) is no list either.
     @pytest.mark.parametrize(
         "edit, refusal",
         [
@@ -430,8 +437,19 @@ class TestModelFiles:
             (lambda d: d.update(dim="4"), "must be integers, not '4'"),
             (lambda d: d["basis"][0].update(degree="0"), "must be integers, not '0'"),
             (lambda d: d.update(c1=[1, "2"]), "must be integers, not '2'"),
+            (lambda d: d.update(sphere_generators="EF"), "must be JSON arrays, not 'EF'"),
+            (lambda d: d.update(basis={}), "must be JSON arrays, not {}"),
+            (lambda d: d.update(pairing="0001"), "must be JSON arrays, not '0001'"),
+            (lambda d: d["pairing"].__setitem__(0, "0001"), "must be JSON arrays, not '0001'"),
+            (lambda d: d.update(omega="13"), "must be JSON arrays, not '13'"),
+            (lambda d: d.update(c1="12"), "must be JSON arrays, not '12'"),
+            (lambda d: d.update(gw={}), "must be JSON arrays, not {}"),
+            (lambda d: d["gw"][0].update(classes="p11"), "must be JSON arrays, not 'p11'"),
+            (lambda d: d["gw"][0].update(B="00"), "must be JSON arrays, not '00'"),
         ],
-        ids=["name", "basis-name", "sphere-generators", "dim", "degree", "c1"],
+        ids=["name", "basis-name", "sphere-generators", "dim", "degree", "c1",
+             "sphere-generators-text", "basis-object", "pairing-text", "pairing-row-text",
+             "omega-text", "c1-text", "gw-object", "classes-text", "B-text"],
     )
     def test_validate_refuses_coercion(self, capsys, tmp_path, edit, refusal):
         target = tmp_path / "blowup.json"
@@ -734,8 +752,9 @@ def fresh(code):
 
 class TestImports:
     """The package loads nothing outside the standard library, the float
-    module loads only for geocheck and the float API, and the exact
-    subcommands load neither ``dataclasses`` nor ``inspect``."""
+    module loads only for geocheck and the float API, the exact
+    subcommands load neither ``dataclasses`` nor ``inspect``, and ``json``
+    loads only where JSON is read or written."""
 
     # Top-level modules outside the standard library that ``code`` imports,
     # and the class-generation modules it imports, beyond those the
@@ -750,6 +769,9 @@ class TestImports:
         "heavy_at_startup = {'dataclasses', 'inspect'} & set(sys.modules)\n"
         "def heavy():\n"
         "    return sorted({'dataclasses', 'inspect'} & set(sys.modules) - heavy_at_startup)\n"
+        "def forget_json():\n"
+        "    for name in [m for m in sys.modules if m.partition('.')[0] == 'json']:\n"
+        "        del sys.modules[name]\n"
     )
 
     def test_every_subcommand_stays_in_the_standard_library(self, tmp_path):
@@ -757,24 +779,30 @@ class TestImports:
         grid.write_text("0,1\n0,1\n")
         model = tmp_path / "model.json"
         argvs = [[name, *args] for name, args in SMALL_INPUTS.items() if name != "geocheck"]
-        argvs += [
+        # json loads only for the jobs that read or write JSON.
+        json_jobs = [
+            ["bounds", "--a2", "1/4", "--kmax", "5", "--format", "json"],
             ["model-export", "--model", "blowup", "--a2", "1/4", "--out", str(model)],
             ["model-validate", str(model)],
-            ["geocheck", str(grid)],
         ]
+        argvs += [["bounds", "--a2", "1/4", "--kmax", "5", "--format", "csv"], *json_jobs]
+        argvs += [["geocheck", str(grid)]]
         seen = fresh(
             self.OUTSIDE
             + "import qhofer.cli\n"
             "seen = []\n"
             f"for argv in {argvs!r}:\n"
+            "    forget_json()\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = qhofer.cli.main(argv)\n"
-            "    seen.append([argv[0], code, loaded(), 'qhofer.hofer_lengths' in sys.modules, heavy()])\n"
+            "    seen.append([argv[0], code, loaded(), 'qhofer.hofer_lengths' in sys.modules,\n"
+            "                 heavy(), 'json' in sys.modules])\n"
             "print(json.dumps(seen))\n"
         )
-        exact = [[argv[0], 0, [], False, []] for argv in argvs[:-1]]
+        exact = [[argv[0], 0, [], False, [], argv in json_jobs] for argv in argvs[:-1]]
         assert seen[:-1] == exact
         assert seen[-1][:4] == ["geocheck", 0, [], True]
+        assert seen[-1][5] is True  # geocheck writes JSON by default
         (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         assert {row[0] for row in seen} == set(subs.choices)
 

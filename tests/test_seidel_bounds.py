@@ -36,7 +36,7 @@ from qhofer import (
     valuation_walk,
 )
 from qhofer.cli import main
-from helpers import NINE_A2
+from helpers import NINE_A2, count_rotation_builds
 
 
 class TestDelta:
@@ -148,6 +148,7 @@ class TestEllPlus:
             return model_blowup_cp2(a2)
 
         monkeypatch.setattr(sb, "model_blowup_cp2", counting)
+        sb._rotation.cache_clear()  # earlier tests may have built this area
         assert ell_plus_lower_bound(2, Fraction(1, 4)) == Fraction(9, 20)
         assert len(built) == 1
 
@@ -195,6 +196,64 @@ class TestTwoSided:
             two_sided_bound(0, Fraction(1, 2))
         with pytest.raises(ValueError):
             two_sided_bounds(0, Fraction(1, 2))
+
+
+class TestRotationSource:
+    def test_every_sweep_shares_one_build(self, monkeypatch):
+        counts = count_rotation_builds(monkeypatch)
+        a2 = Fraction(5, 13)  # an area no other test builds
+        two_sided_bounds(6, a2)
+        growth_table(6, a2)
+        ell_plus_lower_bound(2, a2)
+        ell_plus_lower_bound(-2, a2)
+        r_tilde_certificate(a2, 6)
+        two_sided_bound(3, "5/13")
+        assert counts == {"builds": 1, "inverses": 1}
+
+    def test_each_area_builds_once(self, monkeypatch):
+        counts = count_rotation_builds(monkeypatch)
+        for a2 in (Fraction(1, 4), Fraction(2, 3), Fraction(1, 4)):
+            two_sided_bounds(3, a2)
+        assert counts == {"builds": 2, "inverses": 2}
+
+    def test_out_of_range_area_raises_again(self, monkeypatch):
+        counts = count_rotation_builds(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="strictly between 0 and 1"):
+                two_sided_bounds(3, Fraction(3, 2))
+        assert counts == {"builds": 2, "inverses": 0}
+
+    def test_failed_build_is_not_cached(self, monkeypatch):
+        count_rotation_builds(monkeypatch)  # empties the cache
+        calls = []
+
+        def fails_once(a2):
+            calls.append(a2)
+            if len(calls) == 1:
+                raise RuntimeError("interrupted build")
+            return model_blowup_cp2(a2)
+
+        monkeypatch.setattr(sb, "model_blowup_cp2", fails_once)
+        with pytest.raises(RuntimeError, match="interrupted build"):
+            two_sided_bounds(3, Fraction(1, 5))
+        assert two_sided_bounds(3, Fraction(1, 5)) == two_sided_bounds(3, Fraction(1, 5))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("sweep", [two_sided_bounds, growth_table])
+    def test_k_max_is_checked_before_the_area(self, sweep, monkeypatch):
+        counts = count_rotation_builds(monkeypatch)
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            sweep(0, Fraction(3, 2))
+        with pytest.raises(ValueError, match="expected an integer"):
+            sweep(2.5, "abc")
+        assert counts == {"builds": 0, "inverses": 0}
+
+    def test_monotone_error_comes_before_the_build(self, monkeypatch):
+        counts = count_rotation_builds(monkeypatch)
+        for k in (0, 2, -2):
+            with pytest.raises(MonotoneCaseError):
+                ell_plus_lower_bound(k, Fraction(1, 3))
+        assert counts == {"builds": 0, "inverses": 0}
 
 
 class TestGrowthTable:
