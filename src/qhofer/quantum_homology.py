@@ -299,6 +299,7 @@ def validate_model(model: ManifoldModel) -> list:
         problems.append("dimension must be a positive even integer")
     if len(model.omega.values) != rank or len(model.c1.values) != rank:
         problems.append("omega and c1 must list one value per sphere generator")
+        return problems
     for name, d in model.basis:
         if d < 0 or d > model.dim or d % 2:
             problems.append(f"basis class {name!r} has invalid degree {d}")
@@ -542,28 +543,36 @@ def tropical_valuations(model: ManifoldModel, x: QHElement, k_max: int) -> list:
     v(x^k) is the largest total area over walks of length k.  ValueError when
     either check fails.
     """
-    lattice = model._lattice(x)
-    matrix = _mult_matrix(lattice, lattice.encode(x), len(model.basis))
-    _check_signs(matrix)
-    # (l, j, integer area of B) for each entry c e^B of M_x in row l, column j.
-    steps = [
-        (l, j, lattice.area(key))
-        for l, row in enumerate(matrix) for j, entry in enumerate(row) for key in entry
-    ]
-    n = len(matrix)
-    # best[l]: the largest area of a walk of length k from the unit to l.
-    best = [NEG_INF] * n
-    best[model._fund] = 0
-    out = []
-    for _ in range(_integer(k_max)):
-        new = [NEG_INF] * n
-        for l, j, area in steps:
-            if best[j] + area > new[l]:
-                new[l] = best[j] + area
-        best = new
-        top = max(best)
-        out.append(NEG_INF if top == NEG_INF else Fraction(top, lattice.scale))
-    return out
+    return _MaxPlus(model, x).valuations(k_max)
+
+
+class _MaxPlus:
+    """M_x as a max-plus system: built and sign-checked once, then iterated on demand."""
+    def __init__(self, model: ManifoldModel, x: QHElement) -> None:
+        lattice = model._lattice(x)
+        matrix = _mult_matrix(lattice, lattice.encode(x), len(model.basis))
+        _check_signs(matrix)
+        # (l, j, integer area of B) for each entry c e^B of M_x in row l, column j.
+        self.steps = [
+            (l, j, lattice.area(key))
+            for l, row in enumerate(matrix) for j, entry in enumerate(row) for key in entry
+        ]
+        self.n, self.unit, self.scale = len(matrix), model._fund, lattice.scale
+
+    def valuations(self, k_max: int) -> list:
+        # best[l]: the largest area of a walk of length k from the unit to l.
+        best = [NEG_INF] * self.n
+        best[self.unit] = 0
+        out = []
+        for _ in range(_integer(k_max)):
+            new = [NEG_INF] * self.n
+            for l, j, area in self.steps:
+                if best[j] + area > new[l]:
+                    new[l] = best[j] + area
+            best = new
+            top = max(best)
+            out.append(NEG_INF if top == NEG_INF else Fraction(top, self.scale))
+        return out
 
 
 def _check_signs(matrix: list) -> None:
@@ -903,22 +912,26 @@ def model_to_dict(model: ManifoldModel) -> dict:
 
 def model_from_dict(data: Mapping) -> ManifoldModel:
     try:
-        gw = [(tuple(row["classes"]), tuple(row["B"]), row["value"]) for row in data["gw"]]
-        basis = [(b["name"], b["degree"]) for b in data["basis"]]
         # JSON types are checked, not coerced: "EF" is no list, "4" no dimension, 1 no name.
+        # Each check runs before anything reads inside the values it has passed.
         for kind, what, values in (
-            (list, "lists must be JSON arrays",
-             (data["sphere_generators"], data["basis"], data["pairing"], *data["pairing"],
-              data["omega"], data["c1"], data["gw"],
-              *(row[field] for row in data["gw"] for field in ("classes", "B")))),
-            (str, "names and sphere generators must be strings",
-             (data["name"], *data["sphere_generators"], *(n for n, _ in basis))),
-            (int, "dim, degrees and c1 must be integers",
-             (data["dim"], *data["c1"], *(d for _, d in basis))),
+            (list, "lists must be JSON arrays", lambda: (
+                data["sphere_generators"], data["basis"], data["pairing"], data["omega"],
+                data["c1"], data["gw"])),
+            (dict, "basis and gw entries must be JSON objects",
+             lambda: (*data["basis"], *data["gw"])),
+            (list, "lists must be JSON arrays", lambda: (
+                *data["pairing"], *(row[f] for row in data["gw"] for f in ("classes", "B")))),
+            (str, "names and sphere generators must be strings", lambda: (
+                data["name"], *data["sphere_generators"], *(b["name"] for b in data["basis"]))),
+            (int, "dim, degrees and c1 must be integers", lambda: (
+                data["dim"], *data["c1"], *(b["degree"] for b in data["basis"]))),
         ):
-            bad = [v for v in values if type(v) is not kind]  # a bool is no int
+            bad = [v for v in values() if type(v) is not kind]  # a bool is no int
             if bad:
                 raise TypeError(f"{what}, not {bad[0]!r}")
+        basis = [(b["name"], b["degree"]) for b in data["basis"]]
+        gw = [(tuple(row["classes"]), tuple(row["B"]), row["value"]) for row in data["gw"]]
         return ManifoldModel(
             data["name"], data["dim"], data["sphere_generators"], basis,
             data["pairing"], data["omega"], data["c1"], gw,

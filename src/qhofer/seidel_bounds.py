@@ -11,9 +11,10 @@ with a^2 the area of the exceptional divisor (units of pi).  The valuation of
 Psi(k) is a lower bound for the positive Hofer length of every loop in its
 homotopy class, and the two-sided sum v(Q^k) + v(Q^{-k}) bounds the full
 length; the delta exponents cancel there, so the two-sided bound survives the
-pole at 3a^2 = 1.  The sweeps over k read Q and Q^-1 from one source per
-area, built once per process; their minimum certifies omega(F) = 1 - a^2 once
-the closed-form lengths of the explicit rotation Hamiltonian meet it.
+pole at 3a^2 = 1.  The sweeps over k read v(Q^{+-k}) from one source per
+area, built once per process, which keeps the sign-checked max-plus systems
+of Q and Q^-1; their minimum certifies omega(F) = 1 - a^2 once the
+closed-form lengths of the explicit rotation Hamiltonian meet it.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from .novikov import valuation  # noqa: F401  (perfbench's tracing test looks it
 from .quantum_homology import (
     ManifoldModel,
     QHElement,
+    _MaxPlus,
     exact_inverse,
     model_blowup_cp2,
     power,
     power_walk,  # noqa: F401  (perfbench's tracing test looks it up here)
-    tropical_valuations,
 )
 
 
@@ -59,19 +60,18 @@ def q_element(model: ManifoldModel) -> QHElement:
 
 @lru_cache(maxsize=16)
 def _rotation(a2: Fraction) -> tuple:
-    """(model, Q, Q^-1) on the blow-up at ``a2``: built once per area and process."""
+    """The checked max-plus systems of (Q, Q^-1) at ``a2``: built once per area and process."""
     model = model_blowup_cp2(a2)
     q = q_element(model)
-    return model, q, exact_inverse(model, q)
+    return _MaxPlus(model, q), _MaxPlus(model, exact_inverse(model, q))
 
 
-def _q_valuations(k_max: int, a_squared: RationalLike, signs: tuple = (1, -1)) -> list:
-    """[v(Q^(s k)) for k = 1..k_max] for each sign s in ``signs``, one max-plus sequence each."""
+def _q_valuations(k_max: int, a_squared: RationalLike) -> list:
+    """[v(Q^k)] and [v(Q^-k)] for k = 1..k_max, read off the source at ``a_squared``."""
     k_max = _integer(k_max)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    model, q, q_inverse = _rotation(_frac(a_squared))
-    return [tropical_valuations(model, q if s > 0 else q_inverse, k_max) for s in signs]
+    return [system.valuations(k_max) for system in _rotation(_frac(a_squared))]
 
 
 def omega_f(a_squared: RationalLike) -> Fraction:
@@ -162,8 +162,7 @@ def ell_plus_lower_bound(k: int, a_squared: RationalLike) -> Fraction:
     k = _integer(k)
     if k == 0:
         return Fraction(0)
-    v = _q_valuations(abs(k), a2, signs=(k,))[0][-1]
-    return v + k * delta * (1 - 3 * a2)
+    return _rotation(a2)[k < 0].valuations(abs(k))[-1] + k * delta * (1 - 3 * a2)
 
 
 def two_sided_bound(k: int, a_squared: RationalLike) -> Fraction:
@@ -228,16 +227,15 @@ def growth_table(k_max: int, a_squared: RationalLike) -> GrowthTable:
     a2, k_max = _frac(a_squared), len(pos)
 
     monotone = 3 * a2 == 1
-    delta = None if monotone else delta_constant(a2)
-    # v(Psi(k)) = v(Q^k) + k * delta * omega(F - 2E), omega(F - 2E) = 1 - 3a^2.
-    shift = None if monotone else delta * (1 - 3 * a2)
+    # v(Psi(k)) = v(Q^k) + k delta (1 - 3a^2), and delta (1 - 3a^2) is the reference rate.
+    psi_rate_reference = (1 - a2) ** 2 / (12 * (1 + a2))
     rows = tuple(
         GrowthRow(
             k,
             pos[k],
             neg[k],
             pos[k] + neg[k],
-            None if monotone else (pos[k] + k * shift) / k,
+            None if monotone else pos[k] / k + psi_rate_reference,
         )
         for k in range(1, k_max + 1)
     )
@@ -255,7 +253,6 @@ def growth_table(k_max: int, a_squared: RationalLike) -> GrowthTable:
     slope_reference = (of / 4 - (1 - of) / 2) / 3
     psi_rates = [r.psi_rate for r in rows]
     psi_rate_min = None if monotone else min(psi_rates)
-    psi_rate_reference = (1 - a2) ** 2 / (12 * (1 + a2))
     summary = GrowthSummary(
         a_squared=a2,
         k_max=k_max,

@@ -15,15 +15,20 @@ Q_TEXT = "F * e^{1/2*E + 1/4*F}"
 
 
 def count_rotation_builds(monkeypatch) -> dict:
-    """Empty the per-area rotation cache, then count blow-up builds and exact inverses."""
+    """Empty the rotation cache, then count blow-up builds, exact inverses and sign checks."""
+    import qhofer.quantum_homology as qh
     import qhofer.seidel_bounds as sb
 
-    counts = {"builds": 0, "inverses": 0}
-    for key, name in (("builds", "model_blowup_cp2"), ("inverses", "exact_inverse")):
-        def counting(*args, _key=key, _fn=getattr(sb, name)):
+    counts = {"builds": 0, "inverses": 0, "signs": 0}
+    for key, module, name in (
+        ("builds", sb, "model_blowup_cp2"),
+        ("inverses", sb, "exact_inverse"),
+        ("signs", qh, "_check_signs"),
+    ):
+        def counting(*args, _key=key, _fn=getattr(module, name)):
             counts[_key] += 1
             return _fn(*args)
-        monkeypatch.setattr(sb, name, counting)
+        monkeypatch.setattr(module, name, counting)
     sb._rotation.cache_clear()
     return counts
 

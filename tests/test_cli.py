@@ -252,7 +252,7 @@ class TestLengthsAndGeocheck:
         counts = count_rotation_builds(monkeypatch)
         code, _, err = run(capsys, "lengths", "--a2", "1/4", "--k", "2")
         assert code == 0, err
-        assert counts == {"builds": 1, "inverses": 1}
+        assert counts == {"builds": 1, "inverses": 1, "signs": 2}
 
     def test_lengths_side_mismatch_fails(self, capsys, monkeypatch):
         # The sum is kept, so only the one-sided equalities can see it.
@@ -446,10 +446,15 @@ class TestModelFiles:
             (lambda d: d.update(gw={}), "must be JSON arrays, not {}"),
             (lambda d: d["gw"][0].update(classes="p11"), "must be JSON arrays, not 'p11'"),
             (lambda d: d["gw"][0].update(B="00"), "must be JSON arrays, not '00'"),
+            (lambda d: d.update(basis="abc"), "must be JSON arrays, not 'abc'"),
+            (lambda d: d.update(gw="abc"), "must be JSON arrays, not 'abc'"),
+            (lambda d: d.update(basis=[1, 2]), "entries must be JSON objects, not 1"),
+            (lambda d: d.update(gw=[1]), "entries must be JSON objects, not 1"),
         ],
         ids=["name", "basis-name", "sphere-generators", "dim", "degree", "c1",
              "sphere-generators-text", "basis-object", "pairing-text", "pairing-row-text",
-             "omega-text", "c1-text", "gw-object", "classes-text", "B-text"],
+             "omega-text", "c1-text", "gw-object", "classes-text", "B-text",
+             "basis-text", "gw-text", "basis-entry", "gw-entry"],
     )
     def test_validate_refuses_coercion(self, capsys, tmp_path, edit, refusal):
         target = tmp_path / "blowup.json"
@@ -461,6 +466,17 @@ class TestModelFiles:
         code, out, err = run(capsys, "model-validate", str(target))
         assert code == 2 and not out
         assert "malformed model data" in err and refusal in err
+
+    def test_validate_rejects_short_c1(self, capsys, tmp_path):
+        target = tmp_path / "blowup.json"
+        run(capsys, "model-export", "--model", "blowup", "--a2", "1/4",
+            "--out", str(target))
+        data = json.loads(target.read_text())
+        data["c1"] = [1]
+        target.write_text(json.dumps(data))
+        code, out, err = run(capsys, "model-validate", str(target))
+        assert code == 2 and not out
+        assert "omega and c1 must list one value per sphere generator" in err
 
     def test_validate_rejects_singular_pairing(self, capsys, tmp_path):
         # Symmetric and degree-respecting, with equal E and F rows.

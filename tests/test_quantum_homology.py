@@ -470,6 +470,16 @@ class TestModelValidation:
                 "ragged", 2, ["L"], [("1", 2), ("x", 0)], [[0, 1], [1]], [1], [2], []
             )
 
+    @pytest.mark.parametrize(
+        "omega, c1", [((A2, 1 - A2), (1,)), ((A2,), (1, 2))], ids=["c1", "omega"]
+    )
+    def test_wrong_length_functional(self, m, omega, c1):
+        # Refused before the table is read, where c1(B) would raise a bare ValueError.
+        with pytest.raises(ModelError, match="one value per sphere generator"):
+            ManifoldModel(
+                "short", 4, ("E", "F"), m.basis, m.pairing, omega, c1, list_golden_gw()
+            )
+
 
 def model_half_integral():
     """A JSON model whose table value, table exponent and dual are fractional."""

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+import qhofer.quantum_homology as qh
 import qhofer.seidel_bounds as sb
 from qhofer import (
+    ManifoldModel,
     MonotoneCaseError,
     RadialHamiltonian,
     SampledPath,
@@ -24,6 +26,7 @@ from qhofer import (
     omega_f,
     power,
     psi,
+    QHElement,
     q_element,
     quantum_product,
     r_tilde_certificate,
@@ -208,20 +211,36 @@ class TestRotationSource:
         ell_plus_lower_bound(-2, a2)
         r_tilde_certificate(a2, 6)
         two_sided_bound(3, "5/13")
-        assert counts == {"builds": 1, "inverses": 1}
+        assert counts == {"builds": 1, "inverses": 1, "signs": 2}
 
     def test_each_area_builds_once(self, monkeypatch):
         counts = count_rotation_builds(monkeypatch)
         for a2 in (Fraction(1, 4), Fraction(2, 3), Fraction(1, 4)):
             two_sided_bounds(3, a2)
-        assert counts == {"builds": 2, "inverses": 2}
+        assert counts == {"builds": 2, "inverses": 2, "signs": 4}
+
+    def test_warm_source_reruns_no_sign_check(self, monkeypatch):
+        counts = count_rotation_builds(monkeypatch)
+        first = sb._q_valuations(5, Fraction(1, 4))
+        assert counts["signs"] == 2
+        counts["signs"] = 0
+        assert sb._q_valuations(5, "1/4") == first
+        assert sb._q_valuations(2, Fraction(1, 4)) == [v[:2] for v in first]
+        assert counts == {"builds": 1, "inverses": 1, "signs": 0}
+
+    def test_source_holds_no_model(self):
+        source = sb._rotation(Fraction(1, 4))
+        assert len(source) == 2
+        assert all(isinstance(system, qh._MaxPlus) for system in source)
+        kept = [v for system in source for v in vars(system).values()]
+        assert not any(isinstance(v, (ManifoldModel, QHElement)) for v in kept)
 
     def test_out_of_range_area_raises_again(self, monkeypatch):
         counts = count_rotation_builds(monkeypatch)
         for _ in range(2):
             with pytest.raises(ValueError, match="strictly between 0 and 1"):
                 two_sided_bounds(3, Fraction(3, 2))
-        assert counts == {"builds": 2, "inverses": 0}
+        assert counts == {"builds": 2, "inverses": 0, "signs": 0}
 
     def test_failed_build_is_not_cached(self, monkeypatch):
         count_rotation_builds(monkeypatch)  # empties the cache
@@ -246,14 +265,14 @@ class TestRotationSource:
             sweep(0, Fraction(3, 2))
         with pytest.raises(ValueError, match="expected an integer"):
             sweep(2.5, "abc")
-        assert counts == {"builds": 0, "inverses": 0}
+        assert counts == {"builds": 0, "inverses": 0, "signs": 0}
 
     def test_monotone_error_comes_before_the_build(self, monkeypatch):
         counts = count_rotation_builds(monkeypatch)
         for k in (0, 2, -2):
             with pytest.raises(MonotoneCaseError):
                 ell_plus_lower_bound(k, Fraction(1, 3))
-        assert counts == {"builds": 0, "inverses": 0}
+        assert counts == {"builds": 0, "inverses": 0, "signs": 0}
 
 
 class TestGrowthTable:
