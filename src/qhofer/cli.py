@@ -3,7 +3,8 @@
 Every subcommand prints exact rationals as strings (valuations are in units
 of pi); decimal columns are annotations.  Exit status follows one contract:
 0 when every checked identity or inequality holds, 2 when a check fails or
-input data fails validation, 1 on usage errors.
+input data fails validation (a ``CheckError``, which ``main`` alone prints,
+as ``qhofer: check failed: ...``), 1 on usage errors.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from .novikov import CheckError, ParseError, rational
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK = 2
-
-
-class CheckFailure(Exception):
-    """A named inequality or identity did not hold."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,7 +112,7 @@ def cmd_invert(args) -> int:
         top = valuation(residual, model.omega)
         bound = args.floor + valuation(x, model.omega)
         if top >= bound:
-            raise CheckFailure(
+            raise CheckError(
                 f"residual reaches area {top}, not below floor + v(x) = {bound}"
             )
     inverse = model.format(z)
@@ -149,7 +146,7 @@ def cmd_psi(args) -> int:
         model, power(model, q_element(model), args.k), model.basis_element("1", shift)
     )
     if recomposed != element.value:
-        raise CheckFailure("rotation element disagrees with its recomposition")
+        raise CheckError("rotation element disagrees with its recomposition")
     v = valuation(element.value, model.omega)
     value = model.format(element.value)
     payload = {
@@ -184,7 +181,7 @@ def cmd_bounds(args) -> int:
     }
     _emit(args, {"text": "\n".join(lines), "csv": "\n".join(csv_lines)}, payload)
     if failures:
-        raise CheckFailure(
+        raise CheckError(
             f"two-sided bound >= omega(F) fails at k = {failures[0]}"
         )
     return EXIT_OK
@@ -249,7 +246,7 @@ def cmd_growth(args) -> int:
     texts = {"text": "\n".join(lines), "csv": "\n".join(csv_lines)}
     _emit(args, texts, payload)
     if failures:
-        raise CheckFailure(f"two-sided bound >= omega(F) fails at k = {failures[0]}")
+        raise CheckError(f"two-sided bound >= omega(F) fails at k = {failures[0]}")
     return EXIT_OK
 
 
@@ -272,7 +269,7 @@ def cmd_rtilde(args) -> int:
     }
     _emit(args, text, payload)
     if not cert.matches_omega_f:
-        raise CheckFailure(
+        raise CheckError(
             f"sweep minimum {cert.min_bound} differs from omega(F) = {cert.omega_f}"
         )
     return EXIT_OK
@@ -306,17 +303,17 @@ def cmd_lengths(args) -> int:
     }
     _emit(args, text, payload)
     if lengths.l_plus < 0 or lengths.l_minus < 0:
-        raise CheckFailure("one-sided lengths must be nonnegative")
+        raise CheckError("one-sided lengths must be nonnegative")
     if abs(total_over_pi - reference) > 1e-12:
-        raise CheckFailure(f"L/pi = {total_over_pi} differs from {reference} by over 1e-12")
+        raise CheckError(f"L/pi = {total_over_pi} differs from {reference} by over 1e-12")
     # The lengths meet their lower bounds exactly: the sum always, each side
     # away from 3a^2 = 1, where Psi is undefined.
     if lengths.plus + lengths.minus != bound:
-        raise CheckFailure(f"L/pi differs from v(Q^k) + v(Q^-k) = {bound}")
+        raise CheckError(f"L/pi differs from v(Q^k) + v(Q^-k) = {bound}")
     if 3 * args.a2 != 1:
         for j, length in ((args.k, lengths.plus), (-args.k, lengths.minus)):
             if length != ell_plus_lower_bound(j, args.a2):
-                raise CheckFailure(f"one-sided length {length} differs from v(Psi({j}))")
+                raise CheckError(f"one-sided length {length} differs from v(Psi({j}))")
     return EXIT_OK
 
 
@@ -330,7 +327,7 @@ def cmd_geocheck(args) -> int:
     _emit(args, text, report.to_dict())
     missing = [side for side, fixed in sides.items() if not fixed]
     if missing:
-        raise CheckFailure(f"no fixed {' and '.join(missing)} on some window")
+        raise CheckError(f"no fixed {' and '.join(missing)} on some window")
     return EXIT_OK
 
 
@@ -353,7 +350,7 @@ def cmd_model_validate(args) -> int:
     try:
         model = load_model(args.path)
     except ModelError as exc:
-        raise CheckFailure(f"invalid model: {exc}") from exc
+        raise CheckError(f"invalid model: {exc}") from exc
     print(f"model {model.name!r} is valid: {len(model.basis)} basis classes, "
           f"{len(model.gw)} table entries")
     return EXIT_OK
@@ -460,11 +457,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"qhofer: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CheckFailure as exc:
-        print(f"qhofer: check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
     except CheckError as exc:
-        print(f"qhofer: {exc}", file=sys.stderr)
+        print(f"qhofer: check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
     except (ValueError, OSError) as exc:
         print(f"qhofer: error: {exc}", file=sys.stderr)

@@ -37,9 +37,10 @@ class ParseError(ValueError):
 
 
 class CheckError(ValueError):
-    """Base of the errors a failed mathematical check raises: an invalid
-    model, a non-invertible element, the monotone pole.  The command line
-    exits 2 on them; other ValueErrors are usage errors (exit 1)."""
+    """Base of every error a failed check raises: an invalid model, a
+    non-invertible element, the monotone pole, a failed max-plus check and
+    the command line's own checks.  The command line exits 2 on them; other
+    ValueErrors are usage errors (exit 1)."""
 
 
 # Fraction alone also reads exponent notation, so a short text such as

@@ -331,7 +331,7 @@ def validate_model(model: ManifoldModel) -> list:
     for ((i, j, k), B), value in model.gw.items():
         if B.rank != rank:
             problems.append("table exponent has wrong rank")
-            continue
+            return problems
         degsum = model.degrees[i] + model.degrees[j] + model.degrees[k]
         if degsum != 2 * model.dim - 2 * model.c1(B):
             problems.append(
@@ -540,7 +540,7 @@ def tropical_valuations(model: ManifoldModel, x: QHElement, k_max: int) -> list:
     exponents adding up to B.  When ``_check_signs`` passes, each walk
     contributes one term, and all walks to (l, B) carry the same sign, so no
     coefficient cancels: the support of x^k is the set of walk ends, and
-    v(x^k) is the largest total area over walks of length k.  ValueError when
+    v(x^k) is the largest total area over walks of length k.  CheckError when
     either check fails.
     """
     return _MaxPlus(model, x).valuations(k_max)
@@ -579,23 +579,26 @@ def _check_signs(matrix: list) -> None:
     """Check that the lattice matrix ``matrix`` is monomial with a sign character.
 
     Every nonzero entry must be one term c e^B.  Its sign must then satisfy
-    [c < 0] = s_l + s_j + b.B (mod 2) for the entry in row l and column j,
-    with one bit s_i per basis class and one bit b_i per exponent coordinate.
-    The system is solved over GF(2) by elimination on bit masks.  Raises
-    ValueError, naming the check, when an entry has several terms or the
-    system has no solution.
+    [c < 0] = s_l + s_j + b.B + t (mod 2) for the entry in row l and column j,
+    with one bit s_i per basis class, one bit b_i per exponent coordinate and
+    one constant bit t.  That suffices: the s of inner classes cancel in
+    pairs, so a walk of length k from the unit u to (l, B) has the sign
+    s_l + s_u + b.B + k t, the same for all such walks.  The system is solved
+    over GF(2) by elimination on bit masks.  Raises CheckError, naming the
+    check, when an entry has several terms or the system has no solution.
     """
     n = len(matrix)
     pivots: dict = {}  # leading bit -> (mask, right-hand side) of a reduced equation
     for l, row in enumerate(matrix):
         for j, entry in enumerate(row):
             if len(entry) > 1:
-                raise ValueError(
+                raise CheckError(
                     f"monomial check failed: entry ({l}, {j}) of the multiplication "
                     f"matrix has {len(entry)} terms, so coefficients of its powers may cancel"
                 )
             for (_, *e), c in entry.items():
-                mask = (1 << l) ^ (1 << j) ^ sum((ei & 1) << (n + i) for i, ei in enumerate(e))
+                mask = (1 << l) ^ (1 << j) ^ (1 << (n + len(e)))
+                mask ^= sum((ei & 1) << (n + i) for i, ei in enumerate(e))
                 rhs = c < 0
                 while mask and mask.bit_length() - 1 in pivots:
                     pivot, pivot_rhs = pivots[mask.bit_length() - 1]
@@ -603,9 +606,9 @@ def _check_signs(matrix: list) -> None:
                 if mask:
                     pivots[mask.bit_length() - 1] = mask, rhs
                 elif rhs:
-                    raise ValueError(
+                    raise CheckError(
                         "sign check failed: the signs of the multiplication matrix "
-                        "follow no character s_l + s_j + b.B mod 2, so coefficients "
+                        "follow no character s_l + s_j + b.B + t mod 2, so coefficients "
                         "of its powers may cancel"
                     )
 

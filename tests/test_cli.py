@@ -19,6 +19,16 @@ from qhofer.cli import build_parser, main
 from helpers import NINE_A2, count_rotation_builds
 
 
+def shift_lengths(monkeypatch, plus, minus=0):
+    """Make ``lengths`` read its exact one-sided lengths moved by ``plus`` and ``minus``."""
+    monkeypatch.setattr(
+        qhofer.seidel_bounds, "lengths_blowup_loop",
+        lambda k, a2: LoopLengths(
+            lengths_blowup_loop(k, a2).plus + plus, lengths_blowup_loop(k, a2).minus + minus
+        ),
+    )
+
+
 def run(capsys, *argv):
     """Invoke the CLI in-process; returns (exit code, stdout, stderr)."""
     try:
@@ -256,14 +266,7 @@ class TestLengthsAndGeocheck:
 
     def test_lengths_side_mismatch_fails(self, capsys, monkeypatch):
         # The sum is kept, so only the one-sided equalities can see it.
-        shift = Fraction(1, 1000)
-        monkeypatch.setattr(
-            qhofer.seidel_bounds, "lengths_blowup_loop",
-            lambda k, a2: LoopLengths(
-                lengths_blowup_loop(k, a2).plus - shift,
-                lengths_blowup_loop(k, a2).minus + shift,
-            ),
-        )
+        shift_lengths(monkeypatch, -Fraction(1, 1000), Fraction(1, 1000))
         code, out, err = run(capsys, "lengths", "--a2", "1/10")
         assert code == 2
         assert "x pi" in out
@@ -272,12 +275,7 @@ class TestLengthsAndGeocheck:
     @pytest.mark.parametrize("shift", [Fraction(1, 1000), Fraction(1, 10**15)])
     def test_lengths_sum_mismatch_fails_at_monotone_value(self, capsys, monkeypatch, shift):
         # 10^-15 is below the 1e-12 float check; only the exact sum sees it.
-        monkeypatch.setattr(
-            qhofer.seidel_bounds, "lengths_blowup_loop",
-            lambda k, a2: LoopLengths(
-                lengths_blowup_loop(k, a2).plus + shift, lengths_blowup_loop(k, a2).minus
-            ),
-        )
+        shift_lengths(monkeypatch, shift)
         code, _, err = run(capsys, "lengths", "--a2", "1/3")
         assert code == 2
         assert "check failed: L/pi" in err
@@ -478,6 +476,18 @@ class TestModelFiles:
         assert code == 2 and not out
         assert "omega and c1 must list one value per sphere generator" in err
 
+    def test_validate_stops_at_a_wrong_rank_exponent(self, capsys, tmp_path):
+        # The skipped entry is not reported again as a missing classical entry.
+        target = tmp_path / "blowup.json"
+        run(capsys, "model-export", "--model", "blowup", "--a2", "1/4",
+            "--out", str(target))
+        data = json.loads(target.read_text())
+        data["gw"][0]["B"] = ["0"]
+        target.write_text(json.dumps(data))
+        assert run(capsys, "model-validate", str(target)) == (
+            2, "", "qhofer: check failed: invalid model: table exponent has wrong rank\n"
+        )
+
     def test_validate_rejects_singular_pairing(self, capsys, tmp_path):
         # Symmetric and degree-respecting, with equal E and F rows.
         target = tmp_path / "singular.json"
@@ -647,6 +657,19 @@ GRID_REPORT = {
     "min_witnesses": [0, 0],
 }
 
+CHECK_FAILURE_FILES = {
+    "junk.json": "{not json\n",
+    "partial.json": json.dumps({"name": "partial", "dim": 4}),
+    "odd_dim.json": json.dumps({
+        "name": "cp1", "dim": 3, "sphere_generators": ["L"],
+        "basis": [{"name": "1", "degree": 2}, {"name": "x", "degree": 0}],
+        "pairing": [["0", "1"], ["1", "0"]], "omega": ["1"], "c1": [2],
+        "gw": [{"classes": ["1", "1", "x"], "B": ["0"], "value": "1"},
+               {"classes": ["x", "x", "x"], "B": ["1"], "value": "1"}],
+    }),
+    "cross.csv": "0,1\n1,0\n",
+}
+
 
 class TestGoldenBytes:
     """Exact stdout, --out bytes and error lines of the cli renderers."""
@@ -683,6 +706,34 @@ class TestGoldenBytes:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "ragged.csv").write_text("0,1,2\n0,1\n")
         assert run(capsys, *argv) == (1, "", f"qhofer: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["model-validate", "junk.json"],
+            ["model-validate", "partial.json"],
+            ["model-validate", "odd_dim.json"],
+            ["psi", "--a2", "1/3", "--k", "2"],
+            ["invert", "--a2", "1/4", "0"],
+            ["power", "--a2", "1/4", "--k", "-3", "1 + p"],
+            ["product", "--model", "junk.json", "p", "p"],
+            # These two write their report before the check fails.
+            ["geocheck", "cross.csv", "--out", "report.json"],
+            ["lengths", "--a2", "1/10", "--out", "report.txt"],
+        ],
+        ids=["validate-junk", "validate-partial", "validate-odd-dim", "psi-monotone",
+             "invert-zero", "power-non-unit", "product-junk-model", "geocheck", "lengths"],
+    )
+    def test_check_failure_lines(self, capsys, tmp_path, monkeypatch, argv):
+        """Every exit-2 path prints one line, with one prefix, and no stdout."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in CHECK_FAILURE_FILES.items():
+            (tmp_path / name).write_text(text)
+        if argv[0] == "lengths":
+            shift_lengths(monkeypatch, -Fraction(1, 1000), Fraction(1, 1000))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("qhofer: check failed: ") and err.count("\n") == 1, err
 
 
 class TestDimensionLimit:

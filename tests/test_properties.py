@@ -1,4 +1,5 @@
-"""Property tests of the element type, the term grammar, the product and invert.
+"""Property tests of the element type, the term grammar, the product, invert
+and the max-plus valuations.
 
 Runs derandomized, so the suite stays deterministic; the seeded random suites
 in the other modules are kept alongside.
@@ -24,9 +25,11 @@ from qhofer import (  # noqa: E402
     model_cpn,
     quantum_product,
     valuation,
+    valuation_walk,
 )
 from qhofer.cli import main  # noqa: E402
-from helpers import ring_product  # noqa: E402
+from qhofer.quantum_homology import _MaxPlus  # noqa: E402
+from helpers import NINE_A2, ring_product  # noqa: E402
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -168,6 +171,25 @@ class TestInvert:
             assert all(model.omega(B) < bound for (_, B) in residual.terms)
 
         check()
+
+
+MAXPLUS_MODELS = [model_blowup_cp2(a2) for a2 in NINE_A2] + [model_cpn(n) for n in range(1, 5)]
+
+
+def signed_basis_elements(model):
+    """c * a * e^B for one basis class a, nonzero c of either sign, and any B."""
+    key = st.tuples(st.integers(0, len(model.basis) - 1), sphere_classes(model.rank))
+    return st.tuples(st.just(model), st.builds(
+        lambda k, c: QHElement([(k, c)]), key, coefficients.filter(bool)
+    ))
+
+
+class TestMaxPlus:
+    @SETTINGS
+    @given(st.sampled_from(MAXPLUS_MODELS).flatmap(signed_basis_elements))
+    def test_matches_the_exact_walk(self, case):
+        model, x = case
+        assert _MaxPlus(model, x).valuations(40) == valuation_walk(model, x, 40)
 
 
 class TestFuzzedText:

@@ -11,6 +11,7 @@ import pytest
 import qhofer.quantum_homology as qh
 from qhofer import (
     NEG_INF,
+    CheckError,
     ModelError,
     NotInvertibleError,
     ParseError,
@@ -610,11 +611,20 @@ class TestTropicalValuations:
         x = model.basis_element("x")
         assert tropical_valuations(model, x, 40) == valuation_walk(model, x, 40)
 
+    # Each is a monomial times an element that passed, so none can cancel;
+    # their signs need the constant bit t of the character.
+    @pytest.mark.parametrize("text", ["F * e^{1*E}", "F * e^{1/3*E + 1/7*F}", "-1 * p"])
+    @pytest.mark.parametrize("a2", ["1/10", "1/4", "1/3", "2/3"])
+    def test_signs_with_a_constant_bit_pass(self, a2, text):
+        model = model_blowup_cp2(a2)
+        x = model.element(text)
+        assert tropical_valuations(model, x, 60) == valuation_walk(model, x, 60)
+
     def test_refuses_a_non_monomial_entry(self):
         model = model_blowup_cp2(Fraction(1, 10))
-        x = model.element(Q_TEXT) + model.unit()
-        with pytest.raises(ValueError, match="monomial check failed"):
-            tropical_valuations(model, x, 5)
+        for text in (f"{Q_TEXT} + 1", "p + -1 * E * e^{1*E}"):
+            with pytest.raises(CheckError, match="monomial check failed"):
+                tropical_valuations(model, model.element(text), 5)
 
     def test_refuses_signs_without_a_character(self):
         model = model_blowup_cp2(Fraction(1, 10))
@@ -628,7 +638,7 @@ class TestTropicalValuations:
         flipped = [[dict(entry) for entry in row] for row in matrix]
         ((key, c),) = flipped[0][1].items()
         flipped[0][1][key] = -c
-        with pytest.raises(ValueError, match="sign check failed"):
+        with pytest.raises(CheckError, match="sign check failed"):
             qh._check_signs(flipped)
 
 

@@ -2,12 +2,15 @@
 private top-level definition is used somewhere in the package, every method
 is referenced somewhere in the repository, the package imports nothing
 outside the standard library, the float module and the command line's
-module level import no package module but ``novikov``, and the README's
-library tour runs."""
+module level import no package module but ``novikov``, every exception
+class is a ``ParseError`` or a ``CheckError``, and the README's library tour
+runs."""
 
 import ast
+import importlib
 import re
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -252,6 +255,40 @@ def test_cli_module_level_imports_only_novikov():
     # Each subcommand imports its own stack when it runs.
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert {name for _, name in package_imports(source, module_level=True)} == {"novikov"}
+
+
+def stray_exceptions(modules) -> list:
+    """Exception classes that ``modules`` define and that derive from neither
+    ``ParseError`` (exit 1) nor ``CheckError`` (exit 2), as (module, name)."""
+    from qhofer.novikov import CheckError, ParseError
+
+    return sorted(
+        (module.__name__, name)
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+        and not issubclass(obj, (ParseError, CheckError))
+    )
+
+
+def test_exception_checker_flags_a_planted_class():
+    planted = types.ModuleType("planted")
+    exec(
+        "from qhofer.novikov import CheckError, ParseError\n"
+        "class Failed(CheckError): pass\n"
+        "class Unreadable(ParseError): pass\n"
+        "class Stray(Exception): pass\n"
+        "class Plain: pass\n",
+        planted.__dict__,
+    )
+    assert stray_exceptions([planted]) == [("planted", "Stray")]
+
+
+def test_every_exception_has_an_exit_code():
+    # Anything else would reach main's ValueError/OSError clause, or no clause.
+    modules = [importlib.import_module(f"qhofer.{name[:-3]}") for name in MODULES]
+    assert stray_exceptions(modules) == []
 
 
 def test_readme_tour_runs():
