@@ -163,6 +163,13 @@ class SampledPath:
                 if any(map(str.strip, row)):
                     if not all(map(str.strip, row)):
                         raise ValueError(f"{path}: empty cell in row {reader.line_num}")
+                    # float() would read "1_0" as 10 and fullwidth digits as ASCII ones.
+                    text = "".join(row)
+                    if "_" in text or not text.isascii():
+                        cell = next(c for c in row if "_" in c or not c.isascii())
+                        raise ValueError(
+                            f"{path}: non-numeric cell {cell!r} in row {reader.line_num}"
+                        )
                     rows.append(row)
         if not rows:
             raise ValueError(f"{path}: empty grid")

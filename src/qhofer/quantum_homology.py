@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -291,79 +291,69 @@ class ManifoldModel:
 
 
 def validate_model(model: ManifoldModel) -> list:
-    """All consistency problems found, as human-readable strings."""
+    """All consistency problems found, as human-readable strings.
+
+    Each rule runs once over its own domain: a pair of classes, a table entry
+    or a table class.  Every message names the one it is about, and a pair
+    whose pairing is already reported is not checked against the unit too.
+    """
     problems = []
-    n = len(model.basis)
-    rank = model.rank
-    if model.dim <= 0 or model.dim % 2:
+    n, rank, dim = len(model.basis), model.rank, model.dim
+    names, degrees, pairing = model.basis_names, model.degrees, model.pairing
+    if dim <= 0 or dim % 2:
         problems.append("dimension must be a positive even integer")
     if len(model.omega.values) != rank or len(model.c1.values) != rank:
         problems.append("omega and c1 must list one value per sphere generator")
         return problems
     for name, d in model.basis:
-        if d < 0 or d > model.dim or d % 2:
+        if d < 0 or d > dim or d % 2:
             problems.append(f"basis class {name!r} has invalid degree {d}")
-    fund = [i for i, d in enumerate(model.degrees) if d == model.dim]
-    if len(fund) != 1:
+    if degrees.count(dim) != 1:
         problems.append("exactly one basis class must sit in top degree")
         return problems
-    u = fund[0]
-    if len(model.pairing) != n or any(len(row) != n for row in model.pairing):
+    u = degrees.index(dim)
+    if len(pairing) != n or any(len(row) != n for row in pairing):
         problems.append("pairing matrix must be square of basis size")
         return problems
-    for i in range(n):
-        for j in range(n):
-            if i < j and model.pairing[i][j] != model.pairing[j][i]:
-                problems.append("pairing matrix must be symmetric")
-            if (
-                model.pairing[i][j] != 0
-                and model.degrees[i] + model.degrees[j] != model.dim
-            ):
-                problems.append(
-                    f"pairing of {model.basis_names[i]} and {model.basis_names[j]} "
-                    "violates the degree rule"
-                )
+    for idx, B in model.gw:
+        if B.rank != rank:
+            problems.append(f"table entry ({','.join(names[i] for i in idx)}) has "
+                            f"an exponent of rank {B.rank}, not {rank}")
+            return problems
+
+    def entry(idx, B):
+        classes = ",".join(names[i] for i in idx)
+        return f"table entry ({classes};{format_exponent(B, model.sphere_generators)})"
+
+    zero = SphereClass.zero(rank)
+    for i, j in combinations_with_replacement(range(n), 2):
+        pair, q = f"({names[i]},{names[j]})", pairing[i][j]
+        through_unit = (tuple(sorted((i, j, u))), zero)
+        value = model.gw.get(through_unit, 0)
+        if q != pairing[j][i]:
+            problems.append(f"pairing matrix must be symmetric: {pair} is {q}, "
+                            f"({names[j]},{names[i]}) is {pairing[j][i]}")
+        elif q and degrees[i] + degrees[j] != dim:
+            problems.append(f"pairing of {names[i]} and {names[j]} violates the degree rule")
+        # The unit acts as the identity: its B = 0 entries are the pairing.
+        elif q and not value:
+            problems.append(f"missing classical entry for pairing {pair}")
+        elif value != q:
+            problems.append(f"{entry(*through_unit)} is {value}, but the pairing {pair} is {q}")
     try:
         model._dual  # the one inversion of the pairing, kept for the products
     except ModelError:
         problems.append("pairing matrix is singular")
-    zero = SphereClass.zero(rank)
-    for ((i, j, k), B), value in model.gw.items():
-        if B.rank != rank:
-            problems.append("table exponent has wrong rank")
-            return problems
-        degsum = model.degrees[i] + model.degrees[j] + model.degrees[k]
-        if degsum != 2 * model.dim - 2 * model.c1(B):
-            problems.append(
-                f"table entry ({model.basis_names[i]},{model.basis_names[j]},"
-                f"{model.basis_names[k]};{B.coords}) violates the dimension rule"
-            )
-        if B != zero:
-            if model.omega(B) <= 0:
-                problems.append("nonzero table classes must have positive area")
-            if u in (i, j, k):
-                problems.append(
-                    "entries through the fundamental class must have B = 0"
-                )
-        elif u in (i, j, k):
-            rest = [i, j, k]
-            rest.remove(u)
-            a, b = rest
-            if value != model.pairing[a][b]:
-                problems.append(
-                    f"fundamental-class entry ({model.basis_names[a]},"
-                    f"{model.basis_names[b]}) must equal the pairing"
-                )
-    # Every nonzero pairing must be recorded so the unit acts as identity.
-    for i in range(n):
-        for j in range(i, n):
-            if model.pairing[i][j] != 0:
-                idx = tuple(sorted((i, j, u)))
-                if model.gw.get((idx, zero), Fraction(0)) != model.pairing[i][j]:
-                    problems.append(
-                        f"missing classical entry for pairing "
-                        f"({model.basis_names[i]},{model.basis_names[j]})"
-                    )
+    for idx, B in model.gw:
+        if u in idx and B == zero:
+            continue  # checked against the pairing above
+        if u in idx:
+            problems.append(f"{entry(idx, B)} goes through the unit, so B must be 0")
+        if sum(degrees[i] for i in idx) != 2 * dim - 2 * model.c1(B):
+            problems.append(f"{entry(idx, B)} violates the dimension rule")
+    for B in dict.fromkeys(B for _, B in model.gw if B != zero and model.omega(B) <= 0):
+        area = f"{format_exponent(B, model.sphere_generators)} has area {model.omega(B)}"
+        problems.append(f"table class {area}, but nonzero table classes must have positive area")
     return problems
 
 

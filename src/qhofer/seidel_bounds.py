@@ -112,7 +112,7 @@ def lengths_blowup_loop(k: int, a_squared: RationalLike) -> LoopLengths:
     largest at s = a^2 and smallest at s = 1.  k = 1 uses -pi |z1|^2: its
     shell average -pi s / 2 has mean -pi c / 2, its extrema are 0 and -pi.
     """
-    a2 = _area_parameter(a_squared)
+    k, a2 = _integer(k), _area_parameter(a_squared)
     c = mean_radius_sq_exact(a2)
     if k == 2:
         return LoopLengths(c - a2, 1 - c)

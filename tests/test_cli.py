@@ -190,7 +190,8 @@ class TestBoundsAndGrowth:
             "--format", "csv", "--out", str(target),
         )
         assert code == 0
-        rows = list(csv.reader(target.open()))
+        with target.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0][:2] == ["k", "bound"]
         assert len(rows) == 9
 
@@ -484,9 +485,10 @@ class TestModelFiles:
         data = json.loads(target.read_text())
         data["gw"][0]["B"] = ["0"]
         target.write_text(json.dumps(data))
-        assert run(capsys, "model-validate", str(target)) == (
-            2, "", "qhofer: check failed: invalid model: table exponent has wrong rank\n"
-        )
+        assert run(capsys, "model-validate", str(target)) == (2, "", (
+            "qhofer: check failed: invalid model: "
+            "table entry (p,1,1) has an exponent of rank 1, not 2\n"
+        ))
 
     def test_validate_rejects_singular_pairing(self, capsys, tmp_path):
         # Symmetric and degree-respecting, with equal E and F rows.
@@ -700,11 +702,14 @@ class TestGoldenBytes:
             (["product", "--model", "cpn", "E", "F"], "--n is required for the projective-space model"),
             (["model-validate", "missing.json"], "model file not found: missing.json"),
             (["geocheck", "ragged.csv"], "ragged.csv: ragged rows"),
+            # float() would read the cell as 10 and give a verdict on another grid.
+            (["geocheck", "underscore.csv"], "underscore.csv: non-numeric cell '1_0' in row 1"),
         ],
     )
     def test_usage_error_lines(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "ragged.csv").write_text("0,1,2\n0,1\n")
+        (tmp_path / "underscore.csv").write_text("1_0,2\n3,4\n")
         assert run(capsys, *argv) == (1, "", f"qhofer: error: {message}\n")
 
     @pytest.mark.parametrize(

@@ -184,6 +184,17 @@ class TestSampledPath:
         with pytest.raises(ValueError, match=f"holes.csv: empty cell in row {line}$"):
             SampledPath.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, cell", [("1_0,2\n3,4\n", "1_0"), ("\uff11\uff12,2\n3,4\n", "\uff11\uff12")],
+        ids=["underscore", "fullwidth"],
+    )
+    def test_csv_cell_float_would_coerce_rejected(self, tmp_path, text, cell):
+        # float() reads these as 10.0 and 12.0, a grid the file does not hold.
+        path = tmp_path / "coerced.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"coerced.csv: non-numeric cell '{cell}' in row 1$"):
+            SampledPath.from_csv(path)
+
     def test_csv_errors(self, tmp_path):
         ragged = tmp_path / "ragged.csv"
         ragged.write_text("1,2\n1,2,3\n")

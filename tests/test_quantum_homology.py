@@ -447,6 +447,33 @@ class TestModelValidation:
         with pytest.raises(ModelError, match="missing classical entry"):
             model_from_dict(missing)
 
+    @pytest.mark.parametrize(
+        "edit, problems",
+        [
+            (lambda d: d["pairing"][0].__setitem__(3, "2"),
+             ["pairing matrix must be symmetric: (p,1) is 2, (1,p) is 1"]),
+            (lambda d: [d["pairing"][i].__setitem__(1 - i, "1") for i in (0, 1)],
+             ["pairing of p and E violates the degree rule"]),
+            (lambda d: next(r for r in d["gw"] if r["classes"] == ["p", "1", "1"]).update(value="5"),
+             ["table entry (p,1,1;0) is 5, but the pairing (p,1) is 1"]),
+            (lambda d: d["gw"].append({"classes": ["E", "F", "1"], "B": ["1", "0"], "value": "1"}),
+             ["table entry (E,F,1;1*E) goes through the unit, so B must be 0",
+              "table entry (E,F,1;1*E) violates the dimension rule"]),
+            (lambda d: d.update(omega=["-1/4", "5/4"]),
+             ["table class 1*E has area -1/4, but nonzero table classes must have positive area"]),
+            (lambda d: d["gw"].append({"classes": ["p", "E", "1"], "B": ["0", "0"], "value": "1"}),
+             ["table entry (p,E,1;0) is 1, but the pairing (p,E) is 0"]),
+        ],
+        ids=["asymmetric", "off-degree", "wrong-unit-entry", "unit-entry-with-B",
+             "negative-area", "spurious-unit-entry"],
+    )
+    def test_each_fault_reported_once_by_name(self, edit, problems):
+        data = model_to_dict(model_blowup_cp2(Fraction(1, 4)))
+        edit(data)
+        with pytest.raises(ModelError) as caught:
+            model_from_dict(data)
+        assert str(caught.value).split("; ") == problems
+
     def test_malformed_data_rejected(self):
         with pytest.raises(ModelError, match="malformed"):
             model_from_dict({"name": "x"})

@@ -438,3 +438,13 @@ def test_integer_arguments_are_not_truncated(entry):
     with pytest.raises(ValueError, match="expected an integer"):
         call(2.5)
     assert call(3.0) == call(3)
+
+
+@pytest.mark.parametrize(
+    "entry", [lengths_blowup_loop, psi, two_sided_bound, ell_plus_lower_bound],
+    ids=lambda f: f.__name__,
+)
+def test_loop_multiple_refuses_a_bool(entry):
+    # True == 1, so reading k with == would return the k = 1 answer.
+    with pytest.raises(ValueError, match="expected an integer, got True"):
+        entry(True, Fraction(1, 4))
