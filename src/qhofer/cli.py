@@ -17,7 +17,7 @@ from fractions import Fraction
 
 # Each handler imports the names it uses, so a job loads only its own stack:
 # geocheck and usage errors never load the exact modules.
-from .novikov import CheckError, ParseError, rational
+from .novikov import CheckError, ParseError, integer, rational
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,7 +40,7 @@ def _emit(args, text, payload) -> int:
     """
     if args.format == "json":
         import json
-        text = json.dumps(payload, indent=2)
+        text = json.dumps(payload, indent=2, default=_exact)
     elif isinstance(text, dict):
         text = text[args.format]
     if args.out:
@@ -49,6 +49,13 @@ def _emit(args, text, payload) -> int:
     else:
         print(text)
     return EXIT_OK
+
+
+def _exact(value) -> str:
+    """A payload's Fraction as its exact string; anything else is no JSON."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _dec(q) -> str:
@@ -117,12 +124,7 @@ def cmd_invert(args) -> int:
             )
     inverse = model.format(z)
     tag = "exact inverse" if exact else f"inverse truncated at area {args.floor}"
-    payload = {
-        "model": model.name,
-        "inverse": inverse,
-        "exact": exact,
-        "floor": str(args.floor),
-    }
+    payload = {"model": model.name, "inverse": inverse, "exact": exact, "floor": args.floor}
     return _emit(args, f"{inverse}\n# {tag}", payload)
 
 
@@ -149,13 +151,8 @@ def cmd_psi(args) -> int:
         raise CheckError("rotation element disagrees with its recomposition")
     v = valuation(element.value, model.omega)
     value = model.format(element.value)
-    payload = {
-        "k": args.k,
-        "a2": str(element.a_squared),
-        "delta": str(element.delta),
-        "value": value,
-        "valuation": str(v),
-    }
+    payload = {"k": args.k, "a2": element.a_squared, "delta": element.delta, "value": value,
+               "valuation": v}
     return _emit(args, f"{value}\n# delta = {element.delta}, v = {v} (x pi)", payload)
 
 
@@ -173,12 +170,8 @@ def cmd_bounds(args) -> int:
         csv_lines.append(f"{k},{b},{_dec(b)},{of},{_dec(of)},{k < 2 or b >= of}")
     verdict = "holds" if not failures else f"FAILS at k = {failures[:5]}"
     lines.append(f"# two-sided bound >= omega(F) = {of} for k >= 2: {verdict}")
-    payload = {
-        "a2": str(a2),
-        "omegaF": str(of),
-        "rows": [{"k": k, "bound": str(b)} for k, b in rows],
-        "all_hold": not failures,
-    }
+    payload = {"a2": a2, "omegaF": of, "rows": [{"k": k, "bound": b} for k, b in rows],
+               "all_hold": not failures}
     _emit(args, {"text": "\n".join(lines), "csv": "\n".join(csv_lines)}, payload)
     if failures:
         raise CheckError(
@@ -217,30 +210,19 @@ def cmd_growth(args) -> int:
         f"reference (1-a^2)^2/(12(1+a^2)) = {s.psi_rate_reference}"
     )
     payload = {
-        "a2": str(s.a_squared),
-        "rows": [
-            {
-                "k": r.k,
-                "vQk": str(r.v_qk),
-                "vQnegk": str(r.v_qnegk),
-                "bound": str(r.bound),
-                "psi_rate": None if r.psi_rate is None else str(r.psi_rate),
-            }
-            for r in table.rows
-        ],
+        "a2": s.a_squared,
+        "rows": [dict(zip(("k", "vQk", "vQnegk", "bound", "psi_rate"), r)) for r in table.rows],
         "summary": {
-            "omegaF": str(of),
+            "omegaF": of,
             "regime_bounded": s.regime_bounded,
-            "qneg_max": str(s.qneg_max),
+            "qneg_max": s.qneg_max,
             "qneg_argmax": s.qneg_argmax,
             "qneg_bounded": s.qneg_bounded,
             "period": s.period,
-            "slope_last_period": (
-                None if s.slope_last_period is None else str(s.slope_last_period)
-            ),
-            "slope_reference": str(s.slope_reference),
-            "psi_rate_min": None if s.psi_rate_min is None else str(s.psi_rate_min),
-            "psi_rate_reference": str(s.psi_rate_reference),
+            "slope_last_period": s.slope_last_period,
+            "slope_reference": s.slope_reference,
+            "psi_rate_min": s.psi_rate_min,
+            "psi_rate_reference": s.psi_rate_reference,
         },
     }
     texts = {"text": "\n".join(lines), "csv": "\n".join(csv_lines)}
@@ -260,11 +242,11 @@ def cmd_rtilde(args) -> int:
         f"omega(F) = {cert.omega_f} (x pi); matches: {cert.matches_omega_f}"
     )
     payload = {
-        "a2": str(cert.a_squared),
+        "a2": cert.a_squared,
         "k_max": cert.k_max,
-        "min_bound": str(cert.min_bound),
+        "min_bound": cert.min_bound,
         "attained_at": cert.attained_at,
-        "omegaF": str(cert.omega_f),
+        "omegaF": cert.omega_f,
         "matches_omegaF": cert.matches_omega_f,
     }
     _emit(args, text, payload)
@@ -294,7 +276,7 @@ def cmd_lengths(args) -> int:
     )
     payload = {
         "k": args.k,
-        "a2": str(args.a2),
+        "a2": args.a2,
         "L_plus": lengths.l_plus,
         "L_minus": lengths.l_minus,
         "L": lengths.total,
@@ -367,7 +349,7 @@ def _add_model_flags(sub) -> None:
         default="blowup",
         help="builtin name (blowup, cpn) or a model JSON file path",
     )
-    sub.add_argument("--n", type=int, help="complex dimension for the cpn model")
+    sub.add_argument("--n", type=integer, help="complex dimension for the cpn model")
     sub.add_argument("--a2", type=rational, help="exceptional area a^2 (rational)")
 
 
@@ -390,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("power", help="integer quantum power")
     _add_model_flags(sub)
     _add_common(sub)
-    sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--k", type=integer, required=True)
     sub.add_argument("x")
     sub.set_defaults(handler=cmd_power)
 
@@ -403,37 +385,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("psi", help="rotation element Psi(k)")
     _add_common(sub)
-    sub.add_argument("--k", type=int, required=True)
+    sub.add_argument("--k", type=integer, required=True)
     sub.add_argument("--a2", type=rational, required=True)
     sub.set_defaults(handler=cmd_psi)
 
     sub = subs.add_parser("bounds", help="two-sided bound sweep over k")
     _add_common(sub, formats=("text", "json", "csv"))
-    sub.add_argument("--kmax", type=int, required=True)
+    sub.add_argument("--kmax", type=integer, required=True)
     sub.add_argument("--a2", type=rational, required=True)
     sub.set_defaults(handler=cmd_bounds)
 
     sub = subs.add_parser("growth", help="growth table of v(Q^k), v(Q^-k)")
     _add_common(sub, formats=("text", "json", "csv"))
-    sub.add_argument("--kmax", type=int, required=True)
+    sub.add_argument("--kmax", type=integer, required=True)
     sub.add_argument("--a2", type=rational, required=True)
     sub.set_defaults(handler=cmd_growth)
 
     sub = subs.add_parser("rtilde", help="certified seminorm value from the sweep")
     _add_common(sub)
-    sub.add_argument("--kmax", type=int, default=50)
+    sub.add_argument("--kmax", type=integer, default=50)
     sub.add_argument("--a2", type=rational, required=True)
     sub.set_defaults(handler=cmd_rtilde)
 
     sub = subs.add_parser("lengths", help="lengths of the k-fold rotation loop")
     _add_common(sub)
-    sub.add_argument("--k", type=int, default=2, choices=(1, 2))
+    sub.add_argument("--k", type=integer, default=2, choices=(1, 2))
     sub.add_argument("--a2", type=rational, required=True)
     sub.set_defaults(handler=cmd_lengths)
 
     sub = subs.add_parser("geocheck", help="fixed-extremum check on a sampled path")
     _add_common(sub, default="json")
-    sub.add_argument("--window", type=int, default=2)
+    sub.add_argument("--window", type=integer, default=2)
     sub.add_argument("path")
     sub.set_defaults(handler=cmd_geocheck)
 

@@ -22,16 +22,30 @@ from bisect import bisect_right
 from itertools import compress
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .novikov import RationalLike, _area_parameter, _frac, _Frozen, _integer
+from .novikov import RationalLike, _area_parameter, _frac, _Frozen, integer
+
+# Entries float() would misread: "1_0" as 10.0, True as 1.0.
+_UNREAD = (str, bytes, bytearray, bool)
 
 
-def _floats(items, problem: str, item=float) -> tuple:
-    """``item`` of each entry of ``items``; text counts as no entries, and
-    nesting or a non-iterable raises ValueError(problem)."""
+def _floats(items, problem: str) -> tuple:
+    """The entries of ``items`` as finite floats.  Text or a non-iterable in
+    place of ``items``, or a nested entry, raises ValueError(problem); an entry
+    that is text, a bool or not finite raises ValueError naming it."""
     try:
-        return tuple(map(item, () if isinstance(items, (str, bytes)) else items))
+        if isinstance(items, _UNREAD):
+            raise TypeError
+        items = tuple(items)
+        # One type test per distinct type, not per cell.
+        unread = any(issubclass(kind, _UNREAD) for kind in set(map(type, items)))
+        values = () if unread else tuple(map(float, items))
     except TypeError:
         raise ValueError(problem) from None
+    # A finite sum has finite terms; one that overflows is checked term by term.
+    if unread or not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
+        bad = next(v for v in items if isinstance(v, _UNREAD) or not (unread or math.isfinite(v)))
+        raise ValueError(f"expected finite numbers, got {bad!r}")
+    return values
 
 
 def _linspace(lo: float, hi: float, n: int) -> tuple:
@@ -98,7 +112,7 @@ def radial_mean(h: RadialHamiltonian, quad_points: int) -> float:
     ``quad_points`` counts quadrature nodes (bumped by one if even, the
     Simpson rule wants an odd grid).
     """
-    quad_points = _integer(quad_points)
+    quad_points = integer(quad_points)
     if quad_points < 16:
         raise ValueError("use at least 16 quadrature points")
     n = quad_points if quad_points % 2 == 1 else quad_points + 1
@@ -129,21 +143,23 @@ class SampledPath:
 
     def __init__(self, values, time_step: Optional[float] = None, weights=None, label="") -> None:
         shape = "need a rectangular 2d grid with at least two samples per axis"
-        grid = _floats(values, shape, lambda row: _floats(row, shape))
+        try:
+            grid = tuple(_floats(row, shape) for row in values)
+        except TypeError:
+            raise ValueError(shape) from None
         n_x = len(grid[0]) if grid else 0
         if len(grid) < 2 or n_x < 2 or any(len(row) != n_x for row in grid):
             raise ValueError(shape)
-        if not all(all(map(math.isfinite, row)) for row in grid):
-            raise ValueError("samples must be finite")
         self.values = grid
-        self.time_step = 1.0 / (len(grid) - 1) if time_step is None else float(time_step)
+        step = 1 / (len(grid) - 1) if time_step is None else time_step
+        (self.time_step,) = _floats([step], "time step must be a positive number")
         if self.time_step <= 0:
-            raise ValueError("time step must be positive")
+            raise ValueError("time step must be a positive number")
         per_point = "weights must list one value per sample point"
         w = (1.0 / n_x,) * n_x if weights is None else _floats(weights, per_point)
         if len(w) != n_x:
             raise ValueError(per_point)
-        if not all(map(math.isfinite, w)) or min(w) < 0 or math.fsum(w) <= 0:
+        if min(w) < 0 or math.fsum(w) <= 0:
             raise ValueError("weights must be finite, nonnegative, with positive sum")
         self.weights = w
         self.label = str(label)
@@ -245,9 +261,12 @@ def fixed_extremum_check(p: SampledPath, window: int = 2, atol: float = 0.0) -> 
     clamped to the whole path.  ``atol`` loosens the comparison for data that
     went through lossy storage.
     """
-    window = _integer(window)
+    window = integer(window)
     if window < 1:
         raise ValueError("window must be at least 1")
+    (atol,) = _floats([atol], "atol must be a nonnegative number")
+    if atol < 0:
+        raise ValueError("atol must be a nonnegative number")
     window = min(window, len(p.values))
     max_hits, min_hits = [], []
     points = range(len(p.values[0]))

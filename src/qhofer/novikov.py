@@ -88,8 +88,8 @@ def _accumulate(items, base=()) -> dict:
     return acc
 
 
-def _integer(v) -> int:
-    """v as an int; a bool or a non-integral value raises instead of being truncated."""
+def integer(v) -> int:
+    """v as an int, text read as by ``rational``; a bool or non-integral value raises."""
     q = rational(v) if isinstance(v, str) else Fraction(v)
     if q.denominator != 1 or isinstance(v, bool):
         raise ValueError(f"expected an integer, got {v!r}")
@@ -203,7 +203,7 @@ class ChernFunctional(_LinearFunctional):
     """First Chern number, extended linearly over rational exponents."""
 
     __slots__ = ()
-    _coerce = staticmethod(_integer)
+    _coerce = staticmethod(integer)
 
 
 def valuation(x, omega: OmegaFunctional):

@@ -47,11 +47,11 @@ from .novikov import (
     _accumulate,
     _area_parameter,
     _frac,
-    _integer,
     _parse_rational,
     _sphere_class,
     _terms,
     format_exponent,
+    integer,
     parse_exponent,
 )
 
@@ -78,7 +78,7 @@ class QHElement:
     def __init__(self, terms: Union[Mapping, Iterable[tuple]] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
         self._terms = _accumulate(
-            ((_integer(i), _sphere_class(B)), _frac(q)) for (i, B), q in items
+            ((integer(i), _sphere_class(B)), _frac(q)) for (i, B), q in items
         )
 
     @classmethod
@@ -146,6 +146,13 @@ class QHElement:
         return f"QHElement({n} term{'s' if n != 1 else ''})"
 
 
+def _expect(kind, what: str, values) -> None:
+    """TypeError naming the first of ``values`` that is no ``kind``; a bool is no int."""
+    bad = [v for v in values if not isinstance(v, kind) or isinstance(v, bool)]
+    if bad:
+        raise TypeError(f"{what}, not {bad[0]!r}")
+
+
 def _invert_rational_matrix(rows: Sequence[Sequence[Fraction]]) -> list:
     """Gauss-Jordan inverse of an exact rational matrix."""
     n = len(rows)
@@ -170,40 +177,44 @@ def _invert_rational_matrix(rows: Sequence[Sequence[Fraction]]) -> list:
 class ManifoldModel:
     """Homology basis, pairing, and three-point table for one manifold.
 
-    ``basis`` is a sequence of (name, degree) pairs; ``gw`` is an iterable of
-    entries ((i, j, k), B, value) with classes given by index or name.  The
+    ``basis`` is a sequence of (name, degree) pairs; ``gw`` is a sequence of
+    entries (classes, B, value) with three classes given by index or name.  The
     table is stored symmetrized; entries given in several orders must agree.
+    Every bad value raises ModelError: a wrong type or unreadable value as
+    ``malformed model data: ...``, a broken model rule by its name.
     """
 
-    def __init__(
-        self,
-        name: str,
-        dim: int,
-        sphere_generators: Sequence[str],
-        basis: Sequence,
-        pairing: Sequence[Sequence[RationalLike]],
-        omega: Sequence[RationalLike],
-        c1: Sequence[int],
-        gw: Iterable,
-    ) -> None:
-        self.name = str(name)
+    def __init__(self, name: str, dim: int, sphere_generators: Sequence[str], basis: Sequence,
+                 pairing: Sequence[Sequence[RationalLike]], omega: Sequence[RationalLike],
+                 c1: Sequence[int], gw: Sequence) -> None:
+        lists, array = (list, tuple), "lists must be JSON arrays"
         try:
-            self.dim = _integer(dim)
-            self.basis = tuple((str(n), _integer(d)) for n, d in basis)
-            self.c1 = ChernFunctional(tuple(c1))
+            # Types are checked, not coerced: "EF" is no list, "4" no dimension, 7 no name.
+            # Each check runs before anything reads inside the values it has passed.
+            _expect(lists, array, (sphere_generators, basis, pairing, omega, c1, gw))
+            _expect(lists, array, (*basis, *gw, *pairing))
+            _expect(lists, array, [classes for classes, _, _ in gw])
+            _expect((*lists, SphereClass), array, [B for _, B, _ in gw])
+            _expect(str, "names and sphere generators must be strings",
+                    (name, *sphere_generators, *(n for n, _ in basis)))
+            _expect(int, "dim, degrees and c1 must be integers", (dim, *c1, *(d for _, d in basis)))
+            self.name, self.dim, self.c1 = name, dim, ChernFunctional(c1)
+            self.sphere_generators = tuple(sphere_generators)
+            self.basis = tuple(map(tuple, basis))
+            self.basis_names = tuple(n for n, _ in self.basis)
+            self.degrees = tuple(d for _, d in self.basis)
+            self.pairing = tuple(tuple(map(_frac, row)) for row in pairing)
+            self.omega = OmegaFunctional(omega)
+            self.rank = len(self.sphere_generators)
+            self._index = {n: i for i, n in enumerate(self.basis_names)}
+            if len(self._index) != len(self.basis):
+                raise ModelError("basis names must be distinct")
+            self.gw = self._canonical_gw(gw)
+            problems = validate_model(self)
+        except ModelError:
+            raise
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ModelError(f"dim, degrees and c1 must be integers: {exc}") from exc
-        self.sphere_generators = tuple(str(g) for g in sphere_generators)
-        self.basis_names = tuple(n for n, _ in self.basis)
-        self.degrees = tuple(d for _, d in self.basis)
-        self.pairing = tuple(tuple(_frac(v) for v in row) for row in pairing)
-        self.omega = OmegaFunctional(tuple(omega))
-        self.rank = len(self.sphere_generators)
-        self._index = {n: i for i, n in enumerate(self.basis_names)}
-        if len(self._index) != len(self.basis):
-            raise ModelError("basis names must be distinct")
-        self.gw = self._canonical_gw(gw)
-        problems = validate_model(self)
+            raise ModelError(f"malformed model data: {exc}") from exc
         if problems:
             raise ModelError("; ".join(problems))
         self._zero_class = SphereClass.zero(self.rank)
@@ -212,18 +223,27 @@ class ManifoldModel:
 
     # -- construction helpers -------------------------------------------
 
-    def _canonical_gw(self, entries: Iterable) -> dict:
+    def _canonical_gw(self, entries: Sequence) -> dict:
         table: dict = {}
         for classes, B, value in entries:
-            idx = tuple(sorted(self._as_index(c) for c in classes))
+            idx = tuple(sorted(map(self._as_index, classes)))
             if len(idx) != 3:
-                raise ModelError("each table entry takes exactly three classes")
-            value = _frac(value)
-            key = (idx, _sphere_class(B))
-            if key in table and table[key] != value:
-                raise ModelError(f"conflicting table values for {key}")
-            table[key] = value
+                raise ModelError(f"{self._entry(idx)} names {len(idx)} classes, "
+                                 "but each table entry takes exactly three")
+            value, B = _frac(value), _sphere_class(B)
+            if B.rank != self.rank:
+                raise ModelError(f"{self._entry(idx)} has an exponent of rank {B.rank}, "
+                                 f"not {self.rank}")
+            if table.setdefault((idx, B), value) != value:
+                raise ModelError(f"conflicting values for {self._entry(idx, B)}: "
+                                 f"{table[idx, B]} and {value}")
         return {k: v for k, v in table.items() if v != 0}
+
+    def _entry(self, idx: tuple, B: Optional[SphereClass] = None) -> str:
+        """A table entry as reports name it: its classes, then ``B`` when given."""
+        classes = ",".join(self.basis_names[i] for i in idx)
+        exponent = "" if B is None else f";{format_exponent(B, self.sphere_generators)}"
+        return f"table entry ({classes}{exponent})"
 
     @cached_property
     def _dual(self) -> list:
@@ -246,7 +266,7 @@ class ManifoldModel:
             if c not in self._index:
                 raise ModelError(f"unknown basis class {c!r}")
             return self._index[c]
-        i = _integer(c)
+        i = integer(c)
         if not 0 <= i < len(self.basis):
             raise ModelError(f"basis index {i} out of range")
         return i
@@ -305,26 +325,16 @@ def validate_model(model: ManifoldModel) -> list:
     if len(model.omega.values) != rank or len(model.c1.values) != rank:
         problems.append("omega and c1 must list one value per sphere generator")
         return problems
-    for name, d in model.basis:
-        if d < 0 or d > dim or d % 2:
-            problems.append(f"basis class {name!r} has invalid degree {d}")
+    # A fault of shape stops the checks that would read past it.
+    shape = [f"basis class {name!r} has invalid degree {d}"
+             for name, d in model.basis if d < 0 or d > dim or d % 2]
     if degrees.count(dim) != 1:
-        problems.append("exactly one basis class must sit in top degree")
-        return problems
-    u = degrees.index(dim)
-    if len(pairing) != n or any(len(row) != n for row in pairing):
-        problems.append("pairing matrix must be square of basis size")
-        return problems
-    for idx, B in model.gw:
-        if B.rank != rank:
-            problems.append(f"table entry ({','.join(names[i] for i in idx)}) has "
-                            f"an exponent of rank {B.rank}, not {rank}")
-            return problems
-
-    def entry(idx, B):
-        classes = ",".join(names[i] for i in idx)
-        return f"table entry ({classes};{format_exponent(B, model.sphere_generators)})"
-
+        shape.append("exactly one basis class must sit in top degree")
+    elif len(pairing) != n or any(len(row) != n for row in pairing):
+        shape.append("pairing matrix must be square of basis size")
+    if shape:
+        return problems + shape
+    u, entry = degrees.index(dim), model._entry
     zero = SphereClass.zero(rank)
     for i, j in combinations_with_replacement(range(n), 2):
         pair, q = f"({names[i]},{names[j]})", pairing[i][j]
@@ -451,7 +461,7 @@ class _Lattice:
         """Lattice terms of x^k for k = 1 .. k_max."""
         step = self.encode(x)
         acc = self.unit
-        for _ in range(_integer(k_max)):
+        for _ in range(integer(k_max)):
             acc = _contract(self.quantum, acc, step)
             yield acc
 
@@ -498,7 +508,7 @@ def classical_product(model: ManifoldModel, x: QHElement, y: QHElement) -> QHEle
 
 def power(model: ManifoldModel, x: QHElement, k: int) -> QHElement:
     """k-th quantum power; negative k demands an exact finite inverse."""
-    k = _integer(k)
+    k = integer(k)
     if k < 0:
         x = exact_inverse(model, x)
         k = -k
@@ -554,7 +564,7 @@ class _MaxPlus:
         best = [NEG_INF] * self.n
         best[self.unit] = 0
         out = []
-        for _ in range(_integer(k_max)):
+        for _ in range(integer(k_max)):
             new = [NEG_INF] * self.n
             for l, j, area in self.steps:
                 if best[j] + area > new[l]:
@@ -795,7 +805,7 @@ def model_cpn(n: int, line_area: RationalLike = 1) -> ManifoldModel:
     2(n - k); the single exponent generator is the line class L with
     omega(L) = ``line_area`` and c1(L) = n + 1.
     """
-    n = _integer(n)
+    n = integer(n)
     if n < 1:
         raise ValueError("complex dimension must be at least 1")
     area = _frac(line_area)
@@ -904,35 +914,20 @@ def model_to_dict(model: ManifoldModel) -> dict:
 
 
 def model_from_dict(data: Mapping) -> ManifoldModel:
+    """The model of a JSON object; ``ManifoldModel`` checks the values it is given."""
     try:
-        # JSON types are checked, not coerced: "EF" is no list, "4" no dimension, 1 no name.
-        # Each check runs before anything reads inside the values it has passed.
-        for kind, what, values in (
-            (list, "lists must be JSON arrays", lambda: (
-                data["sphere_generators"], data["basis"], data["pairing"], data["omega"],
-                data["c1"], data["gw"])),
-            (dict, "basis and gw entries must be JSON objects",
-             lambda: (*data["basis"], *data["gw"])),
-            (list, "lists must be JSON arrays", lambda: (
-                *data["pairing"], *(row[f] for row in data["gw"] for f in ("classes", "B")))),
-            (str, "names and sphere generators must be strings", lambda: (
-                data["name"], *data["sphere_generators"], *(b["name"] for b in data["basis"]))),
-            (int, "dim, degrees and c1 must be integers", lambda: (
-                data["dim"], *data["c1"], *(b["degree"] for b in data["basis"]))),
-        ):
-            bad = [v for v in values() if type(v) is not kind]  # a bool is no int
-            if bad:
-                raise TypeError(f"{what}, not {bad[0]!r}")
-        basis = [(b["name"], b["degree"]) for b in data["basis"]]
-        gw = [(tuple(row["classes"]), tuple(row["B"]), row["value"]) for row in data["gw"]]
-        return ManifoldModel(
-            data["name"], data["dim"], data["sphere_generators"], basis,
-            data["pairing"], data["omega"], data["c1"], gw,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ModelError):
-            raise
+        args = {key: data[key] for key in (
+            "name", "dim", "sphere_generators", "basis", "pairing", "omega", "c1", "gw")}
+        # The rows of basis and gw are objects, read by key; a basis or gw that
+        # is no array goes to the constructor as it is, which refuses it.
+        for key, read in (("basis", itemgetter("name", "degree")),
+                          ("gw", itemgetter("classes", "B", "value"))):
+            if type(args[key]) is list:
+                _expect(dict, "basis and gw entries must be JSON objects", args[key])
+                args[key] = list(map(read, args[key]))
+    except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model data: {exc}") from exc
+    return ManifoldModel(**args)
 
 
 def save_model(model: ManifoldModel, path) -> None:

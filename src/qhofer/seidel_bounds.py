@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .novikov import (
-    CheckError, RationalLike, SphereClass, _Frozen, _area_parameter, _frac, _integer,
+    CheckError, RationalLike, SphereClass, _Frozen, _area_parameter, _frac, integer,
 )
 from .novikov import valuation  # noqa: F401  (perfbench's tracing test looks it up here)
 from .quantum_homology import (
@@ -68,7 +68,7 @@ def _rotation(a2: Fraction) -> tuple:
 
 def _q_valuations(k_max: int, a_squared: RationalLike) -> list:
     """[v(Q^k)] and [v(Q^-k)] for k = 1..k_max, read off the source at ``a_squared``."""
-    k_max = _integer(k_max)
+    k_max = integer(k_max)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     return [system.valuations(k_max) for system in _rotation(_frac(a_squared))]
@@ -112,7 +112,7 @@ def lengths_blowup_loop(k: int, a_squared: RationalLike) -> LoopLengths:
     largest at s = a^2 and smallest at s = 1.  k = 1 uses -pi |z1|^2: its
     shell average -pi s / 2 has mean -pi c / 2, its extrema are 0 and -pi.
     """
-    k, a2 = _integer(k), _area_parameter(a_squared)
+    k, a2 = integer(k), _area_parameter(a_squared)
     c = mean_radius_sq_exact(a2)
     if k == 2:
         return LoopLengths(c - a2, 1 - c)
@@ -146,7 +146,7 @@ def psi(k: int, a_squared: RationalLike) -> SeidelElement:
     model = model_blowup_cp2(a2)
     shift = SphereClass((Fraction(1, 2) - 2 * delta, Fraction(1, 4) + delta))
     base = model.basis_element("F", shift)
-    return SeidelElement(_integer(k), a2, delta, power(model, base, k), model)
+    return SeidelElement(integer(k), a2, delta, power(model, base, k), model)
 
 
 def ell_plus_lower_bound(k: int, a_squared: RationalLike) -> Fraction:
@@ -159,7 +159,7 @@ def ell_plus_lower_bound(k: int, a_squared: RationalLike) -> Fraction:
     """
     a2 = _frac(a_squared)
     delta = delta_constant(a2)
-    k = _integer(k)
+    k = integer(k)
     if k == 0:
         return Fraction(0)
     return _rotation(a2)[k < 0].valuations(abs(k))[-1] + k * delta * (1 - 3 * a2)
@@ -171,7 +171,7 @@ def two_sided_bound(k: int, a_squared: RationalLike) -> Fraction:
     The delta exponents cancel in the sum, so this stays defined at the
     monotone value 3a^2 = 1.
     """
-    if _integer(k) < 1:
+    if integer(k) < 1:
         raise ValueError("k must be at least 1")
     return two_sided_bounds(k, a_squared)[-1][1]
 
@@ -285,7 +285,7 @@ class RTildeCertificate(NamedTuple):
 
 
 def r_tilde_certificate(a_squared: RationalLike, k_max: int) -> RTildeCertificate:
-    k_max = _integer(k_max)
+    k_max = integer(k_max)
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     a2 = _frac(a_squared)

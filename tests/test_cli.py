@@ -791,6 +791,33 @@ class TestUsage:
         assert code == 1 and not out
         assert "invalid rational value" in err
 
+    # int() would read "0_3" and a fullwidth digit as 3.
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["model-export", "--model", "cpn", "--n", "0_3"], "0_3"),
+            (["power", "--a2", "1/4", "--k", "\uff13", "F"], "\uff13"),
+            (["psi", "--a2", "1/4", "--k", "0_3"], "0_3"),
+            (["bounds", "--a2", "1/4", "--kmax", "0_3"], "0_3"),
+            (["growth", "--a2", "1/4", "--kmax", "\uff13"], "\uff13"),
+            (["rtilde", "--a2", "1/4", "--kmax", "0_3"], "0_3"),
+            (["lengths", "--a2", "1/4", "--k", "\uff12"], "\uff12"),
+            (["geocheck", "--window", "0_2", "grid.csv"], "0_2"),
+        ],
+        ids=["n", "power-k", "psi-k", "bounds-kmax", "growth-kmax", "rtilde-kmax",
+             "lengths-k", "window"],
+    )
+    def test_integer_flags_read_like_integers(self, capsys, argv, value):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"invalid integer value: '{value}'\n")
+
+    def test_integer_flags_take_integral_rationals(self, capsys):
+        want = run(capsys, "bounds", "--a2", "1/4", "--kmax", "2")
+        assert want[0] == 0
+        for text in ("2.0", "4/2"):
+            assert run(capsys, "bounds", "--a2", "1/4", "--kmax", text) == want
+
     def test_rational_flags_take_decimals(self, capsys):
         code, out, _ = run(capsys, "invert", "--a2", "0.1", "--floor", "-8.0", "1 + p")
         assert code == 0
@@ -931,14 +958,15 @@ class TestImports:
             owner = importlib.import_module(f"qhofer.{module}")
             assert getattr(qhofer, name) is getattr(owner, name) is namespace[name]
         # The table lists every public class and function the library modules
-        # define; novikov's flag reader ``rational`` serves the command line.
+        # define; novikov's flag readers ``rational`` and ``integer`` serve the
+        # command line.
         for module in set(qhofer._MODULE_OF.values()):
             owner = importlib.import_module(f"qhofer.{module}")
             defined = {
                 name for name, value in vars(owner).items()
                 if not name.startswith("_") and getattr(value, "__module__", None) == owner.__name__
             }
-            assert defined - {"rational"} <= set(qhofer.__all__), module
+            assert defined - {"rational", "integer"} <= set(qhofer.__all__), module
 
     def test_float_api_names(self):
         import qhofer

@@ -142,6 +142,27 @@ class TestSampledPath:
         with pytest.raises(ValueError, match="rectangular 2d grid"):
             SampledPath(values)
 
+    # float() would read "1_0" as 10.0 and True as 1.0; nan and inf are no samples.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SampledPath([["1_0", "2"], ["3", "4"]]),
+            lambda: SampledPath([[True, 0.0], [1.0, 0.0]]),
+            lambda: SampledPath([[1, 2], [3, 4]], time_step="1_0"),
+            lambda: SampledPath([[1, 2], [3, 4]], time_step=True),
+            lambda: SampledPath([[1, 2], [3, 4]], time_step=math.inf),
+            lambda: SampledPath([[1, 2], [3, 4]], weights=["1", "1"]),
+            lambda: RadialHamiltonian.from_samples([math.nan, 1.0], "1/2"),
+            lambda: fixed_extremum_check(SampledPath([[0.0, 1.0]] * 3), atol=math.nan),
+            lambda: fixed_extremum_check(SampledPath([[0.0, 1.0]] * 3), atol=-1.0),
+        ],
+        ids=["underscore-cell", "bool-cell", "text-step", "bool-step", "infinite-step",
+             "text-weights", "nan-profile", "nan-atol", "negative-atol"],
+    )
+    def test_samples_are_finite_numbers(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_any_2d_iterable(self):
         p = SampledPath(((i, i + 1) for i in range(3)), weights=iter([1, 3]))
         assert p.values == ((0.0, 1.0), (1.0, 2.0), (2.0, 3.0))

@@ -463,9 +463,19 @@ class TestModelValidation:
              ["table class 1*E has area -1/4, but nonzero table classes must have positive area"]),
             (lambda d: d["gw"].append({"classes": ["p", "E", "1"], "B": ["0", "0"], "value": "1"}),
              ["table entry (p,E,1;0) is 1, but the pairing (p,E) is 0"]),
+            # A bad degree stops the checks that would report its pairings and entries.
+            (lambda d: d["basis"][2].update(degree=3), ["basis class 'F' has invalid degree 3"]),
+            (lambda d: d["gw"].append({"classes": ["1", "1", "p"], "B": ["0", "0"], "value": "2"}),
+             ["conflicting values for table entry (p,1,1;0): 1 and 2"]),
+            (lambda d: d["basis"][2].update(name="E"), ["basis names must be distinct"]),
+            (lambda d: d["gw"][0].update(classes=["1", "p"]),
+             ["table entry (p,1) names 2 classes, but each table entry takes exactly three"]),
+            (lambda d: d["gw"][0]["classes"].__setitem__(0, "Z"), ["unknown basis class 'Z'"]),
+            (lambda d: d["gw"][0]["classes"].__setitem__(0, 9), ["basis index 9 out of range"]),
         ],
         ids=["asymmetric", "off-degree", "wrong-unit-entry", "unit-entry-with-B",
-             "negative-area", "spurious-unit-entry"],
+             "negative-area", "spurious-unit-entry", "invalid-degree", "conflicting-entry",
+             "repeated-name", "two-classes", "unknown-class", "index-out-of-range"],
     )
     def test_each_fault_reported_once_by_name(self, edit, problems):
         data = model_to_dict(model_blowup_cp2(Fraction(1, 4)))
@@ -477,6 +487,56 @@ class TestModelValidation:
     def test_malformed_data_rejected(self):
         with pytest.raises(ModelError, match="malformed"):
             model_from_dict({"name": "x"})
+
+    # The 19 refusals of a model file, made in the constructor's arguments: a
+    # basis or gw entry is a pair or triple there, so a bare 1 is no list.
+    @pytest.mark.parametrize(
+        "edit, refusal",
+        [
+            (lambda a: a.update(name=["x"]), "must be strings, not ['x']"),
+            (lambda a: a["basis"][1].__setitem__(0, 2), "must be strings, not 2"),
+            (lambda a: a.update(sphere_generators=[1, 2]), "must be strings, not 1"),
+            (lambda a: a.update(dim="4"), "must be integers, not '4'"),
+            (lambda a: a["basis"][0].__setitem__(1, "0"), "must be integers, not '0'"),
+            (lambda a: a.update(c1=[1, "2"]), "must be integers, not '2'"),
+            (lambda a: a.update(sphere_generators="EF"), "must be JSON arrays, not 'EF'"),
+            (lambda a: a.update(basis={}), "must be JSON arrays, not {}"),
+            (lambda a: a.update(pairing="0001"), "must be JSON arrays, not '0001'"),
+            (lambda a: a["pairing"].__setitem__(0, "0001"), "must be JSON arrays, not '0001'"),
+            (lambda a: a.update(omega="13"), "must be JSON arrays, not '13'"),
+            (lambda a: a.update(c1="12"), "must be JSON arrays, not '12'"),
+            (lambda a: a.update(gw={}), "must be JSON arrays, not {}"),
+            (lambda a: a["gw"][0].__setitem__(0, "p11"), "must be JSON arrays, not 'p11'"),
+            (lambda a: a["gw"][0].__setitem__(1, "00"), "must be JSON arrays, not '00'"),
+            (lambda a: a.update(basis="abc"), "must be JSON arrays, not 'abc'"),
+            (lambda a: a.update(gw="abc"), "must be JSON arrays, not 'abc'"),
+            (lambda a: a.update(basis=[1, 2]), "must be JSON arrays, not 1"),
+            (lambda a: a.update(gw=[1]), "must be JSON arrays, not 1"),
+            # Coerced, these two would give generators E, F of areas 1 and 3.
+            (lambda a: a.update(sphere_generators="EF", omega="13"),
+             "must be JSON arrays, not 'EF'"),
+            (lambda a: a.update(name=7), "must be strings, not 7"),
+            (lambda a: a.update(dim=True), "must be integers, not True"),
+            (lambda a: a["pairing"][0].__setitem__(3, 1.0), "expected a rational, got float"),
+            (lambda a: a["gw"][0][0].__setitem__(0, 1.5), "expected an integer, got 1.5"),
+            (lambda a: a["gw"][0].pop(), "not enough values to unpack"),
+        ],
+        ids=["name", "basis-name", "sphere-generators", "dim", "degree", "c1",
+             "sphere-generators-text", "basis-object", "pairing-text", "pairing-row-text",
+             "omega-text", "c1-text", "gw-object", "classes-text", "B-text",
+             "basis-text", "gw-text", "basis-entry", "gw-entry", "generators-and-areas-text",
+             "name-int", "dim-bool", "float-pairing-cell", "fractional-index", "short-gw-entry"],
+    )
+    def test_constructor_refuses_coercion(self, edit, refusal):
+        data = model_to_dict(model_blowup_cp2(A2))
+        args = {**data, "basis": [[b["name"], b["degree"]] for b in data["basis"]],
+                "gw": [[row["classes"], row["B"], row["value"]] for row in data["gw"]]}
+        assert ManifoldModel(**args).gw == model_blowup_cp2(A2).gw
+        edit(args)
+        with pytest.raises(ModelError) as caught:
+            ManifoldModel(**args)
+        assert str(caught.value).startswith("malformed model data: ")
+        assert refusal in str(caught.value)
 
     def test_missing_top_degree_class(self, m):
         basis = (("p", 0), ("E", 2), ("F", 2), ("1", 2))

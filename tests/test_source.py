@@ -4,11 +4,13 @@ is referenced somewhere in the repository, the package imports nothing
 outside the standard library, the float module and the command line's
 module level import no package module but ``novikov``, every exception
 class is a ``ParseError`` or a ``CheckError``, and the README's library tour
-runs."""
+and every demo run."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -298,3 +300,12 @@ def test_readme_tour_runs():
     namespace: dict = {}
     for block in re.findall(r"```python\n(.*?)```", readme, re.S)[:2]:
         exec(block, namespace)
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.strip()
