@@ -58,6 +58,16 @@ def _exact(value) -> str:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+# The JSON keys that differ from their record's field names.
+_JSON_KEYS = {"a_squared": "a2", "omega_f": "omegaF", "v_qk": "vQk", "v_qnegk": "vQnegk",
+              "loop_multiple": "k"}
+
+
+def _as_json(record, *dropped) -> dict:
+    """A record's fields in order, less ``dropped``, under their JSON keys."""
+    return {_JSON_KEYS.get(f, f): getattr(record, f) for f in record._fields if f not in dropped}
+
+
 def _dec(q) -> str:
     return f"{float(q):.12g}"
 
@@ -141,9 +151,7 @@ def cmd_psi(args) -> int:
     element = psi(args.k, args.a2)
     model = element.model
     # Independent composition: multiply Q^k by 1 (x) e^{shift} afterwards.
-    shift = SphereClass(
-        (-2 * element.delta * args.k, element.delta * args.k)
-    )
+    shift = SphereClass((-2 * element.delta * args.k, element.delta * args.k))
     recomposed = quantum_product(
         model, power(model, q_element(model), args.k), model.basis_element("1", shift)
     )
@@ -151,8 +159,7 @@ def cmd_psi(args) -> int:
         raise CheckError("rotation element disagrees with its recomposition")
     v = valuation(element.value, model.omega)
     value = model.format(element.value)
-    payload = {"k": args.k, "a2": element.a_squared, "delta": element.delta, "value": value,
-               "valuation": v}
+    payload = {**_as_json(element), "value": value, "valuation": v}
     return _emit(args, f"{value}\n# delta = {element.delta}, v = {v} (x pi)", payload)
 
 
@@ -174,9 +181,7 @@ def cmd_bounds(args) -> int:
                "all_hold": not failures}
     _emit(args, {"text": "\n".join(lines), "csv": "\n".join(csv_lines)}, payload)
     if failures:
-        raise CheckError(
-            f"two-sided bound >= omega(F) fails at k = {failures[0]}"
-        )
+        raise CheckError(f"two-sided bound >= omega(F) fails at k = {failures[0]}")
     return EXIT_OK
 
 
@@ -209,22 +214,8 @@ def cmd_growth(args) -> int:
         f"# min psi-rate: {s.psi_rate_min}  "
         f"reference (1-a^2)^2/(12(1+a^2)) = {s.psi_rate_reference}"
     )
-    payload = {
-        "a2": s.a_squared,
-        "rows": [dict(zip(("k", "vQk", "vQnegk", "bound", "psi_rate"), r)) for r in table.rows],
-        "summary": {
-            "omegaF": of,
-            "regime_bounded": s.regime_bounded,
-            "qneg_max": s.qneg_max,
-            "qneg_argmax": s.qneg_argmax,
-            "qneg_bounded": s.qneg_bounded,
-            "period": s.period,
-            "slope_last_period": s.slope_last_period,
-            "slope_reference": s.slope_reference,
-            "psi_rate_min": s.psi_rate_min,
-            "psi_rate_reference": s.psi_rate_reference,
-        },
-    }
+    payload = {"a2": s.a_squared, "rows": [_as_json(r) for r in table.rows],
+               "summary": _as_json(s, "a_squared", "k_max")}
     texts = {"text": "\n".join(lines), "csv": "\n".join(csv_lines)}
     _emit(args, texts, payload)
     if failures:
@@ -241,19 +232,10 @@ def cmd_rtilde(args) -> int:
         f"{cert.min_bound} (x pi), attained at k = {cert.attained_at}\n"
         f"omega(F) = {cert.omega_f} (x pi); matches: {cert.matches_omega_f}"
     )
-    payload = {
-        "a2": cert.a_squared,
-        "k_max": cert.k_max,
-        "min_bound": cert.min_bound,
-        "attained_at": cert.attained_at,
-        "omegaF": cert.omega_f,
-        "matches_omegaF": cert.matches_omega_f,
-    }
+    payload = {**_as_json(cert), "matches_omegaF": cert.matches_omega_f}
     _emit(args, text, payload)
     if not cert.matches_omega_f:
-        raise CheckError(
-            f"sweep minimum {cert.min_bound} differs from omega(F) = {cert.omega_f}"
-        )
+        raise CheckError(f"sweep minimum {cert.min_bound} differs from omega(F) = {cert.omega_f}")
     return EXIT_OK
 
 

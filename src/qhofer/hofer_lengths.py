@@ -41,11 +41,15 @@ def _floats(items, problem: str) -> tuple:
         values = () if unread else tuple(map(float, items))
     except TypeError:
         raise ValueError(problem) from None
-    # A finite sum has finite terms; one that overflows is checked term by term.
-    if unread or not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
+    if unread or not _all_finite(values):
         bad = next(v for v in items if isinstance(v, _UNREAD) or not (unread or math.isfinite(v)))
         raise ValueError(f"expected finite numbers, got {bad!r}")
     return values
+
+
+def _all_finite(values: tuple) -> bool:
+    # A finite sum has finite terms; one that overflows is checked term by term.
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 def _linspace(lo: float, hi: float, n: int) -> tuple:
@@ -172,32 +176,50 @@ class SampledPath:
         supplies spatial weights in its remaining cells.  Blank lines are
         skipped; an empty cell in any other row is an error.
         """
-        rows = []
+        weights, grid = None, []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             for row in reader:
                 if any(map(str.strip, row)):
                     if not all(map(str.strip, row)):
                         raise ValueError(f"{path}: empty cell in row {reader.line_num}")
-                    # float() would read "1_0" as 10 and fullwidth digits as ASCII ones.
-                    text = "".join(row)
-                    if "_" in text or not text.isascii():
-                        cell = next(c for c in row if "_" in c or not c.isascii())
-                        raise ValueError(
-                            f"{path}: non-numeric cell {cell!r} in row {reader.line_num}"
-                        )
-                    rows.append(row)
-        if not rows:
+                    if weights is None and not grid and row[0].strip().lower() == "weights":
+                        weights = _csv_row(row[1:], path, reader.line_num)
+                    else:
+                        grid.append(_csv_row(row, path, reader.line_num))
+        if weights is None and not grid:
             raise ValueError(f"{path}: empty grid")
-        has_weights = rows[0][0].strip().lower() == "weights"
-        try:
-            weights = [float(c) for c in rows.pop(0)[1:]] if has_weights else None
-            grid = [[float(c) for c in row] for row in rows]
-        except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric cell ({exc})") from exc
-        if grid and any(len(r) != len(grid[0]) for r in grid):
+        if any(len(r) != len(grid[0]) for r in grid):
             raise ValueError(f"{path}: ragged rows")
-        return cls(grid, time_step=time_step, weights=weights, label=str(path))
+        try:
+            return cls(grid, time_step=time_step, weights=weights, label=str(path))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _reads_as_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return "_" not in cell and cell.isascii()
+
+
+def _csv_row(cells: list, path, line: int) -> tuple:
+    """A CSV row's cells as finite floats; a bad cell raises ValueError naming it and its row."""
+    text = "".join(cells)
+    try:
+        # float() would read "1_0" as 10 and fullwidth digits as ASCII ones.
+        if "_" in text or not text.isascii():
+            raise ValueError
+        values = tuple(map(float, cells))
+    except ValueError:
+        cell = next(c for c in cells if not _reads_as_float(c))
+        raise ValueError(f"{path}: non-numeric cell {cell!r} in row {line}") from None
+    if not _all_finite(values):
+        cell = cells[next(i for i, v in enumerate(values) if not math.isfinite(v))]
+        raise ValueError(f"{path}: non-finite cell {cell!r} in row {line}")
+    return values
 
 
 def _trapezoid(values: Sequence[float], step: float) -> float:

@@ -399,19 +399,17 @@ class _Lattice:
         self.quantum = self._table(model)
 
     def _table(self, model: ManifoldModel) -> dict:
-        sums: dict = {}
-        for ((i, j, k), B), value in model.gw.items():
-            shift = self._exponent(-B)
-            for a, b, c in {(i, j, k), (i, k, j), (j, k, i)}:
-                for l, g in model._dual[c]:
-                    for pair in {(a, b), (b, a)}:
-                        key = (pair, l, shift)
-                        sums[key] = sums.get(key, 0) + value * g
+        def terms():
+            for ((i, j, k), B), value in model.gw.items():
+                shift = self._exponent(-B)
+                for a, b, c in {(i, j, k), (i, k, j), (j, k, i)}:
+                    for l, g in model._dual[c]:
+                        for pair in {(a, b), (b, a)}:
+                            yield (pair, l, shift), value * g
+
         table: dict = {}
-        for ((i, j), l, shift), w in sums.items():
-            if w:
-                entry = (l, shift, _lattice_number(w))
-                table.setdefault(j, {}).setdefault(i, []).append(entry)
+        for ((i, j), l, shift), w in _accumulate(terms()).items():
+            table.setdefault(j, {}).setdefault(i, []).append((l, shift, _lattice_number(w)))
         return table
 
     @cached_property
@@ -916,6 +914,8 @@ def model_to_dict(model: ManifoldModel) -> dict:
 def model_from_dict(data: Mapping) -> ManifoldModel:
     """The model of a JSON object; ``ManifoldModel`` checks the values it is given."""
     try:
+        if not isinstance(data, Mapping):
+            raise TypeError(f"a model is a JSON object, not {type(data).__name__}")
         args = {key: data[key] for key in (
             "name", "dim", "sphere_generators", "basis", "pairing", "omega", "c1", "gw")}
         # The rows of basis and gw are objects, read by key; a basis or gw that

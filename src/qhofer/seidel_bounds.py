@@ -223,48 +223,33 @@ def growth_table(k_max: int, a_squared: RationalLike) -> GrowthTable:
     The psi-rate column is None at the monotone value 3a^2 = 1, where the
     rotation element itself is out of reach; everything else survives.
     """
-    pos, neg = (dict(enumerate(v, 1)) for v in _q_valuations(k_max, a_squared))
+    pos, neg = _q_valuations(k_max, a_squared)
     a2, k_max = _frac(a_squared), len(pos)
 
     monotone = 3 * a2 == 1
     # v(Psi(k)) = v(Q^k) + k delta (1 - 3a^2), and delta (1 - 3a^2) is the reference rate.
     psi_rate_reference = (1 - a2) ** 2 / (12 * (1 + a2))
     rows = tuple(
-        GrowthRow(
-            k,
-            pos[k],
-            neg[k],
-            pos[k] + neg[k],
-            None if monotone else pos[k] / k + psi_rate_reference,
-        )
-        for k in range(1, k_max + 1)
+        GrowthRow(k, p, n, p + n, None if monotone else p / k + psi_rate_reference)
+        for k, (p, n) in enumerate(zip(pos, neg), 1)
     )
 
     of = omega_f(a2)
-    qneg_max = max(neg.values())
-    qneg_argmax = min(k for k, v in neg.items() if v == qneg_max)
-    half = k_max // 2
-    qneg_bounded = half == 0 or max(neg[k] for k in range(1, half + 1)) == qneg_max
+    qneg_max = max(neg)
     regime_bounded = 3 * a2 >= 1
     period = 4 if regime_bounded else 3
-    slope = (
-        (neg[k_max] - neg[k_max - period]) / period if k_max > period else None
-    )
-    slope_reference = (of / 4 - (1 - of) / 2) / 3
-    psi_rates = [r.psi_rate for r in rows]
-    psi_rate_min = None if monotone else min(psi_rates)
     summary = GrowthSummary(
         a_squared=a2,
         k_max=k_max,
         omega_f=of,
         regime_bounded=regime_bounded,
         qneg_max=qneg_max,
-        qneg_argmax=qneg_argmax,
-        qneg_bounded=qneg_bounded,
+        qneg_argmax=neg.index(qneg_max) + 1,
+        qneg_bounded=k_max < 2 or max(neg[:k_max // 2]) == qneg_max,
         period=period,
-        slope_last_period=slope,
-        slope_reference=slope_reference,
-        psi_rate_min=psi_rate_min,
+        slope_last_period=(neg[-1] - neg[-1 - period]) / period if k_max > period else None,
+        slope_reference=(of / 4 - (1 - of) / 2) / 3,
+        psi_rate_min=None if monotone else min(r.psi_rate for r in rows),
         psi_rate_reference=psi_rate_reference,
     )
     return GrowthTable(rows, summary)

@@ -16,6 +16,7 @@ import qhofer.quantum_homology
 import qhofer.seidel_bounds
 from qhofer import LoopLengths, lengths_blowup_loop, model_blowup_cp2
 from qhofer.cli import build_parser, main
+from qhofer.seidel_bounds import SeidelElement
 from helpers import NINE_A2, count_rotation_builds
 
 
@@ -324,22 +325,38 @@ class TestLengthsAndGeocheck:
         assert "non-numeric" in err
 
     @pytest.mark.parametrize(
-        "text",
+        "text, refusal",
         [
-            "0,1,0\n0,nan,0\n0,1,0\n",
-            "0,inf,0\n0,1,0\n0,1,0\n",
-            "0,1,0\n-inf,1,0\n0,1,0\n",
-            "weights,1,inf,1\n0,1,0\n0,1,0\n",
+            ("0,1,0\n0,nan,0\n0,1,0\n", "non-finite cell 'nan' in row 2"),
+            ("0,inf,0\n0,1,0\n0,1,0\n", "non-finite cell 'inf' in row 1"),
+            ("0,1,0\n-inf,1,0\n0,1,0\n", "non-finite cell '-inf' in row 2"),
+            ("weights,1,inf,1\n0,1,0\n0,1,0\n", "non-finite cell 'inf' in row 1"),
         ],
         ids=["nan", "inf", "neg-inf", "inf-weight"],
     )
-    def test_geocheck_non_finite_is_usage(self, capsys, tmp_path, text):
+    def test_geocheck_non_finite_is_usage(self, capsys, tmp_path, text, refusal):
         grid = tmp_path / "grid.csv"
         grid.write_text(text)
-        code, out, err = run(capsys, "geocheck", str(grid))
-        assert code == 1
-        assert out == ""
-        assert "finite" in err
+        assert run(capsys, "geocheck", str(grid)) == (1, "", f"qhofer: error: {grid}: {refusal}\n")
+
+    @pytest.mark.parametrize(
+        "text, refusal",
+        [
+            ("0,1\nabc,2\n", "non-numeric cell 'abc' in row 2"),
+            # Read row by row: the first bad row is named, not the last.
+            ("0,1\n\n2,x\n3,1_0\n", "non-numeric cell 'x' in row 3"),
+            ("0,1,2\n", "need a rectangular 2d grid with at least two samples per axis"),
+            ("weights,1,1\n", "need a rectangular 2d grid with at least two samples per axis"),
+            ("weights,1\n0,1\n1,2\n", "weights must list one value per sample point"),
+            ("weights,-1,1\n0,1\n1,2\n",
+             "weights must be finite, nonnegative, with positive sum"),
+        ],
+        ids=["word", "first-bad-row", "one-row", "weights-only", "short-weights", "weights-sign"],
+    )
+    def test_geocheck_refusals_name_the_file(self, capsys, tmp_path, text, refusal):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(text)
+        assert run(capsys, "geocheck", str(grid)) == (1, "", f"qhofer: error: {grid}: {refusal}\n")
 
 
 # The two ways a model file is read; PATH stands for the file.
@@ -539,6 +556,19 @@ class TestModelFiles:
         assert out == ""
         assert "malformed model file" in err
 
+    @pytest.mark.parametrize(
+        "content, kind", [("[1, 2]", "list"), ('"abc"', "str"), ("null", "NoneType")],
+        ids=["array", "string", "null"],
+    )
+    @pytest.mark.parametrize("argv", MODEL_READERS)
+    def test_model_file_must_hold_an_object(self, capsys, tmp_path, content, kind, argv):
+        target = tmp_path / "model.json"
+        target.write_text(content)
+        code, out, err = run(capsys, *(str(target) if a == "PATH" else a for a in argv))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"malformed model data: a model is a JSON object, not {kind}\n")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", MODEL_READERS)
     def test_directory_as_model_is_usage(self, capsys, tmp_path, argv):
         code, out, err = run(capsys, *(str(tmp_path) if a == "PATH" else a for a in argv))
@@ -701,6 +731,7 @@ class TestGoldenBytes:
             (["product", "E", "F"], "--a2 is required for the blow-up model"),
             (["product", "--model", "cpn", "E", "F"], "--n is required for the projective-space model"),
             (["model-validate", "missing.json"], "model file not found: missing.json"),
+            (["product", "--model", "missing.json", "E", "F"], "model file not found: missing.json"),
             (["geocheck", "ragged.csv"], "ragged.csv: ragged rows"),
             # float() would read the cell as 10 and give a verdict on another grid.
             (["geocheck", "underscore.csv"], "underscore.csv: non-numeric cell '1_0' in row 1"),
@@ -739,6 +770,69 @@ class TestGoldenBytes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("qhofer: check failed: ") and err.count("\n") == 1, err
+
+
+class TestFailedChecksAfterOutput:
+    """A sweep or length report is written whole, then a failed check exits 2."""
+
+    def test_bounds_below_omega_f(self, capsys, monkeypatch):
+        sweep = qhofer.seidel_bounds.two_sided_bounds
+        monkeypatch.setattr(
+            qhofer.seidel_bounds, "two_sided_bounds",
+            lambda k_max, a2: [(k, b - (k == 3)) for k, b in sweep(k_max, a2)],
+        )
+        code, out, err = run(capsys, "bounds", "--a2", "1/4", "--kmax", "4")
+        assert code == 2
+        assert err == "qhofer: check failed: two-sided bound >= omega(F) fails at k = 3\n"
+        assert out.endswith("# two-sided bound >= omega(F) = 3/4 for k >= 2: FAILS at k = [3]\n")
+
+    def test_growth_below_omega_f(self, capsys, monkeypatch):
+        table = qhofer.seidel_bounds.growth_table
+
+        def lowered(k_max, a2):
+            t = table(k_max, a2)
+            return t._replace(rows=tuple(r._replace(bound=r.bound - (r.k == 3)) for r in t.rows))
+
+        monkeypatch.setattr(qhofer.seidel_bounds, "growth_table", lowered)
+        code, out, err = run(capsys, "growth", "--a2", "1/4", "--kmax", "6", "--format", "csv")
+        assert code == 2
+        assert err == "qhofer: check failed: two-sided bound >= omega(F) fails at k = 3\n"
+        row = "3,11/16,0.6875,5/16,0.3125,"
+        assert out == GROWTH_CSV.replace(row + "1,1.0,", row + "0,0.0,")
+
+    def test_rtilde_minimum_off_omega_f(self, capsys, monkeypatch):
+        certify = qhofer.seidel_bounds.r_tilde_certificate
+        monkeypatch.setattr(
+            qhofer.seidel_bounds, "r_tilde_certificate",
+            lambda a2, k_max: certify(a2, k_max)._replace(min_bound=Fraction(1, 2)),
+        )
+        code, out, err = run(capsys, "rtilde", "--a2", "1/4", "--kmax", "5")
+        assert code == 2
+        assert err == "qhofer: check failed: sweep minimum 1/2 differs from omega(F) = 3/4\n"
+        assert out == (
+            "min over k in [1, 5] of v(Q^k) + v(Q^-k) = 1/2 (x pi), attained at k = 2\n"
+            "omega(F) = 3/4 (x pi); matches: False\n"
+        )
+
+    def test_lengths_negative_side(self, capsys, monkeypatch):
+        shift_lengths(monkeypatch, -1, 1)
+        code, out, err = run(capsys, "lengths", "--a2", "1/4", "--k", "2")
+        assert code == 2
+        assert err == "qhofer: check failed: one-sided lengths must be nonnegative\n"
+        assert out.startswith("L+ = -")
+
+    def test_psi_recomposition_mismatch(self, capsys, monkeypatch):
+        build = qhofer.seidel_bounds.psi
+
+        def off(k, a2):
+            e = build(k, a2)
+            return SeidelElement(e.loop_multiple, e.a_squared, e.delta,
+                                 e.value + e.model.unit(), e.model)
+
+        monkeypatch.setattr(qhofer.seidel_bounds, "psi", off)
+        assert run(capsys, "psi", "--a2", "1/4", "--k", "2") == (
+            2, "", "qhofer: check failed: rotation element disagrees with its recomposition\n"
+        )
 
 
 class TestDimensionLimit:

@@ -200,6 +200,10 @@ class TestTextFormat:
         assert format_exponent(S(0, -1), GENS) == "-1*F"
         assert format_exponent(S(0, 0), GENS) == "0"
 
+    def test_exponent_format_needs_one_generator_per_coordinate(self):
+        with pytest.raises(ValueError, match="^generator list does not match class rank$"):
+            format_exponent(S(1, 2), ("E",))
+
     def test_exponent_parse_any_order(self):
         assert parse_exponent("3/4*F + 1/2*E", GENS) == S("1/2", "3/4")
         assert parse_exponent("F - 1/2*E", GENS) == S("-1/2", 1)

@@ -630,6 +630,12 @@ class TestLatticeKernel:
                 model, x, y, classical=True
             )
 
+    def test_operand_of_another_rank_is_refused(self):
+        model = model_blowup_cp2(Fraction(1, 4))
+        x = QHElement([((0, SphereClass((Fraction(1),))), Fraction(1))])
+        with pytest.raises(ValueError, match="^rank mismatch: 1 vs 2$"):
+            quantum_product(model, x, model.basis_element("E"))
+
     def test_results_keep_public_types(self):
         model = model_half_integral()
         pt = model.basis_element("pt")
