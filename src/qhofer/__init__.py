@@ -21,14 +21,14 @@ _MODULE_OF = {
             "rationality_index save_model tropical_valuations validate_model valuation_walk"
         ),
         "seidel_bounds": (
-            "GrowthRow GrowthSummary GrowthTable LoopLengths MonotoneCaseError "
+            "BoundRow GrowthRow GrowthSummary GrowthTable LoopLengths MonotoneCaseError "
             "RTildeCertificate SeidelElement delta_constant ell_plus_lower_bound growth_table "
             "lengths_blowup_loop mean_radius_sq_exact omega_f psi q_element "
             "r_tilde_certificate two_sided_bound two_sided_bounds"
         ),
         "hofer_lengths": (
-            "ExtremumReport PathLengths RadialHamiltonian SampledPath fixed_extremum_check "
-            "mean_radius_sq path_lengths radial_loop_path radial_mean"
+            "ExtremumReport PathLengths SampledPath fixed_extremum_check mean_radius_sq "
+            "path_lengths radial_loop_path radial_mean"
         ),
     }.items()
     for name in names.split()

@@ -177,7 +177,7 @@ def cmd_bounds(args) -> int:
         csv_lines.append(f"{k},{b},{_dec(b)},{of},{_dec(of)},{k < 2 or b >= of}")
     verdict = "holds" if not failures else f"FAILS at k = {failures[:5]}"
     lines.append(f"# two-sided bound >= omega(F) = {of} for k >= 2: {verdict}")
-    payload = {"a2": a2, "omegaF": of, "rows": [{"k": k, "bound": b} for k, b in rows],
+    payload = {"a2": a2, "omegaF": of, "rows": [_as_json(r) for r in rows],
                "all_hold": not failures}
     _emit(args, {"text": "\n".join(lines), "csv": "\n".join(csv_lines)}, payload)
     if failures:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from itertools import compress
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -60,46 +59,6 @@ def _linspace(lo: float, hi: float, n: int) -> tuple:
     return (*(lo + i * step for i in range(n - 1)), hi)
 
 
-class RadialHamiltonian(_Frozen):
-    """A function of the radial coordinate s on [a^2, 1]."""
-
-    __slots__ = _fields = ("profile", "a_squared", "label")
-
-    def __init__(
-        self, profile: Callable[[float], float], a_squared: RationalLike, label: str = ""
-    ) -> None:
-        for name, v in zip(self._fields, (profile, _area_parameter(a_squared), label)):
-            object.__setattr__(self, name, v)
-
-    @classmethod
-    def linear(cls, c0: float, a_squared: RationalLike) -> "RadialHamiltonian":
-        """The rotation-loop profile H(s) = pi (c0 - s)."""
-        return cls(lambda s: math.pi * (c0 - s), _frac(a_squared), f"pi*({c0} - s)")
-
-    @classmethod
-    def from_samples(cls, values: Sequence[float], a_squared: RationalLike) -> "RadialHamiltonian":
-        """Piecewise-linear profile through equally spaced samples, constant
-        beyond the first and last sample."""
-        a2 = _frac(a_squared)
-        ys = _floats(values, "samples must be a flat sequence of numbers")
-        xs = _linspace(float(a2), 1.0, len(ys))
-
-        def profile(s: float) -> float:
-            j = min(max(bisect_right(xs, s) - 1, 0), len(xs) - 2)
-            if s <= xs[j]:
-                return ys[j]
-            if s >= xs[j + 1]:
-                return ys[j + 1]
-            return (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (s - xs[j]) + ys[j]
-
-        return cls(profile=profile, a_squared=a2, label=f"sampled[{len(ys)}]")
-
-    def sample(self, n: int) -> tuple:
-        """(s grid, H values) on n equally spaced points across the domain."""
-        s = _linspace(float(self.a_squared), 1.0, n)
-        return s, tuple(map(self.profile, s))
-
-
 def _simpson(values: Sequence[float], step: float) -> float:
     """Composite Simpson rule, weights 1, 4, 2, ..., 2, 4, 1; values must sit
     on an odd-size uniform grid."""
@@ -110,31 +69,36 @@ def _simpson(values: Sequence[float], step: float) -> float:
     return step / 3.0 * math.fsum((values[0], *inner, values[-1]))
 
 
-def radial_mean(h: RadialHamiltonian, quad_points: int) -> float:
-    """Mean of H over the region, radial measure with density s ds.
+def radial_mean(
+    profile: Callable[[float], float], a_squared: RationalLike, quad_points: int
+) -> float:
+    """Mean of a radial profile H(s) over the region, radial measure with density s ds.
 
     ``quad_points`` counts quadrature nodes (bumped by one if even, the
     Simpson rule wants an odd grid).
     """
+    a2 = float(_area_parameter(a_squared))
     quad_points = integer(quad_points)
     if quad_points < 16:
         raise ValueError("use at least 16 quadrature points")
     n = quad_points if quad_points % 2 == 1 else quad_points + 1
-    s, values = h.sample(n)
-    step = (1.0 - float(h.a_squared)) / (n - 1)
-    return _simpson([v * x for v, x in zip(values, s)], step) / _simpson(s, step)
+    s = _linspace(a2, 1.0, n)
+    step = (1.0 - a2) / (n - 1)
+    return _simpson([profile(x) * x for x in s], step) / _simpson(s, step)
 
 
 def mean_radius_sq(a_squared: RationalLike, quad_points: int = 4097) -> float:
     """Radial mean of s itself: the centering constant of the rotation loop."""
-    h = RadialHamiltonian(profile=lambda s: s, a_squared=_frac(a_squared))
-    return radial_mean(h, quad_points)
+    return radial_mean(lambda s: s, a_squared, quad_points)
 
 
 class PathLengths(NamedTuple):
     l_plus: float
     l_minus: float
     total: float
+
+
+_SHAPE = "need a rectangular 2d grid with at least two samples per axis"
 
 
 class SampledPath:
@@ -146,14 +110,17 @@ class SampledPath:
     """
 
     def __init__(self, values, time_step: Optional[float] = None, weights=None, label="") -> None:
-        shape = "need a rectangular 2d grid with at least two samples per axis"
         try:
-            grid = tuple(_floats(row, shape) for row in values)
+            grid = tuple(_floats(row, _SHAPE) for row in values)
         except TypeError:
-            raise ValueError(shape) from None
+            raise ValueError(_SHAPE) from None
+        self._fill(grid, time_step, weights, label)
+
+    def _fill(self, grid: tuple, time_step, weights, label) -> None:
+        """The checks after the cells, on rows of finite floats: shape, time step, weights."""
         n_x = len(grid[0]) if grid else 0
         if len(grid) < 2 or n_x < 2 or any(len(row) != n_x for row in grid):
-            raise ValueError(shape)
+            raise ValueError(_SHAPE)
         self.values = grid
         step = 1 / (len(grid) - 1) if time_step is None else time_step
         (self.time_step,) = _floats([step], "time step must be a positive number")
@@ -191,10 +158,12 @@ class SampledPath:
             raise ValueError(f"{path}: empty grid")
         if any(len(r) != len(grid[0]) for r in grid):
             raise ValueError(f"{path}: ragged rows")
+        sampled = cls.__new__(cls)
         try:
-            return cls(grid, time_step=time_step, weights=weights, label=str(path))
+            sampled._fill(tuple(grid), time_step, weights, str(path))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        return sampled
 
 
 def _reads_as_float(cell: str) -> bool:
@@ -258,14 +227,9 @@ class ExtremumReport(_Frozen):
             object.__setattr__(self, name, v)
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "window": self.window,
-            "has_fixed_max_each_moment": self.has_fixed_max_each_moment,
-            "has_fixed_min_each_moment": self.has_fixed_min_each_moment,
-            "max_witnesses": list(self.max_witnesses),
-            "min_witnesses": list(self.min_witnesses),
-        }
+        fields = {"label": self.label, **dict(zip(self._fields, self._values()))}
+        witnesses = {name: list(fields[name]) for name in ("max_witnesses", "min_witnesses")}
+        return {**fields, **witnesses}
 
 
 def _first_common(hits: list, window: int) -> tuple:
@@ -309,7 +273,8 @@ def fixed_extremum_check(p: SampledPath, window: int = 2, atol: float = 0.0) -> 
 
 
 def radial_loop_path(a_squared: RationalLike, n_time: int = 16, n_space: int = 64) -> SampledPath:
-    """The double-rotation Hamiltonian sampled as an (autonomous) path."""
+    """The double-rotation Hamiltonian pi (c - s) sampled as an (autonomous) path."""
     a2 = _frac(a_squared)
-    _, profile = RadialHamiltonian.linear(mean_radius_sq(a2), a2).sample(n_space)
-    return SampledPath([profile] * n_time, label=f"radial rotation loop, a^2 = {a2}")
+    c = mean_radius_sq(a2)
+    row = tuple(math.pi * (c - s) for s in _linspace(float(a2), 1.0, n_space))
+    return SampledPath([row] * n_time, label=f"radial rotation loop, a^2 = {a2}")

@@ -173,13 +173,18 @@ def two_sided_bound(k: int, a_squared: RationalLike) -> Fraction:
     """
     if integer(k) < 1:
         raise ValueError("k must be at least 1")
-    return two_sided_bounds(k, a_squared)[-1][1]
+    return two_sided_bounds(k, a_squared)[-1].bound
+
+
+class BoundRow(NamedTuple):
+    k: int
+    bound: Fraction
 
 
 def two_sided_bounds(k_max: int, a_squared: RationalLike) -> list:
-    """[(k, two_sided_bound(k))] for k = 1..k_max, sharing work across k."""
+    """[BoundRow(k, two_sided_bound(k))] for k = 1..k_max, sharing work across k."""
     pos, neg = _q_valuations(k_max, a_squared)
-    return [(k, p + n) for k, (p, n) in enumerate(zip(pos, neg), 1)]
+    return [BoundRow(k, p + n) for k, (p, n) in enumerate(zip(pos, neg), 1)]
 
 
 class GrowthRow(NamedTuple):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from qhofer import NotInvertibleError, QHElement, SphereClass, valuation
-from qhofer.hofer_lengths import RadialHamiltonian, mean_radius_sq, radial_mean
+from qhofer.hofer_lengths import mean_radius_sq, radial_mean
 from qhofer.quantum_homology import _invert_rational_matrix
 
 # The standard sweep values for the exceptional area.
@@ -204,10 +204,9 @@ def oracle_loop_lengths(k: int, a2, quad_points: int = 4097) -> tuple:
     against the extrema 0 and -pi.
     """
     if k == 2:
-        h = RadialHamiltonian.linear(mean_radius_sq(a2, quad_points), a2)
-        _, values = h.sample(quad_points)
-        mean = radial_mean(h, quad_points)
+        c = mean_radius_sq(a2, quad_points)
+        values = [math.pi * (c - s) for s in linspace(float(a2), 1.0, quad_points)]
+        mean = radial_mean(lambda s: math.pi * (c - s), a2, quad_points)
         return max(values) - mean, mean - min(values)
-    shell = RadialHamiltonian(profile=lambda s: -math.pi * s / 2.0, a_squared=a2)
-    mean = radial_mean(shell, quad_points)
+    mean = radial_mean(lambda s: -math.pi * s / 2.0, a2, quad_points)
     return 0.0 - mean, mean + math.pi

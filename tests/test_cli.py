@@ -779,7 +779,7 @@ class TestFailedChecksAfterOutput:
         sweep = qhofer.seidel_bounds.two_sided_bounds
         monkeypatch.setattr(
             qhofer.seidel_bounds, "two_sided_bounds",
-            lambda k_max, a2: [(k, b - (k == 3)) for k, b in sweep(k_max, a2)],
+            lambda k_max, a2: [r._replace(bound=r.bound - (r.k == 3)) for r in sweep(k_max, a2)],
         )
         code, out, err = run(capsys, "bounds", "--a2", "1/4", "--kmax", "4")
         assert code == 2
@@ -926,8 +926,8 @@ class TestUsage:
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FLOAT_API = [
-    "ExtremumReport", "PathLengths", "RadialHamiltonian", "SampledPath",
-    "fixed_extremum_check", "mean_radius_sq", "path_lengths", "radial_loop_path", "radial_mean",
+    "ExtremumReport", "PathLengths", "SampledPath", "fixed_extremum_check", "mean_radius_sq",
+    "path_lengths", "radial_loop_path", "radial_mean",
 ]
 # The rotation loop's exact lengths live in seidel_bounds, on the exact side.
 EXACT_LENGTHS_API = ["LoopLengths", "lengths_blowup_loop", "mean_radius_sq_exact"]

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import qhofer.hofer_lengths as hl
 from qhofer import (
     ExtremumReport,
-    RadialHamiltonian,
     SampledPath,
     fixed_extremum_check,
     lengths_blowup_loop,
@@ -25,18 +25,15 @@ from helpers import NINE_A2, linspace, oracle_loop_lengths, outer
 
 class TestRadialMean:
     def test_identity_profile_matches_closed_form(self):
-        h = RadialHamiltonian(profile=lambda s: s, a_squared=Fraction(1, 2))
-        assert abs(radial_mean(h, 10001) - 7 / 9) < 1e-10
+        assert abs(radial_mean(lambda s: s, Fraction(1, 2), 10001) - 7 / 9) < 1e-10
 
     def test_constant_profile(self):
-        h = RadialHamiltonian(profile=lambda s: 1.0, a_squared=Fraction(1, 4))
-        assert abs(radial_mean(h, 2001) - 1.0) < 1e-12
+        assert abs(radial_mean(lambda s: 1.0, Fraction(1, 4), 2001) - 1.0) < 1e-12
 
     def test_centered_profile_has_zero_mean(self):
         for a2 in (Fraction(1, 4), Fraction(1, 2), Fraction(4, 5)):
             c = mean_radius_sq(a2, 10001)
-            h = RadialHamiltonian.linear(c, a2)
-            assert abs(radial_mean(h, 10001)) < 1e-10
+            assert abs(radial_mean(lambda s: math.pi * (c - s), a2, 10001)) < 1e-10
 
     def test_closed_form_values(self):
         assert mean_radius_sq_exact(Fraction(1, 2)) == Fraction(7, 9)
@@ -50,25 +47,18 @@ class TestRadialMean:
             assert abs(mean_radius_sq(a2, 10**4) - exact) < 1e-10
 
     def test_even_point_count_is_bumped(self):
-        h = RadialHamiltonian(profile=lambda s: s * s, a_squared=Fraction(1, 3))
-        assert radial_mean(h, 100) == radial_mean(h, 101)
+        a2 = Fraction(1, 3)
+        assert radial_mean(lambda s: s * s, a2, 100) == radial_mean(lambda s: s * s, a2, 101)
 
     def test_too_few_points_rejected(self):
-        h = RadialHamiltonian(profile=lambda s: s, a_squared=Fraction(1, 2))
         with pytest.raises(ValueError):
-            radial_mean(h, 8)
+            radial_mean(lambda s: s, Fraction(1, 2), 8)
 
     def test_domain_validated(self):
         with pytest.raises(ValueError):
-            RadialHamiltonian(profile=lambda s: s, a_squared=Fraction(3, 2))
-
-    def test_sampled_profile_interpolates(self):
-        h = RadialHamiltonian.from_samples([0.0, 1.0], Fraction(1, 2))
-        assert h.profile(0.5) == 0.0
-        assert h.profile(1.0) == 1.0
-        assert abs(h.profile(0.75) - 0.5) < 1e-15
-        with pytest.raises(ValueError):
-            RadialHamiltonian.from_samples([1.0], Fraction(1, 2))
+            radial_mean(lambda s: s, Fraction(3, 2), 101)
+        with pytest.raises(TypeError):
+            radial_mean(lambda s: s, 0.25, 101)
 
 
 class TestLoopLengths:
@@ -152,12 +142,11 @@ class TestSampledPath:
             lambda: SampledPath([[1, 2], [3, 4]], time_step=True),
             lambda: SampledPath([[1, 2], [3, 4]], time_step=math.inf),
             lambda: SampledPath([[1, 2], [3, 4]], weights=["1", "1"]),
-            lambda: RadialHamiltonian.from_samples([math.nan, 1.0], "1/2"),
             lambda: fixed_extremum_check(SampledPath([[0.0, 1.0]] * 3), atol=math.nan),
             lambda: fixed_extremum_check(SampledPath([[0.0, 1.0]] * 3), atol=-1.0),
         ],
         ids=["underscore-cell", "bool-cell", "text-step", "bool-step", "infinite-step",
-             "text-weights", "nan-profile", "nan-atol", "negative-atol"],
+             "text-weights", "nan-atol", "negative-atol"],
     )
     def test_samples_are_finite_numbers(self, build):
         with pytest.raises(ValueError):
@@ -187,6 +176,20 @@ class TestSampledPath:
         path = tmp_path / "spaced.csv"
         path.write_text("\n0,1\n , \n\n0,1\n")
         assert SampledPath.from_csv(path).values == ((0.0, 1.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize("weights", ["", "weights,1,1,2\n"], ids=["uniform", "weights-row"])
+    def test_csv_cells_are_checked_once(self, tmp_path, monkeypatch, weights):
+        # The reading loop checks each grid row; the constructor's cell check is not run again.
+        calls = []
+        check = hl._floats
+        monkeypatch.setattr(hl, "_floats", lambda *a: calls.append(a) or check(*a))
+        path = tmp_path / "grid.csv"
+        path.write_text(weights + "0,1,0\n" * 40)
+        assert len(SampledPath.from_csv(path).values) == 40
+        assert [problem for _, problem in calls] == [
+            "time step must be a positive number",
+            *["weights must list one value per sample point"] * bool(weights),
+        ]
 
     @pytest.mark.parametrize(
         "text, line",
@@ -320,6 +323,12 @@ class TestFixedExtremum:
         assert report.window == 3
         assert len(report.max_witnesses) == 1
 
+    def test_default_window_is_two(self):
+        p = SampledPath([[0.0, 1.0]] * 5)
+        report = fixed_extremum_check(p)
+        assert report == fixed_extremum_check(p, window=2)
+        assert report.window == 2 and report.max_witnesses == (1, 1, 1, 1)
+
     def test_window_validated(self):
         p = SampledPath([[0.0, 0.0]] * 2)
         with pytest.raises(ValueError):
@@ -358,19 +367,6 @@ class TestFixedExtremum:
 class TestRecords:
     """The float records: frozen, compared by class and fields, with the repr
     and the JSON key order they had as dataclasses."""
-
-    def test_radial_hamiltonian(self):
-        h = RadialHamiltonian(profile=math.sqrt, a_squared="1/4")
-        assert repr(h) == (
-            "RadialHamiltonian(profile=<built-in function sqrt>, a_squared=Fraction(1, 4), label='')"
-        )
-        same = RadialHamiltonian(math.sqrt, Fraction(1, 4), "")
-        assert h == same and hash(h) == hash(same)
-        assert h != RadialHamiltonian(math.sqrt, Fraction(1, 4), "other")
-        with pytest.raises(AttributeError):
-            h.a_squared = Fraction(1, 2)
-        with pytest.raises(TypeError):
-            RadialHamiltonian(math.sqrt, 0.25)
 
     def test_extremum_report(self):
         report = fixed_extremum_check(SampledPath([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]], label="g"))

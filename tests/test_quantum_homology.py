@@ -297,6 +297,14 @@ class TestInversion:
         for (i, B), q in shallow.terms.items():
             assert deep.coefficient(i, B) == q
 
+    def test_long_series_reaches_a_deep_floor(self):
+        # The series for (1 + x)^-1 on the projective line takes one step per
+        # unit of area, some 250 steps down to this floor.
+        c1 = model_cpn(1)
+        x = c1.element("1 + x")
+        z = invert(c1, x, -250)
+        assert quantum_product(c1, x, z) == c1.element("1 + -1 * 1 * e^{-251*L}")
+
     def test_floor_accepts_plain_rationals(self, m):
         x = m.unit() + m.basis_element("p")
         assert invert(m, x, -3) == invert(m, x, "-3")

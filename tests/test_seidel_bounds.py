@@ -12,7 +12,6 @@ import qhofer.seidel_bounds as sb
 from qhofer import (
     ManifoldModel,
     MonotoneCaseError,
-    RadialHamiltonian,
     SampledPath,
     delta_constant,
     ell_plus_lower_bound,
@@ -303,6 +302,22 @@ class TestGrowthTable:
         rows = {r.k: r.v_qnegk for r in table.rows}
         assert (rows[40] - rows[20]) / 20 == 0
 
+    def test_maximum_at_the_half_is_new(self):
+        # At a^2 = 1/4, v(Q^-k) first peaks at k = 4, the first k of the
+        # second half of a six-step sweep.
+        s = growth_table(6, Fraction(1, 4)).summary
+        assert (s.qneg_max, s.qneg_argmax) == (Fraction(3, 4), 4)
+        assert not s.qneg_bounded
+
+    @pytest.mark.parametrize(
+        "a2, period", [(Fraction(1, 4), 3), (Fraction(1, 2), 4)], ids=["growing", "bounded"]
+    )
+    def test_slope_needs_one_step_past_a_period(self, a2, period):
+        table = growth_table(period + 1, a2)
+        first, last = table.rows[0].v_qnegk, table.rows[-1].v_qnegk
+        assert table.summary.slope_last_period == (last - first) / period
+        assert growth_table(period, a2).summary.slope_last_period is None
+
     def test_monotone_value_skips_psi_column(self, capsys):
         table = growth_table(10, Fraction(1, 3))
         assert all(r.psi_rate is None for r in table.rows)
@@ -412,7 +427,6 @@ _A2 = Fraction(1, 10)
 _MODEL = model_blowup_cp2(_A2)
 _Q = q_element(_MODEL)
 _PATH = SampledPath([[0.0, 1.0, 0.5]] * 5)
-_RADIAL = RadialHamiltonian(profile=lambda s: s * s, a_squared=_A2)
 
 # Each entry point with one integer argument; radial_mean needs at least 16
 # nodes, so it reads 11 n.
@@ -427,7 +441,7 @@ INTEGER_ENTRY_POINTS = {
     "two_sided_bounds": lambda n: two_sided_bounds(n, _A2),
     "growth_table": lambda n: growth_table(n, _A2),
     "r_tilde_certificate": lambda n: r_tilde_certificate(_A2, n),
-    "radial_mean": lambda n: radial_mean(_RADIAL, 11 * n),
+    "radial_mean": lambda n: radial_mean(lambda s: s * s, _A2, 11 * n),
     "fixed_extremum_check": lambda n: fixed_extremum_check(_PATH, window=n),
 }
 

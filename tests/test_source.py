@@ -3,8 +3,8 @@ private top-level definition is used somewhere in the package, every method
 is referenced somewhere in the repository, the package imports nothing
 outside the standard library, the float module and the command line's
 module level import no package module but ``novikov``, every exception
-class is a ``ParseError`` or a ``CheckError``, and the README's library tour
-and every demo run."""
+class is a ``ParseError`` or a ``CheckError``, the README's library tour
+and every demo run, and a test past the suite's time limit fails alone."""
 
 import ast
 import importlib
@@ -309,3 +309,23 @@ def test_demo_runs(demo):
                           text=True, env=env, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.strip()
+
+
+def test_a_test_past_the_time_limit_fails_and_the_run_goes_on(tmp_path):
+    # The suite's conftest, loaded by a throwaway suite with a 0.2 s limit.
+    conftest = str(ROOT / "tests" / "conftest.py")
+    (tmp_path / "conftest.py").write_text(
+        "import importlib.util\n"
+        f"spec = importlib.util.spec_from_file_location('limit', {conftest!r})\n"
+        "limit = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(limit)\n"
+        "limit.TEST_TIME_LIMIT_S = 0.2\n"
+        "pytest_runtest_call = limit.pytest_runtest_call\n"
+    )
+    (tmp_path / "test_spin.py").write_text(
+        "def test_spin():\n    while True:\n        pass\n\n\ndef test_next():\n    pass\n"
+    )
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=60)
+    assert "test_spin - TimeoutError: test ran past its 0.2 s limit" in done.stdout
+    assert "1 failed, 1 passed" in done.stdout
