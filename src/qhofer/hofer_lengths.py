@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from itertools import compress
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .novikov import RationalLike, _area_parameter, _frac, _Frozen, integer
 
@@ -83,8 +83,9 @@ def radial_mean(
         raise ValueError("use at least 16 quadrature points")
     n = quad_points if quad_points % 2 == 1 else quad_points + 1
     s = _linspace(a2, 1.0, n)
+    h = _floats(map(profile, s), "a profile maps each s to a number")
     step = (1.0 - a2) / (n - 1)
-    return _simpson([profile(x) * x for x in s], step) / _simpson(s, step)
+    return _simpson([v * x for v, x in zip(h, s)], step) / _simpson(s, step)
 
 
 def mean_radius_sq(a_squared: RationalLike, quad_points: int = 4097) -> float:
@@ -105,27 +106,24 @@ class SampledPath:
     """Float samples H[t_i][x_j] of a Hamiltonian path on a grid.
 
     ``values`` is a tuple of rows, one per time slice.  ``weights`` are
-    spatial quadrature weights for the per-slice mean (uniform by default);
-    ``time_step`` defaults to a parametrization of the whole path over [0, 1].
+    spatial quadrature weights for the per-slice mean (uniform by default).
+    The path runs over [0, 1], so ``time_step`` is 1 / (slices - 1).
     """
 
-    def __init__(self, values, time_step: Optional[float] = None, weights=None, label="") -> None:
+    def __init__(self, values, weights=None, label="") -> None:
         try:
             grid = tuple(_floats(row, _SHAPE) for row in values)
         except TypeError:
             raise ValueError(_SHAPE) from None
-        self._fill(grid, time_step, weights, label)
+        self._fill(grid, weights, label)
 
-    def _fill(self, grid: tuple, time_step, weights, label) -> None:
-        """The checks after the cells, on rows of finite floats: shape, time step, weights."""
+    def _fill(self, grid: tuple, weights, label) -> None:
+        """The checks after the cells, on rows of finite floats: shape, then weights."""
         n_x = len(grid[0]) if grid else 0
         if len(grid) < 2 or n_x < 2 or any(len(row) != n_x for row in grid):
             raise ValueError(_SHAPE)
         self.values = grid
-        step = 1 / (len(grid) - 1) if time_step is None else time_step
-        (self.time_step,) = _floats([step], "time step must be a positive number")
-        if self.time_step <= 0:
-            raise ValueError("time step must be a positive number")
+        self.time_step = 1 / (len(grid) - 1)
         per_point = "weights must list one value per sample point"
         w = (1.0 / n_x,) * n_x if weights is None else _floats(weights, per_point)
         if len(w) != n_x:
@@ -136,7 +134,7 @@ class SampledPath:
         self.label = str(label)
 
     @classmethod
-    def from_csv(cls, path, time_step: Optional[float] = None) -> "SampledPath":
+    def from_csv(cls, path) -> "SampledPath":
         """Read a grid from CSV: one row per time slice.
 
         An optional first row whose leading cell is the word "weights"
@@ -160,7 +158,7 @@ class SampledPath:
             raise ValueError(f"{path}: ragged rows")
         sampled = cls.__new__(cls)
         try:
-            sampled._fill(tuple(grid), time_step, weights, str(path))
+            sampled._fill(tuple(grid), weights, str(path))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         return sampled
@@ -240,26 +238,21 @@ def _first_common(hits: list, window: int) -> tuple:
     )
 
 
-def fixed_extremum_check(p: SampledPath, window: int = 2, atol: float = 0.0) -> ExtremumReport:
+def fixed_extremum_check(p: SampledPath, window: int = 2) -> ExtremumReport:
     """Check for a fixed spatial extremum over each window of time slices.
 
     Windows slide one slice at a time; a window longer than the path is
-    clamped to the whole path.  ``atol`` loosens the comparison for data that
-    went through lossy storage.
+    clamped to the whole path.  Extrema are compared exactly.
     """
     window = integer(window)
     if window < 1:
         raise ValueError("window must be at least 1")
-    (atol,) = _floats([atol], "atol must be a nonnegative number")
-    if atol < 0:
-        raise ValueError("atol must be a nonnegative number")
     window = min(window, len(p.values))
     max_hits, min_hits = [], []
     points = range(len(p.values[0]))
     for row in p.values:
-        top, bottom = max(row) - atol, min(row) + atol
-        max_hits.append(set(compress(points, map(top.__le__, row))))
-        min_hits.append(set(compress(points, map(bottom.__ge__, row))))
+        max_hits.append(set(compress(points, map(max(row).__eq__, row))))
+        min_hits.append(set(compress(points, map(min(row).__eq__, row))))
     max_witnesses = _first_common(max_hits, window)
     min_witnesses = _first_common(min_hits, window)
     return ExtremumReport(

@@ -253,6 +253,7 @@ class ManifoldModel:
 
     def _lattice(self, *elements: "QHElement") -> "_Lattice":
         """Tables compiled for the exponents of the table and of ``elements``."""
+        self._check_range(i for x in elements for i, _ in x._terms)
         D = math.lcm(
             *(c.denominator for (_, B) in self.gw for c in B.coords),
             *(c.denominator for x in elements for (_, B) in x._terms for c in B.coords),
@@ -267,9 +268,13 @@ class ManifoldModel:
                 raise ModelError(f"unknown basis class {c!r}")
             return self._index[c]
         i = integer(c)
-        if not 0 <= i < len(self.basis):
-            raise ModelError(f"basis index {i} out of range")
+        self._check_range((i,))
         return i
+
+    def _check_range(self, indices) -> None:
+        for i in indices:
+            if not 0 <= i < len(self.basis):
+                raise ModelError(f"basis index {i} out of range")
 
     # -- basic queries ----------------------------------------------------
 
@@ -295,6 +300,7 @@ class ManifoldModel:
         """Common degree of all terms, None for zero, error if mixed."""
         if x.is_zero():
             return None
+        self._check_range(i for i, _ in x._terms)
         degs = {self.degrees[i] + 2 * self.c1(B) for (i, B) in x._terms}
         if len(degs) > 1:
             raise ValueError(f"element is not graded: degrees {sorted(degs)}")
@@ -844,6 +850,7 @@ def model_cpn(n: int, line_area: RationalLike = 1) -> ManifoldModel:
 def format_qh(x: QHElement, model: ManifoldModel) -> str:
     if x.is_zero():
         return "0"
+    model._check_range(i for i, _ in x._terms)
     rows = []
     for (i, B), q in x._terms.items():
         factors = [str(q), model.basis_names[i]]

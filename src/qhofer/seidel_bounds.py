@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .novikov import (
-    CheckError, RationalLike, SphereClass, _Frozen, _area_parameter, _frac, integer,
+    CheckError, RationalLike, SphereClass, _area_parameter, _frac, integer,
 )
 from .novikov import valuation  # noqa: F401  (perfbench's tracing test looks it up here)
 from .quantum_homology import (
@@ -85,24 +85,18 @@ def mean_radius_sq_exact(a_squared: RationalLike) -> Fraction:
     return 2 * (1 - a2**3) / (3 * (1 - a2**2))
 
 
-class LoopLengths(_Frozen):
+class LoopLengths(NamedTuple):
     """Exact one-sided Hofer lengths ``plus``, ``minus`` of a loop, in units of pi.
 
     ``l_plus``, ``l_minus`` and ``total`` are the lengths as floats, pi included.
     """
 
-    __slots__ = _fields = ("plus", "minus")
-
-    def __init__(self, plus: Fraction, minus: Fraction) -> None:
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
+    plus: Fraction
+    minus: Fraction
 
     l_plus = property(lambda self: math.pi * float(self.plus))
     l_minus = property(lambda self: math.pi * float(self.minus))
     total = property(lambda self: math.pi * float(self.plus + self.minus))
-
-    def __iter__(self):
-        return iter((self.l_plus, self.l_minus))
 
 
 def lengths_blowup_loop(k: int, a_squared: RationalLike) -> LoopLengths:
@@ -121,22 +115,13 @@ def lengths_blowup_loop(k: int, a_squared: RationalLike) -> LoopLengths:
     raise ValueError("only the loops k = 1 and k = 2 carry explicit profiles")
 
 
-class SeidelElement(_Frozen):
-    """Action of the k-fold rotation loop on the quantum homology of ``model``.
+class SeidelElement(NamedTuple):
+    """The k-fold rotation loop's action on quantum homology of the blow-up at ``a_squared``."""
 
-    Equality, hashing and repr leave ``model`` out: it is the blow-up at
-    ``a_squared``.
-    """
-
-    _fields = ("loop_multiple", "a_squared", "delta", "value")
-    __slots__ = (*_fields, "model")
-
-    def __init__(
-        self, loop_multiple: int, a_squared: Fraction, delta: Fraction,
-        value: QHElement, model: ManifoldModel,
-    ) -> None:
-        for name, v in zip(self.__slots__, (loop_multiple, a_squared, delta, value, model)):
-            object.__setattr__(self, name, v)
+    loop_multiple: int
+    a_squared: Fraction
+    delta: Fraction
+    value: QHElement
 
 
 def psi(k: int, a_squared: RationalLike) -> SeidelElement:
@@ -146,7 +131,7 @@ def psi(k: int, a_squared: RationalLike) -> SeidelElement:
     model = model_blowup_cp2(a2)
     shift = SphereClass((Fraction(1, 2) - 2 * delta, Fraction(1, 4) + delta))
     base = model.basis_element("F", shift)
-    return SeidelElement(integer(k), a2, delta, power(model, base, k), model)
+    return SeidelElement(integer(k), a2, delta, power(model, base, k))
 
 
 def ell_plus_lower_bound(k: int, a_squared: RationalLike) -> Fraction:

@@ -16,7 +16,6 @@ import qhofer.quantum_homology
 import qhofer.seidel_bounds
 from qhofer import LoopLengths, lengths_blowup_loop, model_blowup_cp2
 from qhofer.cli import build_parser, main
-from qhofer.seidel_bounds import SeidelElement
 from helpers import NINE_A2, count_rotation_builds
 
 
@@ -826,8 +825,7 @@ class TestFailedChecksAfterOutput:
 
         def off(k, a2):
             e = build(k, a2)
-            return SeidelElement(e.loop_multiple, e.a_squared, e.delta,
-                                 e.value + e.model.unit(), e.model)
+            return e._replace(value=e.value + model_blowup_cp2(e.a_squared).unit())
 
         monkeypatch.setattr(qhofer.seidel_bounds, "psi", off)
         assert run(capsys, "psi", "--a2", "1/4", "--k", "2") == (

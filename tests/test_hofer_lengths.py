@@ -115,8 +115,18 @@ class TestSampledPath:
             SampledPath([[1, 2], [3, 4]], weights=[1.0])
         with pytest.raises(ValueError):
             SampledPath([[1, 2], [3, 4]], weights=[-1.0, 0.5])
-        with pytest.raises(ValueError):
-            SampledPath([[1, 2], [3, 4]], time_step=0.0)
+
+    def test_time_step_and_atol_are_no_options(self, tmp_path):
+        # A path runs over [0, 1], and extrema are compared exactly.
+        path = tmp_path / "grid.csv"
+        path.write_text("0,1\n" * 3)
+        for build in (
+            lambda: SampledPath([[0.0, 1.0]] * 3, time_step=0.5),
+            lambda: SampledPath.from_csv(path, time_step=0.5),
+            lambda: fixed_extremum_check(SampledPath([[0.0, 1.0]] * 3), atol=0.0),
+        ):
+            with pytest.raises(TypeError):
+                build()
 
     def test_default_parametrization(self):
         p = SampledPath([[0.0] * 3] * 5)
@@ -138,15 +148,15 @@ class TestSampledPath:
         [
             lambda: SampledPath([["1_0", "2"], ["3", "4"]]),
             lambda: SampledPath([[True, 0.0], [1.0, 0.0]]),
-            lambda: SampledPath([[1, 2], [3, 4]], time_step="1_0"),
-            lambda: SampledPath([[1, 2], [3, 4]], time_step=True),
-            lambda: SampledPath([[1, 2], [3, 4]], time_step=math.inf),
             lambda: SampledPath([[1, 2], [3, 4]], weights=["1", "1"]),
-            lambda: fixed_extremum_check(SampledPath([[0.0, 1.0]] * 3), atol=math.nan),
-            lambda: fixed_extremum_check(SampledPath([[0.0, 1.0]] * 3), atol=-1.0),
+            # One bad profile value, at the last node s = 1, is enough.
+            lambda: radial_mean(lambda s: math.nan if s == 1 else s, Fraction(1, 2), 101),
+            lambda: radial_mean(lambda s: math.inf if s == 1 else s, Fraction(1, 2), 101),
+            lambda: radial_mean(lambda s: True if s == 1 else s, Fraction(1, 2), 101),
+            lambda: radial_mean(lambda s: "1" if s == 1 else s, Fraction(1, 2), 101),
         ],
-        ids=["underscore-cell", "bool-cell", "text-step", "bool-step", "infinite-step",
-             "text-weights", "nan-atol", "negative-atol"],
+        ids=["underscore-cell", "bool-cell", "text-weights",
+             "nan-profile", "inf-profile", "bool-profile", "text-profile"],
     )
     def test_samples_are_finite_numbers(self, build):
         with pytest.raises(ValueError):
@@ -187,9 +197,8 @@ class TestSampledPath:
         path.write_text(weights + "0,1,0\n" * 40)
         assert len(SampledPath.from_csv(path).values) == 40
         assert [problem for _, problem in calls] == [
-            "time step must be a positive number",
-            *["weights must list one value per sample point"] * bool(weights),
-        ]
+            "weights must list one value per sample point",
+        ] * bool(weights)
 
     @pytest.mark.parametrize(
         "text, line",
@@ -334,22 +343,19 @@ class TestFixedExtremum:
         with pytest.raises(ValueError):
             fixed_extremum_check(p, window=0)
 
-    def test_atol_absorbs_jitter(self):
-        # One slice hands the max to a different point by a hair; a small
-        # tolerance keeps the original witness.
+    def test_extrema_are_compared_exactly(self):
+        # One slice hands the max to another point by a hair, so no point holds it throughout.
         noisy = [[0.0, 1.0, 0.5] for _ in range(4)]
         noisy[2][1] = 1.0 - 1e-15
         noisy[2][2] = 1.0
-        strict = fixed_extremum_check(SampledPath(noisy), window=4, atol=0.0)
-        loose = fixed_extremum_check(SampledPath(noisy), window=4, atol=1e-12)
-        assert not strict.has_fixed_max_each_moment
-        assert loose.has_fixed_max_each_moment
+        report = fixed_extremum_check(SampledPath(noisy), window=4)
+        assert report.max_witnesses == (None,) and not report.has_fixed_max_each_moment
+        assert report.min_witnesses == (0,)
 
-    @pytest.mark.parametrize("atol", [0.0, 0.5])
-    def test_ties_go_to_the_least_index(self, atol):
+    def test_ties_go_to_the_least_index(self):
         # Columns 1 and 2 tie for the max on every slice, 0 and 3 for the min.
         values = [[0.0, 2.0, 2.0, 0.0], [-1.0, 3.0, 3.0, -1.0], [1.0, 5.0, 5.0, 1.0]]
-        report = fixed_extremum_check(SampledPath(values), window=2, atol=atol)
+        report = fixed_extremum_check(SampledPath(values), window=2)
         assert report.max_witnesses == (1, 1)
         assert report.min_witnesses == (0, 0)
 

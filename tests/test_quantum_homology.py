@@ -905,6 +905,23 @@ class TestModuleElement:
         assert x.coefficient(2, (Fraction(1, 2), Fraction(1, 4))) == 1
         assert x.coefficient(2, ("1/2", "1/4")) == 1
 
+    @pytest.mark.parametrize("index", [4, -1])
+    def test_basis_index_outside_the_model_refused(self, m, index):
+        # Read as zero, or index -1 as the last class, unless each entry point checks.
+        x = m.unit() + QHElement({(index, (0, 0)): 1})
+        for use in (
+            lambda: quantum_product(m, m.unit(), x),
+            lambda: classical_product(m, x, m.unit()),
+            lambda: power(m, x, 2),
+            lambda: valuation_walk(m, x, 2),
+            lambda: tropical_valuations(m, x, 2),
+            lambda: invert(m, x),
+            lambda: m.format(x),
+            lambda: m.degree(x),
+        ):
+            with pytest.raises(ModelError, match=f"^basis index {index} out of range$"):
+                use()
+
     def test_basis_element_rejects_wrong_rank(self, m):
         for B in ((1,), SphereClass((1, 0, 0))):
             with pytest.raises(ValueError, match="rank"):

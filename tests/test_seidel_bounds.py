@@ -71,6 +71,11 @@ class TestPsi:
         assert element.delta == d
         assert element.loop_multiple == 2
 
+    def test_element_unpacks_to_its_fields(self):
+        element = psi(2, Fraction(1, 4))
+        assert element._fields == ("loop_multiple", "a_squared", "delta", "value")
+        assert tuple(element) == (2, Fraction(1, 4), element.delta, element.value)
+
     def test_zero_multiple_is_unit(self):
         m = model_blowup_cp2(Fraction(1, 4))
         assert psi(0, Fraction(1, 4)).value == m.unit()
@@ -420,7 +425,8 @@ class TestLoopLengthsMeetBounds:
         assert isinstance(lengths.plus, Fraction)
         assert lengths.l_plus == math.pi * float(lengths.plus)
         assert lengths.total == math.pi * float(lengths.plus + lengths.minus)
-        assert tuple(lengths) == (lengths.l_plus, lengths.l_minus)
+        assert tuple(lengths) == (lengths.plus, lengths.minus)
+        assert lengths._fields == ("plus", "minus")
 
 
 _A2 = Fraction(1, 10)
