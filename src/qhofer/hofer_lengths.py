@@ -21,7 +21,7 @@ import math
 from itertools import compress
 from typing import Callable, NamedTuple, Sequence
 
-from .novikov import RationalLike, _area_parameter, _frac, _Frozen, integer
+from .novikov import RationalLike, _area_parameter, _frac, integer
 
 # Entries float() would misread: "1_0" as 10.0, True as 1.0.
 _UNREAD = (str, bytes, bytearray, bool)
@@ -102,36 +102,46 @@ class PathLengths(NamedTuple):
 _SHAPE = "need a rectangular 2d grid with at least two samples per axis"
 
 
-class SampledPath:
+class SampledPath(
+    NamedTuple("SampledPath", [("values", tuple), ("weights", tuple), ("label", str)])
+):
     """Float samples H[t_i][x_j] of a Hamiltonian path on a grid.
 
     ``values`` is a tuple of rows, one per time slice.  ``weights`` are
     spatial quadrature weights for the per-slice mean (uniform by default).
-    The path runs over [0, 1], so ``time_step`` is 1 / (slices - 1).
+    The path is an immutable tuple ``(values, weights, label)``, checked when
+    it is built.  It runs over [0, 1], so ``time_step`` is 1 / (slices - 1).
     """
 
-    def __init__(self, values, weights=None, label="") -> None:
+    __slots__ = ()
+
+    def __new__(cls, values, weights=None, label="") -> "SampledPath":
         try:
             grid = tuple(_floats(row, _SHAPE) for row in values)
         except TypeError:
             raise ValueError(_SHAPE) from None
-        self._fill(grid, weights, label)
+        return cls._checked(grid, weights, label)
 
-    def _fill(self, grid: tuple, weights, label) -> None:
+    # _replace builds through _make, which would skip the checks in __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    @classmethod
+    def _checked(cls, grid: tuple, weights, label) -> "SampledPath":
         """The checks after the cells, on rows of finite floats: shape, then weights."""
         n_x = len(grid[0]) if grid else 0
         if len(grid) < 2 or n_x < 2 or any(len(row) != n_x for row in grid):
             raise ValueError(_SHAPE)
-        self.values = grid
-        self.time_step = 1 / (len(grid) - 1)
         per_point = "weights must list one value per sample point"
         w = (1.0 / n_x,) * n_x if weights is None else _floats(weights, per_point)
         if len(w) != n_x:
             raise ValueError(per_point)
         if min(w) < 0 or math.fsum(w) <= 0:
             raise ValueError("weights must be finite, nonnegative, with positive sum")
-        self.weights = w
-        self.label = str(label)
+        return tuple.__new__(cls, (grid, w, str(label)))
+
+    @property
+    def time_step(self) -> float:
+        return 1 / (len(self.values) - 1)
 
     @classmethod
     def from_csv(cls, path) -> "SampledPath":
@@ -156,12 +166,10 @@ class SampledPath:
             raise ValueError(f"{path}: empty grid")
         if any(len(r) != len(grid[0]) for r in grid):
             raise ValueError(f"{path}: ragged rows")
-        sampled = cls.__new__(cls)
         try:
-            sampled._fill(tuple(grid), weights, str(path))
+            return cls._checked(tuple(grid), weights, path)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return sampled
 
 
 def _reads_as_float(cell: str) -> bool:
@@ -202,7 +210,7 @@ def path_lengths(p: SampledPath) -> PathLengths:
     return PathLengths(l_plus, l_minus, l_plus + l_minus)
 
 
-class ExtremumReport(_Frozen):
+class ExtremumReport(NamedTuple):
     """Verdict of the fixed-extremum geodesic criterion on a sampled path.
 
     ``max_witnesses[i]`` is a sample-point index attaining the spatial max on
@@ -210,24 +218,17 @@ class ExtremumReport(_Frozen):
     likewise for minima.
     """
 
-    __slots__ = _fields = (
-        "window", "has_fixed_max_each_moment", "has_fixed_min_each_moment",
-        "max_witnesses", "min_witnesses", "label",
-    )
-
-    def __init__(
-        self, window: int, has_fixed_max_each_moment: bool, has_fixed_min_each_moment: bool,
-        max_witnesses: tuple, min_witnesses: tuple, label: str = "",
-    ) -> None:
-        values = (window, has_fixed_max_each_moment, has_fixed_min_each_moment,
-                  max_witnesses, min_witnesses, label)
-        for name, v in zip(self._fields, values):
-            object.__setattr__(self, name, v)
+    window: int
+    has_fixed_max_each_moment: bool
+    has_fixed_min_each_moment: bool
+    max_witnesses: tuple
+    min_witnesses: tuple
+    label: str = ""
 
     def to_dict(self) -> dict:
-        fields = {"label": self.label, **dict(zip(self._fields, self._values()))}
-        witnesses = {name: list(fields[name]) for name in ("max_witnesses", "min_witnesses")}
-        return {**fields, **witnesses}
+        return {"label": self.label, **self._asdict(),
+                "max_witnesses": list(self.max_witnesses),
+                "min_witnesses": list(self.min_witnesses)}
 
 
 def _first_common(hits: list, window: int) -> tuple:

@@ -16,15 +16,14 @@ floating point.  Degrees enter through a second linear functional recording
 the first Chern number of each generator.
 
 Every other module imports this one, so it also holds what they share: the
-rational readers, the immutable record base and the two error bases,
-``ParseError`` and ``CheckError``.
+rational readers and the two error bases, ``ParseError`` and ``CheckError``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -96,46 +95,16 @@ def integer(v) -> int:
     return q.numerator
 
 
-class _Frozen:
-    """Immutable value object over the fields named in ``_fields``.
-
-    ``__init__`` sets each field once through ``object.__setattr__``; assigning
-    or deleting an attribute afterwards raises AttributeError.  Two objects of
-    the same class are equal, and hash alike, when their fields are.
-    """
-
-    __slots__ = ()
-    _fields: tuple = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({inner})"
-
-
-class SphereClass(_Frozen):
+class SphereClass(NamedTuple("SphereClass", [("coords", tuple)])):
     """Exact rational coordinate vector in a fixed basis of sphere classes."""
 
-    __slots__ = _fields = ("coords",)
+    __slots__ = ()
 
-    def __init__(self, coords) -> None:
-        object.__setattr__(self, "coords", tuple(_frac(c) for c in coords))
+    def __new__(cls, coords) -> "SphereClass":
+        return tuple.__new__(cls, (tuple(map(_frac, coords)),))
+
+    # _replace builds through _make, which would skip the checks in __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def zero(cls, rank: int) -> "SphereClass":
@@ -178,13 +147,15 @@ def _sphere_class(B) -> SphereClass:
     return B if isinstance(B, SphereClass) else SphereClass(tuple(B))
 
 
-class _LinearFunctional(_Frozen):
+class _LinearFunctional(NamedTuple("_LinearFunctional", [("values", tuple)])):
     """Linear functional on sphere classes, given by its generator values."""
 
-    __slots__ = _fields = ("values",)
+    __slots__ = ()
 
-    def __init__(self, values) -> None:
-        object.__setattr__(self, "values", tuple(map(self._coerce, values)))
+    def __new__(cls, values) -> "_LinearFunctional":
+        return tuple.__new__(cls, (tuple(map(cls._coerce, values)),))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __call__(self, B: SphereClass) -> Fraction:
         if len(B.coords) != len(self.values):

@@ -8,9 +8,11 @@ import pytest
 from qhofer import (
     NEG_INF,
     ChernFunctional,
+    ExtremumReport,
     OmegaFunctional,
     ParseError,
     QHElement,
+    SampledPath,
     SphereClass,
     format_exponent,
     lengths_blowup_loop,
@@ -90,10 +92,14 @@ class TestFunctionals:
     [
         (lambda a2: S(1, a2), "coords"),
         (lambda a2: OmegaFunctional((a2, 1)), "values"),
+        (lambda a2: ChernFunctional((1, Fraction(a2).denominator)), "values"),
         (lambda a2: lengths_blowup_loop(2, a2), "plus"),
         (lambda a2: psi(2, a2), "value"),
+        (lambda a2: SampledPath([[0.0, float(Fraction(a2))]] * 2), "weights"),
+        (lambda a2: ExtremumReport(2, True, True, (0,), (1,), str(Fraction(a2))), "label"),
     ],
-    ids=["SphereClass", "OmegaFunctional", "LoopLengths", "SeidelElement"],
+    ids=["SphereClass", "OmegaFunctional", "ChernFunctional", "LoopLengths", "SeidelElement",
+         "SampledPath", "ExtremumReport"],
 )
 def test_value_objects_are_immutable_and_compared_by_value(build, field):
     x, y = build("1/4"), build(Fraction(1, 4))
@@ -104,6 +110,13 @@ def test_value_objects_are_immutable_and_compared_by_value(build, field):
     with pytest.raises(AttributeError):
         delattr(x, field)
     assert x == y
+
+
+def test_replace_runs_the_checks():
+    with pytest.raises(ValueError):
+        SphereClass((1,))._replace(coords=("x",))
+    with pytest.raises(ValueError):
+        ChernFunctional((1,))._replace(values=("1/2",))
 
 
 class TestNovikovElement:

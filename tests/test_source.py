@@ -3,8 +3,9 @@ private top-level definition is used somewhere in the package, every method
 is referenced somewhere in the repository, the package imports nothing
 outside the standard library, the float module and the command line's
 module level import no package module but ``novikov``, every exception
-class is a ``ParseError`` or a ``CheckError``, the README's library tour
-and every demo run, and a test past the suite's time limit fails alone."""
+class is a ``ParseError`` or a ``CheckError``, every other public class but
+the model and the element is a tuple, the README's library tour and every
+demo run, and a test past the suite's time limit fails alone."""
 
 import ast
 import importlib
@@ -291,6 +292,17 @@ def test_every_exception_has_an_exit_code():
     # Anything else would reach main's ValueError/OSError clause, or no clause.
     modules = [importlib.import_module(f"qhofer.{name[:-3]}") for name in MODULES]
     assert stray_exceptions(modules) == []
+
+
+def test_public_value_types_are_tuples():
+    """Every public class but the errors, the model and the element is an
+    immutable tuple: a NamedTuple, or a subclass of one that checks its fields."""
+    import qhofer
+
+    classes = [getattr(qhofer, name) for name in qhofer.__all__]
+    others = [cls.__name__ for cls in classes if isinstance(cls, type)
+              and not issubclass(cls, (tuple, BaseException))]
+    assert others == ["ManifoldModel", "QHElement"]
 
 
 def test_readme_tour_runs():
