@@ -55,7 +55,7 @@ print(
 )
 
 # Reports serialize to JSON for downstream tooling.
-print(json.dumps(report.to_dict(), indent=2)[:200], "...")
+print(json.dumps(report._asdict(), indent=2)[:200], "...")
 print()
 
 # Grids round-trip through CSV, with an optional first row of sample

@@ -63,9 +63,9 @@ _JSON_KEYS = {"a_squared": "a2", "omega_f": "omegaF", "v_qk": "vQk", "v_qnegk": 
               "loop_multiple": "k"}
 
 
-def _as_json(record, *dropped) -> dict:
-    """A record's fields in order, less ``dropped``, under their JSON keys."""
-    return {_JSON_KEYS.get(f, f): getattr(record, f) for f in record._fields if f not in dropped}
+def _as_json(record) -> dict:
+    """A record's fields in order under their JSON keys."""
+    return {_JSON_KEYS.get(f, f): v for f, v in zip(record._fields, record)}
 
 
 def _dec(q) -> str:
@@ -214,8 +214,8 @@ def cmd_growth(args) -> int:
         f"# min psi-rate: {s.psi_rate_min}  "
         f"reference (1-a^2)^2/(12(1+a^2)) = {s.psi_rate_reference}"
     )
-    payload = {"a2": s.a_squared, "rows": [_as_json(r) for r in table.rows],
-               "summary": _as_json(s, "a_squared", "k_max")}
+    payload = {"a2": args.a2, "rows": [_as_json(r) for r in table.rows],
+               "summary": _as_json(s)}
     texts = {"text": "\n".join(lines), "csv": "\n".join(csv_lines)}
     _emit(args, texts, payload)
     if failures:
@@ -288,7 +288,7 @@ def cmd_geocheck(args) -> int:
     report = fixed_extremum_check(path, window=args.window)
     sides = {"max": report.has_fixed_max_each_moment, "min": report.has_fixed_min_each_moment}
     text = "\n".join(f"fixed {side} at each moment: {fixed}" for side, fixed in sides.items())
-    _emit(args, text, report.to_dict())
+    _emit(args, text, {"label": path.label, **_as_json(report)})
     missing = [side for side, fixed in sides.items() if not fixed]
     if missing:
         raise CheckError(f"no fixed {' and '.join(missing)} on some window")

@@ -223,12 +223,6 @@ class ExtremumReport(NamedTuple):
     has_fixed_min_each_moment: bool
     max_witnesses: tuple
     min_witnesses: tuple
-    label: str = ""
-
-    def to_dict(self) -> dict:
-        return {"label": self.label, **self._asdict(),
-                "max_witnesses": list(self.max_witnesses),
-                "min_witnesses": list(self.min_witnesses)}
 
 
 def _first_common(hits: list, window: int) -> tuple:
@@ -262,7 +256,6 @@ def fixed_extremum_check(p: SampledPath, window: int = 2) -> ExtremumReport:
         has_fixed_min_each_moment=None not in min_witnesses,
         max_witnesses=max_witnesses,
         min_witnesses=min_witnesses,
-        label=p.label,
     )
 
 

@@ -132,7 +132,15 @@ class SphereClass(NamedTuple("SphereClass", [("coords", tuple)])):
         q = _frac(scalar)
         return SphereClass(tuple(q * a for a in self.coords))
 
+    __mul__ = __rmul__
+
+    def __radd__(self, other):
+        # Returning NotImplemented would fall back to tuple concatenation.
+        raise TypeError(f"cannot add a {type(other).__name__} to a SphereClass")
+
     def _check_rank(self, other: "SphereClass") -> None:
+        if not isinstance(other, SphereClass):
+            raise TypeError(f"expected a SphereClass, got {type(other).__name__}")
         if len(self.coords) != len(other.coords):
             raise ValueError(
                 f"rank mismatch: {len(self.coords)} vs {len(other.coords)}"

@@ -188,8 +188,6 @@ class GrowthSummary(NamedTuple):
     rises with period 3 and ``slope_last_period`` is its final per-step rate.
     """
 
-    a_squared: Fraction
-    k_max: int
     omega_f: Fraction
     regime_bounded: bool
     qneg_max: Fraction
@@ -229,8 +227,6 @@ def growth_table(k_max: int, a_squared: RationalLike) -> GrowthTable:
     regime_bounded = 3 * a2 >= 1
     period = 4 if regime_bounded else 3
     summary = GrowthSummary(
-        a_squared=a2,
-        k_max=k_max,
         omega_f=of,
         regime_bounded=regime_bounded,
         qneg_max=qneg_max,

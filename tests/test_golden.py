@@ -5,17 +5,33 @@ Each golden file holds one run, named by its argv: the first line is
 output, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+and replay them without rewriting, on the standard library alone, with
+
+    PYTHONPATH=src python3 tests/test_golden.py --check
+
+which exits 1 naming the first run whose output differs.  The module
+imports no pytest, so the replay runs on any interpreter the package
+supports; pytest parametrizes its tests through ``pytest_generate_tests``.
 """
 
 import contextlib
 import io
+import json
 import os
 import re
+import sys
 from pathlib import Path
 
-import pytest
-
-from qhofer.cli import main
+from qhofer.cli import _JSON_KEYS, main
+from qhofer.hofer_lengths import ExtremumReport
+from qhofer.seidel_bounds import (
+    BoundRow,
+    GrowthRow,
+    GrowthSummary,
+    RTildeCertificate,
+    SeidelElement,
+)
 from helpers import Q_TEXT
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -59,18 +75,74 @@ def run_in_golden(argv) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
+def golden_text(argv) -> str:
+    return (GOLDEN / golden_name(argv)).read_bytes().decode("utf-8")
+
+
+def _json_of(text: str) -> dict:
+    return json.loads(text.split("\n", 1)[1])
+
+
+# Each record the command line writes whole: where its JSON object sits in
+# a run's output, and the keys the handler writes before and after it.
+# No golden run writes rtilde as JSON, so its object is read from a fresh run.
+_WHOLE_RECORDS = {
+    "BoundRow": (BoundRow, ["bounds", "--a2", "1/10", "--kmax", "12", "--format", "json"],
+                 lambda d: d["rows"][0], (), ()),
+    "GrowthRow": (GrowthRow, ["growth", "--a2", "1/10", "--kmax", "12", "--format", "json"],
+                  lambda d: d["rows"][0], (), ()),
+    "GrowthSummary": (GrowthSummary, ["growth", "--a2", "1/10", "--kmax", "12", "--format", "json"],
+                      lambda d: d["summary"], (), ()),
+    "RTildeCertificate": (RTildeCertificate, ["rtilde", "--a2", "1/10", "--format", "json"],
+                          lambda d: d, (), ("matches_omegaF",)),
+    "SeidelElement": (SeidelElement, ["psi", "--a2", "1/10", "--k", "3", "--format", "json"],
+                      lambda d: d, (), ("valuation",)),
+    "ExtremumReport": (ExtremumReport, ["geocheck", "grid.csv", "--window", "2"],
+                       lambda d: d, ("label",), ()),
+}
+
+
+def pytest_generate_tests(metafunc):
+    if "argv" in metafunc.fixturenames:
+        metafunc.parametrize("argv", golden_runs(), ids=golden_name)
+    if "record" in metafunc.fixturenames:
+        metafunc.parametrize("record", list(_WHOLE_RECORDS))
+
+
 def test_names_are_distinct_and_every_file_is_a_run():
     names = [golden_name(argv) for argv in golden_runs()]
     assert len(set(names)) == len(names)
     assert {p.name for p in GOLDEN.glob("*.txt")} == set(names)
 
 
-@pytest.mark.parametrize("argv", golden_runs(), ids=golden_name)
 def test_output_matches_golden(argv):
-    expected = (GOLDEN / golden_name(argv)).read_bytes().decode("utf-8")
-    assert run_in_golden(argv) == expected
+    assert run_in_golden(argv) == golden_text(argv)
+
+
+def test_records_are_written_whole(record):
+    """A record's JSON object lists every field in order, under its JSON key,
+    between the keys its handler adds."""
+    cls, argv, locate, before, after = _WHOLE_RECORDS[record]
+    text = golden_text(argv) if (GOLDEN / golden_name(argv)).exists() else run_in_golden(argv)
+    keys = list(locate(_json_of(text)))
+    assert keys == [*before, *(_JSON_KEYS.get(f, f) for f in cls._fields), *after]
+
+
+def check() -> int:
+    """Replay every golden run; 1 and the first mismatch's name if one differs."""
+    runs = golden_runs()
+    for argv in runs:
+        if run_in_golden(argv) != golden_text(argv):
+            print(f"golden mismatch: {golden_name(argv)}", file=sys.stderr)
+            return 1
+    print(f"{len(runs)} golden runs match")
+    return 0
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: test_golden.py [--check]")
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     for argv in golden_runs():
         (GOLDEN / golden_name(argv)).write_bytes(run_in_golden(argv).encode("utf-8"))

@@ -67,6 +67,27 @@ class TestSphereClass:
         assert {S(1, 0): "a"}[S(1, 0)] == "a"
 
 
+@pytest.mark.parametrize(
+    "operation, result",
+    [
+        (lambda b: b * 2, S(2, 4)),
+        (lambda b: b + (1, 2), TypeError),
+        (lambda b: b - (1, 2), TypeError),
+        (lambda b: (1, 2) + b, TypeError),
+    ],
+    ids=["B * q", "B + t", "B - t", "t + B"],
+)
+def test_sphere_class_operators_are_not_tuple_operators(operation, result):
+    """``B * q`` scales as ``q * B`` does; adding or subtracting anything but a
+    SphereClass raises TypeError instead of repeating or joining tuples."""
+    if result is TypeError:
+        with pytest.raises(TypeError):
+            operation(S(1, 2))
+    else:
+        scaled = operation(S(1, 2))
+        assert type(scaled) is SphereClass and scaled == result
+
+
 class TestFunctionals:
     def test_omega_evaluates_linearly(self):
         omega = OmegaFunctional((Fraction(1, 4), Fraction(3, 4)))
@@ -96,7 +117,7 @@ class TestFunctionals:
         (lambda a2: lengths_blowup_loop(2, a2), "plus"),
         (lambda a2: psi(2, a2), "value"),
         (lambda a2: SampledPath([[0.0, float(Fraction(a2))]] * 2), "weights"),
-        (lambda a2: ExtremumReport(2, True, True, (0,), (1,), str(Fraction(a2))), "label"),
+        (lambda a2: ExtremumReport(2, True, True, (0,), (Fraction(a2).denominator,)), "window"),
     ],
     ids=["SphereClass", "OmegaFunctional", "ChernFunctional", "LoopLengths", "SeidelElement",
          "SampledPath", "ExtremumReport"],
