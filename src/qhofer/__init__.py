@@ -15,10 +15,9 @@ _MODULE_OF = {
             "format_exponent parse_exponent valuation"
         ),
         "quantum_homology": (
-            "ManifoldModel ModelError NotInvertibleError QHElement classical_product "
-            "exact_inverse format_qh hbar invert load_model model_blowup_cp2 model_cpn "
-            "model_from_dict model_to_dict parse_qh power power_walk quantum_product "
-            "rationality_index save_model tropical_valuations validate_model valuation_walk"
+            "ManifoldModel ModelError NotInvertibleError QHElement exact_inverse format_qh "
+            "invert load_model model_blowup_cp2 model_cpn model_from_dict model_to_dict "
+            "parse_qh power power_walk quantum_product validate_model valuation_walk"
         ),
         "seidel_bounds": (
             "BoundRow GrowthRow GrowthSummary GrowthTable LoopLengths MonotoneCaseError "

@@ -145,11 +145,11 @@ def cmd_invert(args) -> int:
 
 def cmd_psi(args) -> int:
     from .novikov import SphereClass, valuation
-    from .quantum_homology import model_blowup_cp2, power, quantum_product
-    from .seidel_bounds import psi, q_element
+    from .quantum_homology import power, quantum_product
+    from .seidel_bounds import _blowup, psi, q_element
 
     element = psi(args.k, args.a2)
-    model = model_blowup_cp2(element.a_squared)
+    model = _blowup(element.a_squared)
     # Independent composition: multiply Q^k by 1 (x) e^{shift} afterwards.
     shift = SphereClass((-2 * element.delta * args.k, element.delta * args.k))
     recomposed = quantum_product(

@@ -166,9 +166,16 @@ class _LinearFunctional(NamedTuple("_LinearFunctional", [("values", tuple)])):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __call__(self, B: SphereClass) -> Fraction:
+        B = _sphere_class(B)
         if len(B.coords) != len(self.values):
             raise ValueError("class rank does not match the functional")
         return sum((v * c for v, c in zip(self.values, B.coords)), Fraction(0))
+
+    def __add__(self, other):
+        # Returning NotImplemented would fall back to tuple concatenation or repetition.
+        raise TypeError(f"{type(self).__name__} takes no + or *")
+
+    __radd__ = __mul__ = __rmul__ = __add__
 
 
 class OmegaFunctional(_LinearFunctional):

@@ -2,14 +2,14 @@
 
 A manifold model packages an even-degree homology basis, the intersection
 pairing, and a finite table of three-point genus-zero invariants n(a,b,c;B).
-The B = 0 stratum of the table encodes triple intersections, so one contraction
-rule produces both products: with g the inverse pairing matrix,
+The B = 0 stratum of the table encodes triple intersections, and one
+contraction rule turns the whole table into the quantum product: with g the
+inverse pairing matrix,
 
-    a_i * a_j = sum_{B,k,l} n(a_i, a_j, a_k; B) g^{kl} a_l (x) e^{-B},
+    a_i * a_j = sum_{B,k,l} n(a_i, a_j, a_k; B) g^{kl} a_l (x) e^{-B}.
 
-and the classical cap product keeps only the B = 0 stratum.  Elements of the
-module are finite sums a (x) e^B with rational exponents, multiplied termwise
-through the rule above.
+Elements of the module are finite sums a (x) e^B with rational exponents,
+multiplied termwise through the rule above.
 
 Inversion runs through Cramer's rule over the exponent group ring, whose
 elements are module elements on the fundamental class: it acts as the
@@ -294,7 +294,7 @@ class ManifoldModel:
 
     def gw_value(self, a, b, c, B: SphereClass) -> Fraction:
         idx = tuple(sorted(self._as_index(x) for x in (a, b, c)))
-        return self.gw.get((idx, B), Fraction(0))
+        return self.gw.get((idx, _sphere_class(B)), Fraction(0))
 
     def degree(self, x: QHElement) -> Optional[Fraction]:
         """Common degree of all terms, None for zero, error if mixed."""
@@ -418,17 +418,6 @@ class _Lattice:
             table.setdefault(j, {}).setdefault(i, []).append((l, shift, _lattice_number(w)))
         return table
 
-    @cached_property
-    def classical(self) -> dict:
-        """``quantum`` cut to its zero-shift entries: the B = 0 stratum."""
-        table: dict = {}
-        for j, rows in self.quantum.items():
-            for i, entries in rows.items():
-                kept = [entry for entry in entries if not any(entry[1])]
-                if kept:
-                    table.setdefault(j, {})[i] = kept
-        return table
-
     def _exponent(self, B: SphereClass) -> tuple:
         if len(B.coords) != self.rank:
             raise ValueError(f"rank mismatch: {len(B.coords)} vs {self.rank}")
@@ -502,14 +491,6 @@ def quantum_product(model: ManifoldModel, x: QHElement, y: QHElement) -> QHEleme
     )
 
 
-def classical_product(model: ManifoldModel, x: QHElement, y: QHElement) -> QHElement:
-    """Cap product: the zero-exponent stratum of the same contraction."""
-    lattice = model._lattice(x, y)
-    return lattice.decode(
-        _contract(lattice.classical, lattice.encode(x), lattice.encode(y))
-    )
-
-
 def power(model: ManifoldModel, x: QHElement, k: int) -> QHElement:
     """k-th quantum power; negative k demands an exact finite inverse."""
     k = integer(k)
@@ -536,22 +517,19 @@ def valuation_walk(model: ManifoldModel, x: QHElement, k_max: int) -> list:
     return [lattice.valuation(acc) for acc in lattice.walk(x, k_max)]
 
 
-def tropical_valuations(model: ManifoldModel, x: QHElement, k_max: int) -> list:
-    """[v(x^1), ..., v(x^k_max)] as a max-plus sequence; equals ``valuation_walk``.
+class _MaxPlus:
+    """M_x as a max-plus system: built and sign-checked once, then iterated on demand.
 
     A term (l, B) of x^k sums the products of entries along the walks of
     length k from the unit to basis class l through the matrix M_x, the
     exponents adding up to B.  When ``_check_signs`` passes, each walk
     contributes one term, and all walks to (l, B) carry the same sign, so no
     coefficient cancels: the support of x^k is the set of walk ends, and
-    v(x^k) is the largest total area over walks of length k.  CheckError when
+    ``valuations`` reads v(x^k) as the largest total area over walks of
+    length k, equal to what ``valuation_walk`` finds.  CheckError when
     either check fails.
     """
-    return _MaxPlus(model, x).valuations(k_max)
 
-
-class _MaxPlus:
-    """M_x as a max-plus system: built and sign-checked once, then iterated on demand."""
     def __init__(self, model: ManifoldModel, x: QHElement) -> None:
         lattice = model._lattice(x)
         matrix = _mult_matrix(lattice, lattice.encode(x), len(model.basis))
@@ -738,27 +716,6 @@ def exact_inverse(model: ManifoldModel, x: QHElement) -> QHElement:
 
 
 # ---------------------------------------------------------------------------
-# Spectral invariants of the model.
-# ---------------------------------------------------------------------------
-
-
-def hbar(model: ManifoldModel):
-    """Least positive area carried by the table, or +infinity if classical."""
-    areas = [model.omega(B) for (_, B) in model.gw if not B.is_zero()]
-    return min(areas) if areas else math.inf
-
-
-def rationality_index(model: ManifoldModel):
-    """Positive generator of the group of generator areas, or +infinity."""
-    values = [v for v in model.omega.values if v != 0]
-    if not values:
-        return math.inf
-    denominator = math.lcm(*(v.denominator for v in values))
-    numerator = math.gcd(*(abs(v.numerator * (denominator // v.denominator)) for v in values))
-    return Fraction(numerator, denominator)
-
-
-# ---------------------------------------------------------------------------
 # Built-in models.
 # ---------------------------------------------------------------------------
 
@@ -935,13 +892,6 @@ def model_from_dict(data: Mapping) -> ManifoldModel:
     except (KeyError, TypeError) as exc:
         raise ModelError(f"malformed model data: {exc}") from exc
     return ManifoldModel(**args)
-
-
-def save_model(model: ManifoldModel, path) -> None:
-    import json
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
 
 
 def load_model(path) -> ManifoldModel:

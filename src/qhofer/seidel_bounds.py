@@ -59,9 +59,15 @@ def q_element(model: ManifoldModel) -> QHElement:
 
 
 @lru_cache(maxsize=16)
+def _blowup(a2: Fraction) -> ManifoldModel:
+    """The blow-up at ``a2``, built once per area and process; its callers share it."""
+    return model_blowup_cp2(a2)
+
+
+@lru_cache(maxsize=16)
 def _rotation(a2: Fraction) -> tuple:
     """The checked max-plus systems of (Q, Q^-1) at ``a2``: built once per area and process."""
-    model = model_blowup_cp2(a2)
+    model = _blowup(a2)
     q = q_element(model)
     return _MaxPlus(model, q), _MaxPlus(model, exact_inverse(model, q))
 
@@ -128,7 +134,7 @@ def psi(k: int, a_squared: RationalLike) -> SeidelElement:
     """Rotation element Psi(k) = Q^k (x) e^{k delta (F - 2E)}."""
     a2 = _frac(a_squared)
     delta = delta_constant(a2)
-    model = model_blowup_cp2(a2)
+    model = _blowup(a2)
     shift = SphereClass((Fraction(1, 2) - 2 * delta, Fraction(1, 4) + delta))
     base = model.basis_element("F", shift)
     return SeidelElement(integer(k), a2, delta, power(model, base, k))

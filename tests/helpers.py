@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from qhofer import NotInvertibleError, QHElement, SphereClass, valuation
 from qhofer.hofer_lengths import mean_radius_sq, radial_mean
-from qhofer.quantum_homology import _invert_rational_matrix
+from qhofer.quantum_homology import _MaxPlus, _invert_rational_matrix
 
 # The standard sweep values for the exceptional area.
 NINE_A2 = [Fraction(i, 10) for i in range(1, 10)]
@@ -15,13 +15,15 @@ Q_TEXT = "F * e^{1/2*E + 1/4*F}"
 
 
 def count_rotation_builds(monkeypatch) -> dict:
-    """Empty the rotation cache, then count blow-up builds, exact inverses and sign checks."""
+    """Empty the blow-up and rotation caches, then count blow-up builds (through
+    either module), exact inverses and sign checks."""
     import qhofer.quantum_homology as qh
     import qhofer.seidel_bounds as sb
 
     counts = {"builds": 0, "inverses": 0, "signs": 0}
     for key, module, name in (
         ("builds", sb, "model_blowup_cp2"),
+        ("builds", qh, "model_blowup_cp2"),
         ("inverses", sb, "exact_inverse"),
         ("signs", qh, "_check_signs"),
     ):
@@ -29,6 +31,7 @@ def count_rotation_builds(monkeypatch) -> dict:
             counts[_key] += 1
             return _fn(*args)
         monkeypatch.setattr(module, name, counting)
+    sb._blowup.cache_clear()
     sb._rotation.cache_clear()
     return counts
 
@@ -82,6 +85,22 @@ def oracle_contract(model, x: QHElement, y: QHElement, classical: bool = False) 
                     if g_kl:
                         terms.append(((l, B1 + B2 - B), c * d * value * g_kl))
     return QHElement(terms)
+
+
+def classical_product(model, x: QHElement, y: QHElement) -> QHElement:
+    """Cap product: the B = 0 stratum of the oracle's contraction."""
+    return oracle_contract(model, x, y, classical=True)
+
+
+def hbar(model):
+    """Least positive area carried by the table, or +infinity if classical."""
+    areas = [model.omega(B) for (_, B) in model.gw if not B.is_zero()]
+    return min(areas) if areas else math.inf
+
+
+def tropical_valuations(model, x: QHElement, k_max: int) -> list:
+    """[v(x^1), ..., v(x^k_max)] from the max-plus system of x."""
+    return _MaxPlus(model, x).valuations(k_max)
 
 
 def oracle_walk(model, x: QHElement, k_max: int):

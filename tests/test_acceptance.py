@@ -32,9 +32,7 @@ from fractions import Fraction
 from qhofer import (
     NEG_INF,
     SphereClass,
-    classical_product,
     delta_constant,
-    hbar,
     lengths_blowup_loop,
     mean_radius_sq,
     mean_radius_sq_exact,
@@ -51,7 +49,7 @@ from qhofer import (
     two_sided_bounds,
     valuation,
 )
-from helpers import NINE_A2, random_qh
+from helpers import NINE_A2, classical_product, hbar, random_qh
 
 A2 = Fraction(1, 4)
 
@@ -227,6 +225,7 @@ def test_c7_property_suites(capsys):
                         m.degree(prod) == dx + dy - m.dim
                     )
 
+    # The classical part is the oracle's B = 0 contraction.
     depth_ok = True
     for m in models:
         step = hbar(m)

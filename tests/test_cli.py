@@ -171,6 +171,13 @@ class TestPsi:
         assert code == 2
         assert "3a^2" in err
 
+    def test_builds_one_model(self, capsys, monkeypatch):
+        # psi and its recomposition check share one build of the area.
+        counts = count_rotation_builds(monkeypatch)
+        code, _, err = run(capsys, "psi", "--a2", "4/11", "--k", "3")
+        assert code == 0, err
+        assert counts == {"builds": 1, "inverses": 0, "signs": 0}
+
 
 class TestBoundsAndGrowth:
     def test_bounds_hold(self, capsys):

@@ -95,6 +95,7 @@ class TestFunctionals:
         assert omega(S(0, 1)) == Fraction(3, 4)
         assert omega(S("1/2", "1/4")) == Fraction(5, 16)
         assert omega(S(0, 0)) == 0
+        assert omega((1, 0)) == Fraction(1, 4)
 
     def test_chern_evaluates_linearly(self):
         c1 = ChernFunctional((1, 2))
@@ -102,10 +103,25 @@ class TestFunctionals:
         assert c1(S(0, 1)) == 2
         # The rotation shift direction F - 2E has vanishing Chern number.
         assert c1(S(-2, 1)) == 0
+        assert c1(("1/2", 1)) == Fraction(5, 2)
 
     def test_rank_checked(self):
         with pytest.raises(ValueError):
             OmegaFunctional((1,))(S(1, 2))
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [lambda f: f + (3,), lambda f: (3,) + f, lambda f: f * 2, lambda f: 2 * f],
+    ids=["f + t", "t + f", "f * n", "n * f"],
+)
+@pytest.mark.parametrize("functional", [OmegaFunctional, ChernFunctional],
+                         ids=lambda cls: cls.__name__)
+def test_functional_operators_are_not_tuple_operators(functional, operation):
+    """Adding to or scaling a functional raises TypeError instead of joining
+    or repeating tuples."""
+    with pytest.raises(TypeError):
+        operation(functional((1, 2)))
 
 
 @pytest.mark.parametrize(

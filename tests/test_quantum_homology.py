@@ -1,4 +1,4 @@
-"""Products, powers, inversion, spectral indices, and model files."""
+"""Products, powers, inversion, max-plus valuations, and model files."""
 
 import json
 import math
@@ -17,9 +17,7 @@ from qhofer import (
     ParseError,
     QHElement,
     SphereClass,
-    classical_product,
     exact_inverse,
-    hbar,
     invert,
     load_model,
     model_blowup_cp2,
@@ -29,9 +27,6 @@ from qhofer import (
     power,
     power_walk,
     quantum_product,
-    rationality_index,
-    save_model,
-    tropical_valuations,
     valuation,
     validate_model,
     valuation_walk,
@@ -40,12 +35,15 @@ from qhofer.quantum_homology import ManifoldModel
 from helpers import (
     NINE_A2,
     Q_TEXT,
+    classical_product,
+    hbar,
     oracle_contract,
     oracle_cramer,
     oracle_invert,
     oracle_walk,
     random_fraction,
     random_qh,
+    tropical_valuations,
 )
 
 A2 = Fraction(1, 4)
@@ -205,12 +203,6 @@ class TestDeformationDepth:
             diff = quantum_product(m, x, y) - classical_product(m, x, y)
             bound = valuation(x, m.omega) + valuation(y, m.omega) - h
             assert valuation(diff, m.omega) <= bound
-
-    def test_rationality_index(self):
-        assert rationality_index(model_blowup_cp2(Fraction(1, 4))) == Fraction(1, 4)
-        assert rationality_index(model_blowup_cp2(Fraction(2, 5))) == Fraction(1, 5)
-        assert rationality_index(model_cpn(2)) == 1
-        assert rationality_index(model_cpn(2, Fraction(3, 4))) == Fraction(3, 4)
 
 
 class TestPowers:
@@ -634,9 +626,6 @@ class TestLatticeKernel:
         for _ in range(60):
             x, y = random_mixed_qh(rng, model), random_mixed_qh(rng, model)
             assert quantum_product(model, x, y) == oracle_contract(model, x, y)
-            assert classical_product(model, x, y) == oracle_contract(
-                model, x, y, classical=True
-            )
 
     def test_operand_of_another_rank_is_refused(self):
         model = model_blowup_cp2(Fraction(1, 4))
@@ -743,6 +732,26 @@ class TestTropicalValuations:
             qh._check_signs(flipped)
 
 
+class TestProjectiveSpaceRotation:
+    """A second family for the max-plus path: S = x (x) e^{L/(n+1)} in CP^n,
+    the Seidel element of the rotation loop that generates
+    pi_1(PU(n+1)) = Z/(n+1) (Seidel, GAFA 7, 1997)."""
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 30])
+    def test_valuations_repeat_with_the_loop_order(self, n):
+        model = model_cpn(n)
+        s = model.basis_element("x", SphereClass((Fraction(1, n + 1),)))
+        assert power(model, s, n + 1) == model.unit()
+        ks = range(1, 3 * (n + 1) + 1)
+        s_inv = exact_inverse(model, s)
+        pos, neg = (tropical_valuations(model, x, len(ks)) for x in (s, s_inv))
+        assert pos == [Fraction(k % (n + 1), n + 1) for k in ks]
+        # S^-k = S^j with j = -k mod (n + 1), so the two valuations sum to (k mod (n+1) + j)/(n+1).
+        assert [p + q for p, q in zip(pos, neg)] == [int(k % (n + 1) != 0) for k in ks]
+        if n <= 4:
+            assert [pos, neg] == [valuation_walk(model, x, len(ks)) for x in (s, s_inv)]
+
+
 def list_golden_gw():
     m = model_blowup_cp2(Fraction(1, 4))
     return [
@@ -761,7 +770,7 @@ class TestModelFiles:
     def test_file_roundtrip(self, tmp_path):
         m2 = model_cpn(2, Fraction(2, 3))
         path = tmp_path / "cp2.json"
-        save_model(m2, path)
+        path.write_text(json.dumps(model_to_dict(m2), indent=2), encoding="utf-8")
         again = load_model(path)
         assert again.gw == m2.gw
         assert again.omega.values == m2.omega.values
@@ -904,6 +913,7 @@ class TestModuleElement:
         assert quantum_product(m, x, m.unit()) == x
         assert x.coefficient(2, (Fraction(1, 2), Fraction(1, 4))) == 1
         assert x.coefficient(2, ("1/2", "1/4")) == 1
+        assert m.gw_value("E", "E", "F", (1, 0)) == m.gw[(1, 1, 2), SphereClass((1, 0))] == 1
 
     @pytest.mark.parametrize("index", [4, -1])
     def test_basis_index_outside_the_model_refused(self, m, index):
@@ -911,7 +921,6 @@ class TestModuleElement:
         x = m.unit() + QHElement({(index, (0, 0)): 1})
         for use in (
             lambda: quantum_product(m, m.unit(), x),
-            lambda: classical_product(m, x, m.unit()),
             lambda: power(m, x, 2),
             lambda: valuation_walk(m, x, 2),
             lambda: tropical_valuations(m, x, 2),

@@ -33,12 +33,11 @@ from qhofer import (
     SphereClass,
     two_sided_bound,
     two_sided_bounds,
-    tropical_valuations,
     valuation,
     valuation_walk,
 )
 from qhofer.cli import main
-from helpers import NINE_A2, count_rotation_builds
+from helpers import NINE_A2, count_rotation_builds, tropical_valuations
 
 
 class TestDelta:
@@ -155,7 +154,8 @@ class TestEllPlus:
             return model_blowup_cp2(a2)
 
         monkeypatch.setattr(sb, "model_blowup_cp2", counting)
-        sb._rotation.cache_clear()  # earlier tests may have built this area
+        sb._blowup.cache_clear()  # earlier tests may have built this area
+        sb._rotation.cache_clear()
         assert ell_plus_lower_bound(2, Fraction(1, 4)) == Fraction(9, 20)
         assert len(built) == 1
 

@@ -4,8 +4,9 @@ is referenced somewhere in the repository, the package imports nothing
 outside the standard library, the float module and the command line's
 module level import no package module but ``novikov``, every exception
 class is a ``ParseError`` or a ``CheckError``, every other public class but
-the model and the element is a tuple, the README's library tour and every
-demo run, and a test past the suite's time limit fails alone."""
+the model and the element is a tuple, every public name has a caller outside
+the tests, the README's library tour and every demo run, and a test past the
+suite's time limit fails alone."""
 
 import ast
 import importlib
@@ -123,12 +124,9 @@ def test_no_orphaned_private_definitions():
     assert orphaned_private_definitions(sources) == []
 
 
-def unreferenced_methods(package: dict, sources: list) -> list:
-    """Non-dunder methods defined in ``package`` (module name to text) whose
-    name no source text in ``sources`` references, as (module, class, name).
-
-    A reference is a bare name, an attribute or an imported name; the ``def``
-    of the method itself is not one."""
+def referenced_names(sources: list) -> set:
+    """Every name that a source text in ``sources`` references: a bare name,
+    an attribute or an imported name; a ``def`` or ``class`` is not one."""
     referenced = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
@@ -138,6 +136,13 @@ def unreferenced_methods(package: dict, sources: list) -> list:
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.asname or node.name)
+    return referenced
+
+
+def unreferenced_methods(package: dict, sources: list) -> list:
+    """Non-dunder methods defined in ``package`` (module name to text) whose
+    name no source text in ``sources`` references, as (module, class, name)."""
+    referenced = referenced_names(sources)
     return sorted(
         (module, cls.name, fn.name)
         for module, source in package.items()
@@ -179,6 +184,32 @@ def test_every_method_is_referenced():
         for p in sorted((ROOT / folder).rglob("*.py"))
     ]
     assert unreferenced_methods(package, sources) == BASE_CLASS_HOOKS
+
+
+def readme_python_blocks() -> list:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```python\n(.*?)```", readme, re.S)
+
+
+def caller_sources() -> list:
+    """What the product runs, apart from the tests: the package modules but
+    ``__init__``, the demos, perfbench's scripts and the README's python blocks."""
+    files = [PACKAGE / m for m in MODULES]
+    files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    return [p.read_text(encoding="utf-8") for p in files] + readme_python_blocks()
+
+
+# Public names that only the tests call, with the reason each stays public.
+TEST_ONLY_PUBLIC = {
+    "valuation_walk": "the exact walk that the max-plus sequence is checked against",
+}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    import qhofer
+
+    referenced = referenced_names(caller_sources())
+    assert [n for n in qhofer.__all__ if n not in referenced] == sorted(TEST_ONLY_PUBLIC)
 
 
 def third_party_imports(source: str) -> list:
@@ -308,9 +339,8 @@ def test_public_value_types_are_tuples():
 def test_readme_tour_runs():
     """The tour's first two python blocks run as written, in one namespace;
     the third reads a CSV file that the README does not ship."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     namespace: dict = {}
-    for block in re.findall(r"```python\n(.*?)```", readme, re.S)[:2]:
+    for block in readme_python_blocks()[:2]:
         exec(block, namespace)
 
 
