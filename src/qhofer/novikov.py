@@ -138,6 +138,15 @@ class SphereClass(NamedTuple("SphereClass", [("coords", tuple)])):
         # Returning NotImplemented would fall back to tuple concatenation.
         raise TypeError(f"cannot add a {type(other).__name__} to a SphereClass")
 
+    def __eq__(self, other) -> bool:
+        # Equal only to its own type; NotImplemented would fall back to tuple equality.
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
     def _check_rank(self, other: "SphereClass") -> None:
         if not isinstance(other, SphereClass):
             raise TypeError(f"expected a SphereClass, got {type(other).__name__}")
@@ -176,6 +185,7 @@ class _LinearFunctional(NamedTuple("_LinearFunctional", [("values", tuple)])):
         raise TypeError(f"{type(self).__name__} takes no + or *")
 
     __radd__ = __mul__ = __rmul__ = __add__
+    __eq__, __ne__, __hash__ = SphereClass.__eq__, SphereClass.__ne__, tuple.__hash__
 
 
 class OmegaFunctional(_LinearFunctional):

@@ -99,9 +99,6 @@ class QHElement:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, i: int, B) -> Fraction:
-        return self._terms.get((i, _sphere_class(B)), Fraction(0))
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -288,23 +285,6 @@ class ManifoldModel:
     def unit(self) -> QHElement:
         """The fundamental class, the identity for both products."""
         return self.basis_element(self._fund)
-
-    def zero_class(self) -> SphereClass:
-        return self._zero_class
-
-    def gw_value(self, a, b, c, B: SphereClass) -> Fraction:
-        idx = tuple(sorted(self._as_index(x) for x in (a, b, c)))
-        return self.gw.get((idx, _sphere_class(B)), Fraction(0))
-
-    def degree(self, x: QHElement) -> Optional[Fraction]:
-        """Common degree of all terms, None for zero, error if mixed."""
-        if x.is_zero():
-            return None
-        self._check_range(i for i, _ in x._terms)
-        degs = {self.degrees[i] + 2 * self.c1(B) for (i, B) in x._terms}
-        if len(degs) > 1:
-            raise ValueError(f"element is not graded: degrees {sorted(degs)}")
-        return degs.pop()
 
     def element(self, text: str) -> QHElement:
         return parse_qh(text, self)

@@ -98,6 +98,18 @@ def hbar(model):
     return min(areas) if areas else math.inf
 
 
+def degree(model, x: QHElement):
+    """Common degree of the terms of x, None for zero; ValueError if the terms
+    have several, ModelError if one names a basis index outside the model."""
+    if x.is_zero():
+        return None
+    model._check_range(i for i, _ in x.terms)
+    degrees = {model.degrees[i] + 2 * model.c1(B) for i, B in x.terms}
+    if len(degrees) > 1:
+        raise ValueError(f"element is not graded: degrees {sorted(degrees)}")
+    return degrees.pop()
+
+
 def tropical_valuations(model, x: QHElement, k_max: int) -> list:
     """[v(x^1), ..., v(x^k_max)] from the max-plus system of x."""
     return _MaxPlus(model, x).valuations(k_max)
@@ -196,7 +208,7 @@ def oracle_invert(model, x: QHElement, floor: Fraction) -> QHElement:
     if not g:
         return col
     cutoff = floor - valuation(col, model.omega)
-    series = term = {model.zero_class(): Fraction(1)}
+    series = term = {SphereClass.zero(model.rank): Fraction(1)}
     while term:
         term = {B: q for B, q in ring_product(term, g).items() if model.omega(B) >= cutoff}
         series = ring_sum((series, term))

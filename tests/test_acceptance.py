@@ -49,7 +49,7 @@ from qhofer import (
     two_sided_bounds,
     valuation,
 )
-from helpers import NINE_A2, classical_product, hbar, random_qh
+from helpers import NINE_A2, classical_product, degree, hbar, random_qh
 
 A2 = Fraction(1, 4)
 
@@ -222,7 +222,7 @@ def test_c7_property_suites(capsys):
                 )
                 if not prod.is_zero():
                     grading_ok = grading_ok and (
-                        m.degree(prod) == dx + dy - m.dim
+                        degree(m, prod) == dx + dy - m.dim
                     )
 
     # The classical part is the oracle's B = 0 contraction.
@@ -260,7 +260,8 @@ def test_c7_property_suites(capsys):
     signs_ok = len(derived) == 4
     for (a, b, c), n in derived.items():
         parity = (-1) ** sum(1 for name in (a, b, c) if name == "E")
-        signs_ok = signs_ok and n == parity == m.gw_value(a, b, c, -e_class)
+        idx = tuple(sorted(map(m.basis_names.index, (a, b, c))))
+        signs_ok = signs_ok and n == parity == m.gw.get((idx, -e_class))
 
     ok = rings_ok and grading_ok and depth_ok and signs_ok
     _verdict(

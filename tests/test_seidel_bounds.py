@@ -37,7 +37,7 @@ from qhofer import (
     valuation_walk,
 )
 from qhofer.cli import main
-from helpers import NINE_A2, count_rotation_builds, tropical_valuations
+from helpers import NINE_A2, count_rotation_builds, degree, tropical_valuations
 
 
 class TestDelta:
@@ -112,7 +112,7 @@ class TestPsi:
         a2 = Fraction(1, 2)
         m = model_blowup_cp2(a2)
         for k in range(-6, 7):
-            assert m.degree(psi(k, a2).value) == 4
+            assert degree(m, psi(k, a2).value) == 4
 
     def test_monotone_value_rejected(self):
         with pytest.raises(MonotoneCaseError):

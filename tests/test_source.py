@@ -1,12 +1,11 @@
 """Source hygiene: every name a package module imports is used in it, every
-private top-level definition is used somewhere in the package, every method
-is referenced somewhere in the repository, the package imports nothing
-outside the standard library, the float module and the command line's
-module level import no package module but ``novikov``, every exception
-class is a ``ParseError`` or a ``CheckError``, every other public class but
-the model and the element is a tuple, every public name has a caller outside
-the tests, the README's library tour and every demo run, and a test past the
-suite's time limit fails alone."""
+private top-level definition is used somewhere in the package, the package
+imports nothing outside the standard library, the float module and the
+command line's module level import no package module but ``novikov``, every
+exception class is a ``ParseError`` or a ``CheckError``, every other public
+class but the model and the element is a tuple, every method and every
+public name has a caller outside the tests, the README's library tour and
+every demo run, and a test past the suite's time limit fails alone."""
 
 import ast
 import importlib
@@ -172,20 +171,6 @@ def test_method_checker_flags_a_planted_orphan():
     assert unreferenced_methods(package, [*package.values(), tests]) == [("a.py", "A", "orphan")]
 
 
-# Methods that a standard-library base class calls by name.
-BASE_CLASS_HOOKS = [("cli.py", "_Parser", "error")]
-
-
-def test_every_method_is_referenced():
-    package = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    sources = [
-        p.read_text(encoding="utf-8")
-        for folder in ("src", "tests", "demos", "perfbench")
-        for p in sorted((ROOT / folder).rglob("*.py"))
-    ]
-    assert unreferenced_methods(package, sources) == BASE_CLASS_HOOKS
-
-
 def readme_python_blocks() -> list:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     return re.findall(r"```python\n(.*?)```", readme, re.S)
@@ -197,6 +182,16 @@ def caller_sources() -> list:
     files = [PACKAGE / m for m in MODULES]
     files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     return [p.read_text(encoding="utf-8") for p in files] + readme_python_blocks()
+
+
+# Methods that a standard-library base class calls by name.
+BASE_CLASS_HOOKS = [("cli.py", "_Parser", "error")]
+
+
+def test_every_method_is_referenced():
+    # A method whose only callers are tests fails here, as a public name does below.
+    package = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_methods(package, caller_sources()) == BASE_CLASS_HOOKS
 
 
 # Public names that only the tests call, with the reason each stays public.
