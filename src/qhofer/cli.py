@@ -144,14 +144,14 @@ def cmd_invert(args) -> int:
 
 
 def cmd_psi(args) -> int:
-    from .novikov import SphereClass, valuation
+    from .novikov import valuation
     from .quantum_homology import power, quantum_product
     from .seidel_bounds import _blowup, psi, q_element
 
     element = psi(args.k, args.a2)
     model = _blowup(element.a_squared)
     # Independent composition: multiply Q^k by 1 (x) e^{shift} afterwards.
-    shift = SphereClass((-2 * element.delta * args.k, element.delta * args.k))
+    shift = (-2 * element.delta * args.k, element.delta * args.k)
     recomposed = quantum_product(
         model, power(model, q_element(model), args.k), model.basis_element("1", shift)
     )

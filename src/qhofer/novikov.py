@@ -4,8 +4,10 @@ The coefficient ring is the rational group ring of a lattice of sphere
 classes: finite sums  sum_B q_B * e^B  with rational q_B, where the exponents
 B live in a fixed finite-rank rational vector space, multiplied by
 convolution, e^B * e^C = e^{B+C}.  Its elements are handled as module
-elements on the fundamental class (``quantum_homology.QHElement``); this
-module holds the exponents and the linear functionals on them.  The area
+elements on the fundamental class (``quantum_homology.QHElement``).  An
+exponent is a plain tuple of Fractions, one coordinate per sphere generator,
+so len(B) is the rank; this module reads exponents given from outside, and
+holds their text form and the linear functionals on them.  The area
 functional induces the leading-order filtration
 
     v(sum q_B e^B) = max { area(B) : q_B != 0 },        v(0) = -infinity,
@@ -95,73 +97,13 @@ def integer(v) -> int:
     return q.numerator
 
 
-class SphereClass(NamedTuple("SphereClass", [("coords", tuple)])):
-    """Exact rational coordinate vector in a fixed basis of sphere classes."""
-
-    __slots__ = ()
-
-    def __new__(cls, coords) -> "SphereClass":
-        return tuple.__new__(cls, (tuple(map(_frac, coords)),))
-
-    # _replace builds through _make, which would skip the checks in __new__.
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    @classmethod
-    def zero(cls, rank: int) -> "SphereClass":
-        return cls((0,) * rank)
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __add__(self, other: "SphereClass") -> "SphereClass":
-        self._check_rank(other)
-        return SphereClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "SphereClass") -> "SphereClass":
-        self._check_rank(other)
-        return SphereClass(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "SphereClass":
-        return SphereClass(tuple(-a for a in self.coords))
-
-    def __rmul__(self, scalar: RationalLike) -> "SphereClass":
-        q = _frac(scalar)
-        return SphereClass(tuple(q * a for a in self.coords))
-
-    __mul__ = __rmul__
-
-    def __radd__(self, other):
-        # Returning NotImplemented would fall back to tuple concatenation.
-        raise TypeError(f"cannot add a {type(other).__name__} to a SphereClass")
-
-    def __eq__(self, other) -> bool:
-        # Equal only to its own type; NotImplemented would fall back to tuple equality.
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-    def _check_rank(self, other: "SphereClass") -> None:
-        if not isinstance(other, SphereClass):
-            raise TypeError(f"expected a SphereClass, got {type(other).__name__}")
-        if len(self.coords) != len(other.coords):
-            raise ValueError(
-                f"rank mismatch: {len(self.coords)} vs {len(other.coords)}"
-            )
-
-    def __repr__(self) -> str:
-        inner = ", ".join(str(c) for c in self.coords)
-        return f"SphereClass(({inner}))"
-
-
-def _sphere_class(B) -> SphereClass:
-    return B if isinstance(B, SphereClass) else SphereClass(tuple(B))
+def _exponent(B) -> tuple:
+    """An exponent read from outside the package: a list or tuple of rationals,
+    returned as a tuple of Fractions.  Text, bytes, numbers, sets and iterators
+    raise TypeError, so "12" is never read as the exponent (1, 2)."""
+    if not isinstance(B, (list, tuple)):
+        raise TypeError(f"an exponent is a list or tuple of rationals, not {type(B).__name__}")
+    return tuple(map(_frac, B))
 
 
 class _LinearFunctional(NamedTuple("_LinearFunctional", [("values", tuple)])):
@@ -174,18 +116,26 @@ class _LinearFunctional(NamedTuple("_LinearFunctional", [("values", tuple)])):
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __call__(self, B: SphereClass) -> Fraction:
-        B = _sphere_class(B)
-        if len(B.coords) != len(self.values):
+    def __call__(self, B: tuple) -> Fraction:
+        B = _exponent(B)
+        if len(B) != len(self.values):
             raise ValueError("class rank does not match the functional")
-        return sum((v * c for v, c in zip(self.values, B.coords)), Fraction(0))
+        return sum((v * c for v, c in zip(self.values, B)), Fraction(0))
 
     def __add__(self, other):
         # Returning NotImplemented would fall back to tuple concatenation or repetition.
         raise TypeError(f"{type(self).__name__} takes no + or *")
 
     __radd__ = __mul__ = __rmul__ = __add__
-    __eq__, __ne__, __hash__ = SphereClass.__eq__, SphereClass.__ne__, tuple.__hash__
+
+    def __eq__(self, other) -> bool:
+        # Equal only to its own type; NotImplemented would fall back to tuple equality.
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 class OmegaFunctional(_LinearFunctional):
@@ -222,9 +172,11 @@ def valuation(x, omega: OmegaFunctional):
 # The text has four tokens: an exponential "e^{...}" with no braces inside, a
 # sign, "*", and a word (a coefficient or a name), with whitespace between
 # them.  Inner whitespace stays in a word, so a model file's name may hold
-# spaces.  A term is signs, then factors joined by "*"; its signs multiply
-# into it, and every term after the first needs at least one.
-_FACTOR = r"e\^\{[^{}]*\}|(?!e\^)[^\s{}*+-]+(?:\s+[^\s{}*+-]+)*"
+# spaces; each name of a model must be one word.  A term is signs, then
+# factors joined by "*"; its signs multiply into it, and every term after the
+# first needs at least one.
+_WORD = r"(?!e\^)[^\s{}*+-]+(?:\s+[^\s{}*+-]+)*"
+_FACTOR = r"e\^\{[^{}]*\}|" + _WORD
 _TERM = re.compile(rf"([\s+-]*)((?:{_FACTOR})(?:\s*\*\s*(?:{_FACTOR}))*)\s*")
 
 
@@ -253,22 +205,20 @@ def _parse_rational(text: str, context: str) -> Fraction:
         raise ParseError(f"bad rational {text!r} in {context}") from exc
 
 
-def format_exponent(B: SphereClass, generators: Sequence[str]) -> str:
-    if len(generators) != B.rank:
+def format_exponent(B: tuple, generators: Sequence[str]) -> str:
+    B = _exponent(B)
+    if len(generators) != len(B):
         raise ValueError("generator list does not match class rank")
-    parts = [
-        f"{c}*{g}" for c, g in zip(B.coords, generators) if c != 0
-    ]
+    parts = [f"{c}*{g}" for c, g in zip(B, generators) if c != 0]
     return " + ".join(parts) if parts else "0"
 
 
-def parse_exponent(text: str, generators: Sequence[str]) -> SphereClass:
+def parse_exponent(text: str, generators: Sequence[str]) -> tuple:
     text = text.strip()
-    rank = len(generators)
+    coords = [Fraction(0)] * len(generators)
     if text == "0":
-        return SphereClass.zero(rank)
+        return tuple(coords)
     index = {g: i for i, g in enumerate(generators)}
-    coords = [Fraction(0)] * rank
     for sign, factors, offset in _terms(text):
         *coeffs, name = factors
         if len(coeffs) > 1:
@@ -279,4 +229,4 @@ def parse_exponent(text: str, generators: Sequence[str]) -> SphereClass:
                 f"unknown generator {name!r} at offset {offset}; expected one of {list(generators)}"
             )
         coords[index[name]] += sign * coeff
-    return SphereClass(tuple(coords))
+    return tuple(coords)

@@ -30,6 +30,7 @@ blow-up of the projective plane with a size-a exceptional divisor.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations_with_replacement
@@ -43,12 +44,12 @@ from .novikov import (
     OmegaFunctional,
     ParseError,
     RationalLike,
-    SphereClass,
+    _WORD,
     _accumulate,
     _area_parameter,
+    _exponent,
     _frac,
     _parse_rational,
-    _sphere_class,
     _terms,
     format_exponent,
     integer,
@@ -78,7 +79,7 @@ class QHElement:
     def __init__(self, terms: Union[Mapping, Iterable[tuple]] = ()) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
         self._terms = _accumulate(
-            ((integer(i), _sphere_class(B)), _frac(q)) for (i, B), q in items
+            ((integer(i), _exponent(B)), _frac(q)) for (i, B), q in items
         )
 
     @classmethod
@@ -93,7 +94,7 @@ class QHElement:
         """Copy of the coefficient map."""
         return dict(self._terms)
 
-    def support_classes(self) -> Iterator[SphereClass]:
+    def support_classes(self) -> Iterator[tuple]:
         return map(itemgetter(1), self._terms)
 
     def is_zero(self) -> bool:
@@ -191,7 +192,7 @@ class ManifoldModel:
             _expect(lists, array, (sphere_generators, basis, pairing, omega, c1, gw))
             _expect(lists, array, (*basis, *gw, *pairing))
             _expect(lists, array, [classes for classes, _, _ in gw])
-            _expect((*lists, SphereClass), array, [B for _, B, _ in gw])
+            _expect(lists, array, [B for _, B, _ in gw])
             _expect(str, "names and sphere generators must be strings",
                     (name, *sphere_generators, *(n for n, _ in basis)))
             _expect(int, "dim, degrees and c1 must be integers", (dim, *c1, *(d for _, d in basis)))
@@ -214,7 +215,7 @@ class ManifoldModel:
             raise ModelError(f"malformed model data: {exc}") from exc
         if problems:
             raise ModelError("; ".join(problems))
-        self._zero_class = SphereClass.zero(self.rank)
+        self._zero_class = (Fraction(0),) * self.rank
         self._lattices: dict = {}
         self._fund = self.degrees.index(self.dim)
 
@@ -227,16 +228,16 @@ class ManifoldModel:
             if len(idx) != 3:
                 raise ModelError(f"{self._entry(idx)} names {len(idx)} classes, "
                                  "but each table entry takes exactly three")
-            value, B = _frac(value), _sphere_class(B)
-            if B.rank != self.rank:
-                raise ModelError(f"{self._entry(idx)} has an exponent of rank {B.rank}, "
+            value, B = _frac(value), _exponent(B)
+            if len(B) != self.rank:
+                raise ModelError(f"{self._entry(idx)} has an exponent of rank {len(B)}, "
                                  f"not {self.rank}")
             if table.setdefault((idx, B), value) != value:
                 raise ModelError(f"conflicting values for {self._entry(idx, B)}: "
                                  f"{table[idx, B]} and {value}")
         return {k: v for k, v in table.items() if v != 0}
 
-    def _entry(self, idx: tuple, B: Optional[SphereClass] = None) -> str:
+    def _entry(self, idx: tuple, B: Optional[tuple] = None) -> str:
         """A table entry as reports name it: its classes, then ``B`` when given."""
         classes = ",".join(self.basis_names[i] for i in idx)
         exponent = "" if B is None else f";{format_exponent(B, self.sphere_generators)}"
@@ -252,8 +253,8 @@ class ManifoldModel:
         """Tables compiled for the exponents of the table and of ``elements``."""
         self._check_range(i for x in elements for i, _ in x._terms)
         D = math.lcm(
-            *(c.denominator for (_, B) in self.gw for c in B.coords),
-            *(c.denominator for x in elements for (_, B) in x._terms for c in B.coords),
+            *(c.denominator for (_, B) in self.gw for c in B),
+            *(c.denominator for x in elements for (_, B) in x._terms for c in B),
         )
         if D not in self._lattices:
             self._lattices[D] = _Lattice(self, D)
@@ -275,11 +276,11 @@ class ManifoldModel:
 
     # -- basic queries ----------------------------------------------------
 
-    def basis_element(self, c, B: Optional[SphereClass] = None) -> QHElement:
+    def basis_element(self, c, B: Optional[tuple] = None) -> QHElement:
         i = self._as_index(c)
-        B = self._zero_class if B is None else _sphere_class(B)
-        if B.rank != self.rank:
-            raise ValueError(f"rank mismatch: {B.rank} vs {self.rank}")
+        B = self._zero_class if B is None else _exponent(B)
+        if len(B) != self.rank:
+            raise ValueError(f"rank mismatch: {len(B)} vs {self.rank}")
         return QHElement._of({(i, B): Fraction(1)})
 
     def unit(self) -> QHElement:
@@ -299,13 +300,22 @@ class ManifoldModel:
 def validate_model(model: ManifoldModel) -> list:
     """All consistency problems found, as human-readable strings.
 
-    Each rule runs once over its own domain: a pair of classes, a table entry
-    or a table class.  Every message names the one it is about, and a pair
-    whose pairing is already reported is not checked against the unit too.
+    Each rule runs once over its own domain: a name, a pair of classes, a
+    table entry or a table class.  Every message names the one it is about,
+    and a pair whose pairing is already reported is not checked against the
+    unit too.
     """
     problems = []
     n, rank, dim = len(model.basis), model.rank, model.dim
     names, degrees, pairing = model.basis_names, model.degrees, model.pairing
+    generators = model.sphere_generators
+    # Element text names classes and generators by these words, so printed
+    # elements read back only when each is one word of the term scanner.
+    problems += [f"name {name!r} cannot be read back from element text: a name is one "
+                 "word, without outer space, '*', '+', '-', braces or a leading 'e^'"
+                 for name in dict.fromkeys((*names, *generators)) if not re.fullmatch(_WORD, name)]
+    problems += [f"sphere generator {g!r} is listed more than once"
+                 for g in dict.fromkeys(generators) if generators.count(g) > 1]
     if dim <= 0 or dim % 2:
         problems.append("dimension must be a positive even integer")
     if len(model.omega.values) != rank or len(model.c1.values) != rank:
@@ -321,7 +331,7 @@ def validate_model(model: ManifoldModel) -> list:
     if shape:
         return problems + shape
     u, entry = degrees.index(dim), model._entry
-    zero = SphereClass.zero(rank)
+    zero = (Fraction(0),) * rank
     for i, j in combinations_with_replacement(range(n), 2):
         pair, q = f"({names[i]},{names[j]})", pairing[i][j]
         through_unit = (tuple(sorted((i, j, u))), zero)
@@ -387,7 +397,7 @@ class _Lattice:
     def _table(self, model: ManifoldModel) -> dict:
         def terms():
             for ((i, j, k), B), value in model.gw.items():
-                shift = self._exponent(-B)
+                shift = tuple(-e for e in self._ints(B))
                 for a, b, c in {(i, j, k), (i, k, j), (j, k, i)}:
                     for l, g in model._dual[c]:
                         for pair in {(a, b), (b, a)}:
@@ -398,21 +408,22 @@ class _Lattice:
             table.setdefault(j, {}).setdefault(i, []).append((l, shift, _lattice_number(w)))
         return table
 
-    def _exponent(self, B: SphereClass) -> tuple:
-        if len(B.coords) != self.rank:
-            raise ValueError(f"rank mismatch: {len(B.coords)} vs {self.rank}")
-        return tuple(c.numerator * (self.D // c.denominator) for c in B.coords)
+    def _ints(self, B: tuple) -> tuple:
+        """D*B, the lattice coordinates of the exponent B."""
+        if len(B) != self.rank:
+            raise ValueError(f"rank mismatch: {len(B)} vs {self.rank}")
+        return tuple(c.numerator * (self.D // c.denominator) for c in B)
 
     def encode(self, x: QHElement) -> dict:
         return {
-            (i, *self._exponent(B)): _lattice_number(q)
+            (i, *self._ints(B)): _lattice_number(q)
             for (i, B), q in x._terms.items()
         }
 
     def decode(self, terms: dict) -> QHElement:
         return QHElement._of(
             {
-                (i, SphereClass(tuple(Fraction(e, self.D) for e in B))): Fraction(q)
+                (i, tuple(Fraction(e, self.D) for e in B)): Fraction(q)
                 for (i, *B), q in terms.items()
             }
         )
@@ -791,9 +802,9 @@ def format_qh(x: QHElement, model: ManifoldModel) -> str:
     rows = []
     for (i, B), q in x._terms.items():
         factors = [str(q), model.basis_names[i]]
-        if not B.is_zero():
+        if any(B):
             factors.append(f"e^{{{format_exponent(B, model.sphere_generators)}}}")
-        rows.append(((i, B.coords), " * ".join(factors)))
+        rows.append(((i, B), " * ".join(factors)))
     return " + ".join(text for _, text in sorted(rows))
 
 
@@ -835,7 +846,7 @@ def parse_qh(text: str, model: ManifoldModel) -> QHElement:
 
 
 def model_to_dict(model: ManifoldModel) -> dict:
-    gw_rows = sorted(model.gw.items(), key=lambda kv: (kv[0][1].coords, kv[0][0]))
+    gw_rows = sorted(model.gw.items(), key=lambda kv: (kv[0][1], kv[0][0]))
     return {
         "name": model.name,
         "dim": model.dim,
@@ -847,7 +858,7 @@ def model_to_dict(model: ManifoldModel) -> dict:
         "gw": [
             {
                 "classes": [model.basis_names[i] for i in idx],
-                "B": [str(c) for c in B.coords],
+                "B": [str(c) for c in B],
                 "value": str(value),
             }
             for (idx, B), value in gw_rows

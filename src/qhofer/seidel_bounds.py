@@ -24,9 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .novikov import (
-    CheckError, RationalLike, SphereClass, _area_parameter, _frac, integer,
-)
+from .novikov import CheckError, RationalLike, _area_parameter, _frac, integer
 from .novikov import valuation  # noqa: F401  (perfbench's tracing test looks it up here)
 from .quantum_homology import (
     ManifoldModel,
@@ -55,7 +53,7 @@ def delta_constant(a_squared: RationalLike) -> Fraction:
 
 def q_element(model: ManifoldModel) -> QHElement:
     """The rotation generator without its delta shift: F (x) e^{E/2 + F/4}."""
-    return model.basis_element("F", SphereClass((Fraction(1, 2), Fraction(1, 4))))
+    return model.basis_element("F", (Fraction(1, 2), Fraction(1, 4)))
 
 
 @lru_cache(maxsize=16)
@@ -135,7 +133,7 @@ def psi(k: int, a_squared: RationalLike) -> SeidelElement:
     a2 = _frac(a_squared)
     delta = delta_constant(a2)
     model = _blowup(a2)
-    shift = SphereClass((Fraction(1, 2) - 2 * delta, Fraction(1, 4) + delta))
+    shift = (Fraction(1, 2) - 2 * delta, Fraction(1, 4) + delta)
     base = model.basis_element("F", shift)
     return SeidelElement(integer(k), a2, delta, power(model, base, k))
 

@@ -4,7 +4,7 @@ import math
 import random
 from fractions import Fraction
 
-from qhofer import NotInvertibleError, QHElement, SphereClass, valuation
+from qhofer import NotInvertibleError, QHElement, valuation
 from qhofer.hofer_lengths import mean_radius_sq, radial_mean
 from qhofer.quantum_homology import _MaxPlus, _invert_rational_matrix
 
@@ -43,10 +43,17 @@ def random_fraction(rng: random.Random, lo: int = -5, hi: int = 5) -> Fraction:
     return Fraction(num, rng.choice((1, 2, 3)))
 
 
-def random_sphere_class(rng: random.Random, rank: int) -> SphereClass:
-    return SphereClass(
-        tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 4))) for _ in range(rank))
-    )
+def class_sum(*classes) -> tuple:
+    """Coordinatewise sum of exponents of one rank."""
+    return tuple(map(sum, zip(*classes, strict=True)))
+
+
+def class_neg(B) -> tuple:
+    return tuple(-c for c in B)
+
+
+def random_sphere_class(rng: random.Random, rank: int) -> tuple:
+    return tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 4))) for _ in range(rank))
 
 
 def random_qh(rng: random.Random, model, max_terms: int = 3) -> QHElement:
@@ -61,7 +68,7 @@ def random_qh(rng: random.Random, model, max_terms: int = 3) -> QHElement:
 
 
 def oracle_contract(model, x: QHElement, y: QHElement, classical: bool = False) -> QHElement:
-    """Reference product: the contraction rule in Fraction/SphereClass terms.
+    """Reference product: the contraction rule on Fraction coefficients and exponents.
 
     a_i * a_j = sum over table entries n(a_i, a_j, a_k; B) g^{kl} a_l e^{-B},
     with g the inverse pairing; the classical product keeps only B = 0.
@@ -71,7 +78,7 @@ def oracle_contract(model, x: QHElement, y: QHElement, classical: bool = False) 
     for (i, B1), c in x.terms.items():
         for (j, B2), d in y.terms.items():
             for (idx, B), value in model.gw.items():
-                if classical and not B.is_zero():
+                if classical and any(B):
                     continue
                 rest = list(idx)
                 if i not in rest:
@@ -83,7 +90,7 @@ def oracle_contract(model, x: QHElement, y: QHElement, classical: bool = False) 
                 k = rest[0]
                 for l, g_kl in enumerate(g[k]):
                     if g_kl:
-                        terms.append(((l, B1 + B2 - B), c * d * value * g_kl))
+                        terms.append(((l, class_sum(B1, B2, class_neg(B))), c * d * value * g_kl))
     return QHElement(terms)
 
 
@@ -94,7 +101,7 @@ def classical_product(model, x: QHElement, y: QHElement) -> QHElement:
 
 def hbar(model):
     """Least positive area carried by the table, or +infinity if classical."""
-    areas = [model.omega(B) for (_, B) in model.gw if not B.is_zero()]
+    areas = [model.omega(B) for (_, B) in model.gw if any(B)]
     return min(areas) if areas else math.inf
 
 
@@ -123,7 +130,7 @@ def oracle_walk(model, x: QHElement, k_max: int):
         yield acc
 
 
-# Ring elements of the oracle are {SphereClass: Fraction} dicts with no zero
+# Ring elements of the oracle are {exponent: Fraction} dicts with no zero
 # coefficient.
 
 
@@ -138,13 +145,13 @@ def ring_sum(parts) -> dict:
 
 def ring_product(x: dict, y: dict) -> dict:
     """Convolution: exponents add, coefficients multiply."""
-    return ring_sum({B + C: q * r} for B, q in x.items() for C, r in y.items())
+    return ring_sum({class_sum(B, C): q * r} for B, q in x.items() for C, r in y.items())
 
 
 def _oracle_scale(x: QHElement, lam: dict) -> QHElement:
     """A module element times a ring element, exponents adding termwise."""
     return QHElement(
-        ((i, B + C), q * r) for (i, B), q in x.terms.items() for C, r in lam.items()
+        ((i, class_sum(B, C)), q * r) for (i, B), q in x.terms.items() for C, r in lam.items()
     )
 
 
@@ -192,9 +199,9 @@ def oracle_cramer(model, x: QHElement) -> tuple:
             f"{len(leaders)} terms, so the geometric series cannot start"
         )
     ((B0, c0),) = leaders
-    g = {B - B0: -q / c0 for B, q in det.items() if B != B0}
+    g = {class_sum(B, class_neg(B0)): -q / c0 for B, q in det.items() if B != B0}
     adj = QHElement(((k, B), q) for k, entry in enumerate(cofactors) for B, q in entry.items())
-    return _oracle_scale(adj, {-B0: 1 / c0}), g
+    return _oracle_scale(adj, {class_neg(B0): 1 / c0}), g
 
 
 def oracle_invert(model, x: QHElement, floor: Fraction) -> QHElement:
@@ -208,7 +215,7 @@ def oracle_invert(model, x: QHElement, floor: Fraction) -> QHElement:
     if not g:
         return col
     cutoff = floor - valuation(col, model.omega)
-    series = term = {SphereClass.zero(model.rank): Fraction(1)}
+    series = term = {(Fraction(0),) * model.rank: Fraction(1)}
     while term:
         term = {B: q for B, q in ring_product(term, g).items() if model.omega(B) >= cutoff}
         series = ring_sum((series, term))

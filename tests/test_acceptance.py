@@ -31,7 +31,6 @@ from fractions import Fraction
 
 from qhofer import (
     NEG_INF,
-    SphereClass,
     delta_constant,
     lengths_blowup_loop,
     mean_radius_sq,
@@ -49,7 +48,7 @@ from qhofer import (
     two_sided_bounds,
     valuation,
 )
-from helpers import NINE_A2, classical_product, degree, hbar, random_qh
+from helpers import NINE_A2, class_neg, classical_product, degree, hbar, random_qh
 
 A2 = Fraction(1, 4)
 
@@ -169,7 +168,7 @@ def test_c5_seidel_consistency(capsys):
         m = model_blowup_cp2(a2)
         d = delta_constant(a2)
         doubled = m.basis_element(
-            "E", SphereClass((-4 * d, 2 * d + Fraction(1, 2)))
+            "E", (-4 * d, 2 * d + Fraction(1, 2))
         )
         one = psi(1, a2).value
         squares_ok = squares_ok and quantum_product(m, one, one) == doubled
@@ -245,7 +244,7 @@ def test_c7_property_suites(capsys):
     # degree-two product against the basis, then compare with the stored
     # table and with the parity rule (-1)^(number of E arguments).
     m = model_blowup_cp2(A2)
-    e_class = SphereClass((Fraction(-1), Fraction(0)))
+    e_class = (Fraction(-1), Fraction(0))
     derived = {}
     for a, b in (("E", "E"), ("E", "F"), ("F", "F")):
         text = next(w for x, y, w in GOLDEN_PRODUCTS if {x, y} == {a, b})
@@ -261,7 +260,7 @@ def test_c7_property_suites(capsys):
     for (a, b, c), n in derived.items():
         parity = (-1) ** sum(1 for name in (a, b, c) if name == "E")
         idx = tuple(sorted(map(m.basis_names.index, (a, b, c))))
-        signs_ok = signs_ok and n == parity == m.gw.get((idx, -e_class))
+        signs_ok = signs_ok and n == parity == m.gw.get((idx, class_neg(e_class)))
 
     ok = rings_ok and grading_ok and depth_ok and signs_ok
     _verdict(

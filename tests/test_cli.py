@@ -369,6 +369,14 @@ class TestLengthsAndGeocheck:
 MODEL_READERS = [["model-validate", "PATH"], ["product", "--model", "PATH", "E", "F"]]
 
 
+def rename_class(data: dict, old: str, new: str) -> None:
+    """Rename basis class ``old`` of a model file's data, in its table too."""
+    for row in data["basis"]:
+        row["name"] = new if row["name"] == old else row["name"]
+    for row in data["gw"]:
+        row["classes"] = [new if c == old else c for c in row["classes"]]
+
+
 class TestModelFiles:
     def test_export_then_validate(self, capsys, tmp_path):
         target = tmp_path / "blowup.json"
@@ -381,6 +389,45 @@ class TestModelFiles:
         code, out, _ = run(capsys, "model-validate", str(target))
         assert code == 0
         assert "valid" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--model", "blowup", "--a2", a2] for a2 in ("1/100", "1/3", "99/100")]
+        + [["--model", "cpn", "--n", n] for n in ("1", "2", "5")],
+    )
+    def test_builtin_models_validate(self, capsys, tmp_path, argv):
+        target = tmp_path / "model.json"
+        assert run(capsys, "model-export", *argv, "--out", str(target))[0] == 0
+        code, out, _ = run(capsys, "model-validate", str(target))
+        assert code == 0 and "is valid" in out
+
+    # A printed element reads back only when every name is one word of element
+    # text and no two generators share a name.  Each fault is reported once.
+    @pytest.mark.parametrize(
+        "edit, refusal",
+        [
+            (lambda d: d.update(sphere_generators=["E", "E"]),
+             "sphere generator 'E' is listed more than once"),
+            (lambda d: d.update(sphere_generators=["E", ""]), "name '' cannot be read back"),
+            (lambda d: rename_class(d, "E", "E+F"), "name 'E+F' cannot be read back"),
+            (lambda d: rename_class(d, "F", " F"), "name ' F' cannot be read back"),
+            (lambda d: rename_class(d, "p", "e^p"), "name 'e^p' cannot be read back"),
+            (lambda d: d.update(sphere_generators=["E", "{F}"]), "name '{F}' cannot be read back"),
+            (lambda d: (rename_class(d, "E", "E*"), d.update(sphere_generators=["E*", "F"])),
+             "name 'E*' cannot be read back"),
+        ],
+        ids=["twice", "empty", "plus", "outer space", "exponential", "braces", "class and generator"],
+    )
+    @pytest.mark.parametrize("argv", MODEL_READERS)
+    def test_names_must_read_back(self, capsys, tmp_path, edit, refusal, argv):
+        target = tmp_path / "model.json"
+        run(capsys, "model-export", "--model", "blowup", "--a2", "1/10", "--out", str(target))
+        data = json.loads(target.read_text())
+        edit(data)
+        target.write_text(json.dumps(data))
+        code, out, err = run(capsys, *(str(target) if a == "PATH" else a for a in argv))
+        assert (code, out) == (2, "")
+        assert err.count(refusal) == 1 and err.count("\n") == 1
 
     def test_validate_rejects_broken_file(self, capsys, tmp_path):
         target = tmp_path / "blowup.json"

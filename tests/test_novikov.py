@@ -1,4 +1,4 @@
-"""Sphere classes, functionals, the ring on the fundamental class, valuations, and text."""
+"""Exponents, functionals, the ring on the fundamental class, valuations, and text."""
 
 import random
 from fractions import Fraction
@@ -13,9 +13,10 @@ from qhofer import (
     ParseError,
     QHElement,
     SampledPath,
-    SphereClass,
     format_exponent,
     lengths_blowup_loop,
+    model_from_dict,
+    model_to_dict,
     model_blowup_cp2,
     parse_exponent,
     psi,
@@ -28,64 +29,54 @@ from helpers import random_fraction, random_qh, random_sphere_class
 GENS = ("E", "F")
 
 
-def S(*coords) -> SphereClass:
-    return SphereClass(tuple(coords))
+def S(*coords) -> tuple:
+    return tuple(map(Fraction, coords))
 
 
-class TestSphereClass:
-    def test_coercion_to_fraction(self):
-        b = S("1/2", 3)
-        assert b.coords == (Fraction(1, 2), Fraction(3))
-        assert all(isinstance(c, Fraction) for c in b.coords)
-
-    def test_bools_are_not_rationals(self):
-        # bool is an int subclass; true in a model file must not read as 1.
-        for value in (True, False):
-            with pytest.raises(TypeError):
-                _frac(value)
-        assert _frac(1) == 1 and _frac("1") == 1
-
-    def test_vector_operations(self):
-        a, b = S(1, 2), S("1/2", -1)
-        assert a + b == S("3/2", 1)
-        assert a - b == S("1/2", 3)
-        assert -a == S(-1, -2)
-        assert Fraction(1, 3) * a == S("1/3", "2/3")
-        assert 2 * b == S(1, -2)
-
-    def test_zero_and_rank(self):
-        z = SphereClass.zero(2)
-        assert z.is_zero() and z.rank == 2
-        assert not S(0, 1).is_zero()
-
-    def test_rank_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            S(1, 2) + S(1, 2, 3)
-
-    def test_hashable_by_value(self):
-        assert S(1, "1/2") == S("1", Fraction(1, 2))
-        assert {S(1, 0): "a"}[S(1, 0)] == "a"
-
-
-@pytest.mark.parametrize(
-    "operation, result",
-    [
-        (lambda b: b * 2, S(2, 4)),
-        (lambda b: b + (1, 2), TypeError),
-        (lambda b: b - (1, 2), TypeError),
-        (lambda b: (1, 2) + b, TypeError),
-    ],
-    ids=["B * q", "B + t", "B - t", "t + B"],
-)
-def test_sphere_class_operators_are_not_tuple_operators(operation, result):
-    """``B * q`` scales as ``q * B`` does; adding or subtracting anything but a
-    SphereClass raises TypeError instead of repeating or joining tuples."""
-    if result is TypeError:
+def test_bools_are_not_rationals():
+    # bool is an int subclass; true in a model file must not read as 1.
+    for value in (True, False):
         with pytest.raises(TypeError):
-            operation(S(1, 2))
-    else:
-        scaled = operation(S(1, 2))
-        assert type(scaled) is SphereClass and scaled == result
+            _frac(value)
+    assert _frac(1) == 1 and _frac("1") == 1
+
+
+BLOWUP = model_blowup_cp2("1/10")
+# Each place an exponent enters the package from outside, as a call on it.
+ENTRY_POINTS = {
+    "QHElement": lambda B: QHElement([((2, B), 1)]),
+    "basis_element": lambda B: BLOWUP.basis_element("F", B),
+    "omega": lambda B: BLOWUP.omega(B),
+    "format_exponent": lambda B: format_exponent(B, GENS),
+}
+
+
+class TestExponentEntryPoints:
+    """An exponent is a plain tuple of Fractions, read once where it enters."""
+
+    def test_coercion_to_fraction(self):
+        for x in (QHElement([((2, ["1/2", 3]), 1)]), BLOWUP.basis_element("F", ("1/2", 3))):
+            ((_, B),) = x.terms
+            assert B == (Fraction(1, 2), 3) and type(B) is tuple
+            assert all(type(c) is Fraction for c in B)
+        table = model_from_dict(model_to_dict(BLOWUP)).gw
+        assert all(type(B) is tuple and all(type(c) is Fraction for c in B) for _, B in table)
+        assert BLOWUP.omega(["1/2", 3]) == Fraction(1, 20) + Fraction(27, 10)
+
+    def test_terms_answer_plain_tuples(self):
+        x = QHElement({(2, (1, "1/2")): 3})
+        assert x.terms[2, (1, Fraction(1, 2))] == 3
+        assert BLOWUP.basis_element("F", (1, 2)).terms[2, (1, 2)] == 1
+
+    @pytest.mark.parametrize(
+        "B", ["12", b"12", 12, Fraction(1, 2), {1, 2}, (c for c in (1, 2))],
+        ids=["str", "bytes", "int", "Fraction", "set", "generator"],
+    )
+    @pytest.mark.parametrize("enter", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    def test_only_a_list_or_tuple_is_an_exponent(self, enter, B):
+        """Text is not read one character at a time, nor a set in hash order."""
+        with pytest.raises(TypeError, match="an exponent is a list or tuple of rationals"):
+            enter(B)
 
 
 class TestFunctionals:
@@ -127,7 +118,6 @@ def test_functional_operators_are_not_tuple_operators(functional, operation):
 @pytest.mark.parametrize(
     "build, field",
     [
-        (lambda a2: S(1, a2), "coords"),
         (lambda a2: OmegaFunctional((a2, 1)), "values"),
         (lambda a2: ChernFunctional((1, Fraction(a2).denominator)), "values"),
         (lambda a2: lengths_blowup_loop(2, a2), "plus"),
@@ -135,7 +125,7 @@ def test_functional_operators_are_not_tuple_operators(functional, operation):
         (lambda a2: SampledPath([[0.0, float(Fraction(a2))]] * 2), "weights"),
         (lambda a2: ExtremumReport(2, True, True, (0,), (Fraction(a2).denominator,)), "window"),
     ],
-    ids=["SphereClass", "OmegaFunctional", "ChernFunctional", "LoopLengths", "SeidelElement",
+    ids=["OmegaFunctional", "ChernFunctional", "LoopLengths", "SeidelElement",
          "SampledPath", "ExtremumReport"],
 )
 def test_value_objects_are_immutable_and_compared_by_value(build, field):
@@ -152,23 +142,20 @@ def test_value_objects_are_immutable_and_compared_by_value(build, field):
 @pytest.mark.parametrize(
     "x, y",
     [
-        (S(1, 2), ((Fraction(1), Fraction(2)),)),
-        (S(1, 2), OmegaFunctional((1, 2))),
+        (OmegaFunctional((1, 2)), ((Fraction(1), Fraction(2)),)),
         (OmegaFunctional((1, 2)), ChernFunctional((1, 2))),
     ],
-    ids=["SphereClass-tuple", "SphereClass-OmegaFunctional", "OmegaFunctional-ChernFunctional"],
+    ids=["OmegaFunctional-tuple", "OmegaFunctional-ChernFunctional"],
 )
 def test_value_types_equal_only_their_own_type(x, y):
     """Equal fields make no equal values across types, from either side, so a
-    dict keyed by sphere classes answers no plain tuple."""
+    dict keyed by functionals answers no plain tuple."""
     assert not x == y and not y == x
     assert x != y and y != x
     assert {x: 1}.get(y) is None
 
 
 def test_replace_runs_the_checks():
-    with pytest.raises(ValueError):
-        SphereClass((1,))._replace(coords=("x",))
     with pytest.raises(ValueError):
         ChernFunctional((1,))._replace(values=("1/2",))
 

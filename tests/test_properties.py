@@ -19,7 +19,6 @@ from qhofer import (  # noqa: E402
     NotInvertibleError,
     ParseError,
     QHElement,
-    SphereClass,
     invert,
     model_blowup_cp2,
     model_cpn,
@@ -40,11 +39,11 @@ coordinates = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 4))
 
 
 def sphere_classes(rank):
-    return st.tuples(*[coordinates] * rank).map(SphereClass)
+    return st.tuples(*[coordinates] * rank)
 
 
 def ring_elements(rank):
-    """{SphereClass: Fraction} dicts with no zero coefficient."""
+    """{exponent: Fraction} dicts with no zero coefficient."""
     return st.dictionaries(sphere_classes(rank), coefficients.filter(bool), max_size=4)
 
 
@@ -144,7 +143,7 @@ INVERT_MODELS = {"blowup 1/2": model_blowup_cp2("1/2"), "cp2": model_cpn(2)}
 def small_units(model):
     """c * 1 plus up to two terms with integral exponents in [-1, 1]."""
     (unit_key,) = model.unit().terms
-    exponents = st.tuples(*[st.integers(-1, 1)] * model.rank).map(SphereClass)
+    exponents = st.tuples(*[st.integers(-1, 1)] * model.rank)
     key = st.tuples(st.integers(0, len(model.basis) - 1), exponents)
     rest = st.lists(st.tuples(key, coefficients), max_size=2)
     return st.builds(

@@ -16,16 +16,18 @@ from qhofer import (
     NotInvertibleError,
     ParseError,
     QHElement,
-    SphereClass,
     exact_inverse,
+    format_qh,
     invert,
     load_model,
     model_blowup_cp2,
     model_cpn,
     model_from_dict,
     model_to_dict,
+    parse_qh,
     power,
     power_walk,
+    psi,
     quantum_product,
     valuation,
     validate_model,
@@ -121,7 +123,7 @@ class TestClassicalProduct:
     def test_classical_is_zero_exponent_stratum(self, m):
         # On bare basis classes the cap product is exactly the zero-exponent
         # slice of the quantum product.
-        zero = SphereClass.zero(m.rank)
+        zero = (0,) * m.rank
         for xn, _ in m.basis:
             for yn, _ in m.basis:
                 x, y = m.basis_element(xn), m.basis_element(yn)
@@ -268,9 +270,9 @@ class TestInversion:
         assert exact_inverse(m, m.unit()) == m.unit()
 
     def test_scaled_unit(self, m):
-        x = -3 * m.basis_element("1", SphereClass((1, 2)))
+        x = -3 * m.basis_element("1", (1, 2))
         z = exact_inverse(m, x)
-        assert z == Fraction(-1, 3) * m.basis_element("1", SphereClass((-1, -2)))
+        assert z == Fraction(-1, 3) * m.basis_element("1", (-1, -2))
 
     def test_truncated_inverse_residual_below_floor(self, m):
         x = m.unit() + m.basis_element("p")
@@ -344,7 +346,7 @@ class TestProjectiveSpace:
         for n in range(1, 5):
             mn = model_cpn(n)
             x = mn.basis_element("x")
-            expected = mn.basis_element("1", SphereClass((-1,)))
+            expected = mn.basis_element("1", (-1,))
             assert power(mn, x, n + 1) == expected
 
     def test_classical_truncation(self):
@@ -356,7 +358,7 @@ class TestProjectiveSpace:
     def test_quantum_wraparound(self):
         m2 = model_cpn(2)
         x2 = m2.basis_element("x^2")
-        assert quantum_product(m2, x2, x2) == m2.basis_element("x", SphereClass((-1,)))
+        assert quantum_product(m2, x2, x2) == m2.basis_element("x", (-1,))
 
     def test_line_area_scales_valuations(self):
         m2 = model_cpn(2, Fraction(1, 3))
@@ -418,7 +420,7 @@ class TestModelValidation:
 
     def test_gw_table_keyed_by_sorted_triple(self, m):
         # Basis p, E, F, 1: each entry sits once, under its sorted index triple.
-        e_class = SphereClass((1, 0))
+        e_class = (1, 0)
         assert all(list(idx) == sorted(idx) for idx, _ in m.gw)
         assert m.gw[(1, 1, 2), e_class] == 1
         assert m.gw[(1, 1, 1), e_class] == -1
@@ -594,11 +596,9 @@ def random_mixed_qh(rng: random.Random, model, max_terms: int = 4) -> QHElement:
         (
             (
                 rng.randrange(len(model.basis)),
-                SphereClass(
-                    tuple(
-                        Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7)))
-                        for _ in range(model.rank)
-                    )
+                tuple(
+                    Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7)))
+                    for _ in range(model.rank)
                 ),
             ),
             random_fraction(rng),
@@ -609,7 +609,7 @@ def random_mixed_qh(rng: random.Random, model, max_terms: int = 4) -> QHElement:
 
 
 class TestLatticeKernel:
-    """The lattice kernel against the Fraction/SphereClass reference contraction."""
+    """The lattice kernel against the Fraction reference contraction."""
 
     MODELS = {
         "blowup-1/10": lambda: model_blowup_cp2(Fraction(1, 10)),
@@ -630,18 +630,33 @@ class TestLatticeKernel:
 
     def test_operand_of_another_rank_is_refused(self):
         model = model_blowup_cp2(Fraction(1, 4))
-        x = QHElement([((0, SphereClass((Fraction(1),))), Fraction(1))])
+        x = QHElement([((0, (Fraction(1),)), Fraction(1))])
         with pytest.raises(ValueError, match="^rank mismatch: 1 vs 2$"):
             quantum_product(model, x, model.basis_element("E"))
 
     def test_results_keep_public_types(self):
+        """Every result's keys are (int, tuple of Fractions), its coefficients Fractions."""
         model = model_half_integral()
         pt = model.basis_element("pt")
         prod = quantum_product(model, pt, pt)
         assert prod == model.element("3/4 * 1 * e^{-1/2*A}")
-        for (i, B), q in prod.terms.items():
-            assert isinstance(B, SphereClass) and type(q) is Fraction
-            assert all(type(c) is Fraction for c in B.coords)
+        blowup = model_blowup_cp2(Fraction(1, 10))
+        q = blowup.element(Q_TEXT)
+        results = [
+            model.element("pt + 1/2 * 1 * e^{1/2*A}"),
+            pt,
+            prod,
+            power(blowup, q, 3),
+            power(blowup, q, -3),
+            invert(blowup, q, -2),
+            exact_inverse(blowup, q),
+            psi(2, Fraction(1, 10)).value,
+        ]
+        for x in results:
+            assert x.terms
+            for (i, B), c in x.terms.items():
+                assert type(i) is int and type(B) is tuple and type(c) is Fraction
+                assert all(type(b) is Fraction for b in B)
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_powers_match_oracle(self, name):
@@ -741,7 +756,7 @@ class TestProjectiveSpaceRotation:
     @pytest.mark.parametrize("n", [*range(1, 13), 30])
     def test_valuations_repeat_with_the_loop_order(self, n):
         model = model_cpn(n)
-        s = model.basis_element("x", SphereClass((Fraction(1, n + 1),)))
+        s = model.basis_element("x", (Fraction(1, n + 1),))
         assert power(model, s, n + 1) == model.unit()
         ks = range(1, 3 * (n + 1) + 1)
         s_inv = exact_inverse(model, s)
@@ -798,7 +813,7 @@ class TestElementText:
         assert m.element("- - p") == m.element("p")
 
     def test_element_format(self, m):
-        x = m.basis_element("p", SphereClass(("1/2", "3/4")))
+        x = m.basis_element("p", ("1/2", "3/4"))
         assert m.format(-x) == "-1 * p * e^{1/2*E + 3/4*F}"
         assert m.format(QHElement()) == "0"
 
@@ -814,17 +829,21 @@ class TestElementText:
             assert m.element(m.format(x)) == x
 
     def test_names_may_hold_spaces(self, m):
-        # A model file may name a class "F x"; the text grammar keeps inner spaces.
+        # A model file may name a class "F x" and a generator "fiber  class"; the
+        # text grammar keeps inner spaces, so every element reads back.
         data = model_to_dict(m)
         for row in (*data["basis"], *data["gw"]):
             if "name" in row:
                 row["name"] = "F x" if row["name"] == "F" else row["name"]
             else:
                 row["classes"] = ["F x" if c == "F" else c for c in row["classes"]]
+        data["sphere_generators"] = ["E", "fiber  class"]
         spaced = model_from_dict(data)
-        x = spaced.element("2 * F x - E * e^{1*F}")
-        assert x == 2 * spaced.basis_element("F x") - spaced.basis_element("E", SphereClass((0, 1)))
-        assert spaced.element(spaced.format(x)) == x
+        x = spaced.element("2 * F x - E * e^{1*fiber  class}")
+        assert x == 2 * spaced.basis_element("F x") - spaced.basis_element("E", (0, 1))
+        rng = random.Random(29)
+        for x in [x] + [random_qh(rng, spaced, max_terms=4) for _ in range(100)]:
+            assert parse_qh(format_qh(x, spaced), spaced) == x
 
     def test_cpn_roundtrip(self):
         m3 = model_cpn(3)
@@ -866,12 +885,12 @@ class TestModuleElement:
     def test_non_integral_basis_index_rejected(self):
         for index in (1.7, Fraction(3, 2), "1/2"):
             with pytest.raises(ValueError, match="integer"):
-                QHElement([((index, SphereClass((0, 0))), 1)])
+                QHElement([((index, (0, 0)), 1)])
 
     def test_integral_index_values_accepted(self, m):
         x = QHElement([((2.0, (0, 0)), 1), ((Fraction(2), (0, 0)), 1)])
         assert x == 2 * m.basis_element("F")
-        assert x.terms == {(2, SphereClass((0, 0))): 2}
+        assert x.terms == {(2, (0, 0)): 2}
 
     def test_truncate_keeps_basis_indices(self, m):
         x = m.element("2 * p + E * e^{-1*E} + F * e^{1*F}")
@@ -882,7 +901,7 @@ class TestModuleElement:
 
     def test_canonical_form_drops_zeros(self):
         x = QHElement([((0, (1, 0)), 2), ((0, (1, 0)), -2), ((1, (0, 1)), "1/2")])
-        assert x.terms == {(1, SphereClass((0, 1))): Fraction(1, 2)}
+        assert x.terms == {(1, (0, 1)): Fraction(1, 2)}
 
     def test_zero_element(self):
         assert QHElement().is_zero()
@@ -894,7 +913,7 @@ class TestModuleElement:
         assert (x - x).is_zero() and (x + -x).is_zero() and len(x) == 2
         assert 3 * x == x * 3 == x + x + x
         assert -x == (-1) * x and (0 * x).is_zero()
-        assert (Fraction(1, 2) * x).terms[0, SphereClass((0, 0))] == 1
+        assert (Fraction(1, 2) * x).terms[0, (0, 0)] == 1
         assert x.terms == (x + QHElement()).terms and x.terms is not x.terms
 
     def test_equality_and_hash(self):
@@ -912,7 +931,7 @@ class TestModuleElement:
         assert x == m.element("F * e^{1/2*E + 1/4*F}")
         assert m.format(x) == "1 * F * e^{1/2*E + 1/4*F}"
         assert quantum_product(m, x, m.unit()) == x
-        assert x.terms == {(2, SphereClass((Fraction(1, 2), Fraction(1, 4)))): 1}
+        assert x.terms == {(2, (Fraction(1, 2), Fraction(1, 4))): 1}
         assert m.basis_element("F", ("1/2", "1/4")) == x
 
     @pytest.mark.parametrize("index", [4, -1])
@@ -931,7 +950,7 @@ class TestModuleElement:
                 use()
 
     def test_basis_element_rejects_wrong_rank(self, m):
-        for B in ((1,), SphereClass((1, 0, 0))):
+        for B in ((1,), (1, 0, 0)):
             with pytest.raises(ValueError, match="rank"):
                 m.basis_element("F", B)
 
@@ -959,7 +978,7 @@ def small_element(rng, model):
             (
                 (
                     rng.randrange(len(model.basis)),
-                    SphereClass(tuple(rng.randint(-1, 1) for _ in range(model.rank))),
+                    tuple(rng.randint(-1, 1) for _ in range(model.rank)),
                 ),
                 random_fraction(rng),
             )
@@ -1001,7 +1020,7 @@ class TestExactInverse:
 
 
 # ---------------------------------------------------------------------------
-# Inversion on the lattice against the reference on {SphereClass: Fraction} dicts.
+# Inversion on the lattice against the reference on {exponent: Fraction} dicts.
 # ---------------------------------------------------------------------------
 
 def model_flipped_blowup():

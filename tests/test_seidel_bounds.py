@@ -30,7 +30,6 @@ from qhofer import (
     quantum_product,
     r_tilde_certificate,
     radial_mean,
-    SphereClass,
     two_sided_bound,
     two_sided_bounds,
     valuation,
@@ -65,7 +64,7 @@ class TestPsi:
         d = delta_constant(a2)
         element = psi(2, a2)
         m = model_blowup_cp2(a2)
-        expected = m.basis_element("E", SphereClass((-4 * d, 2 * d + Fraction(1, 2))))
+        expected = m.basis_element("E", (-4 * d, 2 * d + Fraction(1, 2)))
         assert element.value == expected
         assert element.delta == d
         assert element.loop_multiple == 2
@@ -84,7 +83,7 @@ class TestPsi:
         d = delta_constant(a2)
         m = model_blowup_cp2(a2)
         expected = m.basis_element(
-            "p", SphereClass((Fraction(1, 2) + 2 * d, Fraction(3, 4) - d))
+            "p", (Fraction(1, 2) + 2 * d, Fraction(3, 4) - d)
         )
         element = psi(-1, a2)
         assert element.value == expected
@@ -393,7 +392,7 @@ class TestQElement:
         a2, k = Fraction(1, 5), 3
         m = model_blowup_cp2(a2)
         d = delta_constant(a2)
-        shift = SphereClass((-2 * d * k, d * k))
+        shift = (-2 * d * k, d * k)
         recomposed = quantum_product(
             m, power(m, q_element(m), k), m.basis_element("1", shift)
         )
