@@ -11,8 +11,7 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "novikov": (
-            "NEG_INF CheckError ChernFunctional OmegaFunctional ParseError format_exponent "
-            "parse_exponent valuation"
+            "NEG_INF CheckError ParseError format_exponent parse_exponent valuation"
         ),
         "quantum_homology": (
             "ManifoldModel ModelError NotInvertibleError QHElement exact_inverse format_qh "

@@ -7,15 +7,15 @@ convolution, e^B * e^C = e^{B+C}.  Its elements are handled as module
 elements on the fundamental class (``quantum_homology.QHElement``).  An
 exponent is a plain tuple of Fractions, one coordinate per sphere generator,
 so len(B) is the rank; this module reads exponents given from outside, and
-holds their text form and the linear functionals on them.  The area
-functional induces the leading-order filtration
+holds their text form and the pairing of an exponent with generator values.
+Paired with the area of each generator, it gives the leading-order filtration
 
     v(sum q_B e^B) = max { area(B) : q_B != 0 },        v(0) = -infinity,
 
-and every length bound produced downstream is read off from v.  Area values
-are kept as exact rationals in units of pi, so comparisons never touch
-floating point.  Degrees enter through a second linear functional recording
-the first Chern number of each generator.
+and every length bound produced downstream is read off from v.  Areas are
+kept as exact rationals in units of pi, so comparisons never touch floating
+point.  Degrees pair an exponent with the first Chern number of each
+generator the same way.
 
 Every other module imports this one, so it also holds what they share: the
 rational readers and the two error bases, ``ParseError`` and ``CheckError``.
@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from operator import mul
+from typing import Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -106,57 +107,24 @@ def _exponent(B) -> tuple:
     return tuple(map(_frac, B))
 
 
-class _LinearFunctional(NamedTuple("_LinearFunctional", [("values", tuple)])):
-    """Linear functional on sphere classes, given by its generator values."""
-
-    __slots__ = ()
-
-    def __new__(cls, values) -> "_LinearFunctional":
-        return tuple.__new__(cls, (tuple(map(cls._coerce, values)),))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __call__(self, B: tuple) -> Fraction:
-        B = _exponent(B)
-        if len(B) != len(self.values):
-            raise ValueError("class rank does not match the functional")
-        return sum((v * c for v, c in zip(self.values, B)), Fraction(0))
-
-    def __add__(self, other):
-        # Returning NotImplemented would fall back to tuple concatenation or repetition.
-        raise TypeError(f"{type(self).__name__} takes no + or *")
-
-    __radd__ = __mul__ = __rmul__ = __add__
-
-    def __eq__(self, other) -> bool:
-        # Equal only to its own type; NotImplemented would fall back to tuple equality.
-        return type(other) is type(self) and tuple.__eq__(self, other)
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
+def _pair(values: tuple, B) -> Fraction:
+    """The linear form with generator values ``values`` (areas or Chern
+    numbers) at the exponent B; ValueError when the ranks differ."""
+    B = _exponent(B)
+    if len(B) != len(values):
+        raise ValueError(f"rank mismatch: {len(B)} vs {len(values)}")
+    return sum(map(mul, values, B), Fraction(0))
 
 
-class OmegaFunctional(_LinearFunctional):
-    """Area functional on sphere classes; values are rationals in units of pi."""
+def valuation(x, omega):
+    """Largest area over the support of the element x, or -infinity when x = 0.
 
-    __slots__ = ()
-    _coerce = staticmethod(_frac)
-
-
-class ChernFunctional(_LinearFunctional):
-    """First Chern number, extended linearly over rational exponents."""
-
-    __slots__ = ()
-    _coerce = staticmethod(integer)
-
-
-def valuation(x, omega: OmegaFunctional):
-    """Largest area over the support of the element x, or -infinity when x = 0."""
+    ``omega`` lists the area of each sphere generator, as ``model.omega`` does.
+    """
+    omega = _exponent(omega)
     if x.is_zero():
         return NEG_INF
-    return max(omega(B) for B in x.support_classes())
+    return max(_pair(omega, B) for B in x.support_classes())
 
 
 # ---------------------------------------------------------------------------

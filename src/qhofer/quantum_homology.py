@@ -40,8 +40,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 from .novikov import (
     NEG_INF,
     CheckError,
-    ChernFunctional,
-    OmegaFunctional,
     ParseError,
     RationalLike,
     _WORD,
@@ -49,6 +47,7 @@ from .novikov import (
     _area_parameter,
     _exponent,
     _frac,
+    _pair,
     _parse_rational,
     _terms,
     format_exponent,
@@ -178,6 +177,8 @@ class ManifoldModel:
     ``basis`` is a sequence of (name, degree) pairs; ``gw`` is a sequence of
     entries (classes, B, value) with three classes given by index or name.  The
     table is stored symmetrized; entries given in several orders must agree.
+    ``omega`` and ``c1`` are kept as tuples with one entry per sphere
+    generator: its area, a Fraction, and its first Chern number, an int.
     Every bad value raises ModelError: a wrong type or unreadable value as
     ``malformed model data: ...``, a broken model rule by its name.
     """
@@ -196,17 +197,18 @@ class ManifoldModel:
             _expect(str, "names and sphere generators must be strings",
                     (name, *sphere_generators, *(n for n, _ in basis)))
             _expect(int, "dim, degrees and c1 must be integers", (dim, *c1, *(d for _, d in basis)))
-            self.name, self.dim, self.c1 = name, dim, ChernFunctional(c1)
+            self.name, self.dim, self.c1 = name, dim, tuple(c1)
             self.sphere_generators = tuple(sphere_generators)
             self.basis = tuple(map(tuple, basis))
             self.basis_names = tuple(n for n, _ in self.basis)
             self.degrees = tuple(d for _, d in self.basis)
             self.pairing = tuple(tuple(map(_frac, row)) for row in pairing)
-            self.omega = OmegaFunctional(omega)
+            self.omega = tuple(map(_frac, omega))
             self.rank = len(self.sphere_generators)
             self._index = {n: i for i, n in enumerate(self.basis_names)}
             if len(self._index) != len(self.basis):
-                raise ModelError("basis names must be distinct")
+                repeat = next(n for i, n in enumerate(self.basis_names) if self._index[n] != i)
+                raise ModelError(f"basis class {repeat!r} is listed more than once")
             self.gw = self._canonical_gw(gw)
             problems = validate_model(self)
         except ModelError:
@@ -318,9 +320,11 @@ def validate_model(model: ManifoldModel) -> list:
                  for g in dict.fromkeys(generators) if generators.count(g) > 1]
     if dim <= 0 or dim % 2:
         problems.append("dimension must be a positive even integer")
-    if len(model.omega.values) != rank or len(model.c1.values) != rank:
-        problems.append("omega and c1 must list one value per sphere generator")
-        return problems
+    counts = [f"{key} lists {len(values)} value{'s' * (len(values) != 1)} for {rank} "
+              f"sphere generator{'s' * (rank != 1)}"
+              for key, values in (("omega", model.omega), ("c1", model.c1)) if len(values) != rank]
+    if counts:
+        return problems + counts
     # A fault of shape stops the checks that would read past it.
     shape = [f"basis class {name!r} has invalid degree {d}"
              for name, d in model.basis if d < 0 or d > dim or d % 2]
@@ -355,10 +359,10 @@ def validate_model(model: ManifoldModel) -> list:
             continue  # checked against the pairing above
         if u in idx:
             problems.append(f"{entry(idx, B)} goes through the unit, so B must be 0")
-        if sum(degrees[i] for i in idx) != 2 * dim - 2 * model.c1(B):
+        if sum(degrees[i] for i in idx) != 2 * dim - 2 * _pair(model.c1, B):
             problems.append(f"{entry(idx, B)} violates the dimension rule")
-    for B in dict.fromkeys(B for _, B in model.gw if B != zero and model.omega(B) <= 0):
-        area = f"{format_exponent(B, model.sphere_generators)} has area {model.omega(B)}"
+    for B in dict.fromkeys(B for _, B in model.gw if B != zero and _pair(model.omega, B) <= 0):
+        area = f"{format_exponent(B, model.sphere_generators)} has area {_pair(model.omega, B)}"
         problems.append(f"table class {area}, but nonzero table classes must have positive area")
     return problems
 
@@ -386,11 +390,11 @@ class _Lattice:
     """
 
     def __init__(self, model: ManifoldModel, D: int) -> None:
-        W = math.lcm(*(v.denominator for v in model.omega.values))
+        W = math.lcm(*(v.denominator for v in model.omega))
         self.D = D
         self.rank = model.rank
         self.scale = D * W
-        self.weights = (0,) + tuple(int(v * W) for v in model.omega.values)
+        self.weights = (0,) + tuple(int(v * W) for v in model.omega)
         self.unit = {(model._fund,) + (0,) * model.rank: 1}
         self.quantum = self._table(model)
 
@@ -750,19 +754,16 @@ def model_blowup_cp2(a_squared: RationalLike) -> ManifoldModel:
     )
 
 
-def model_cpn(n: int, line_area: RationalLike = 1) -> ManifoldModel:
+def model_cpn(n: int) -> ManifoldModel:
     """Complex projective space of complex dimension n.
 
     Basis classes are the powers of the hyperplane class, x^k of degree
     2(n - k); the single exponent generator is the line class L with
-    omega(L) = ``line_area`` and c1(L) = n + 1.
+    omega(L) = 1 and c1(L) = n + 1.
     """
     n = integer(n)
     if n < 1:
         raise ValueError("complex dimension must be at least 1")
-    area = _frac(line_area)
-    if area <= 0:
-        raise ValueError("line area must be positive")
     names = ["1", "x"] + [f"x^{k}" for k in range(2, n + 1)]
     basis = [(names[k], 2 * (n - k)) for k in range(n + 1)]
     pairing = [[1 if i + j == n else 0 for j in range(n + 1)] for i in range(n + 1)]
@@ -779,7 +780,7 @@ def model_cpn(n: int, line_area: RationalLike = 1) -> ManifoldModel:
         sphere_generators=("L",),
         basis=basis,
         pairing=pairing,
-        omega=(area,),
+        omega=(1,),
         c1=(n + 1,),
         gw=gw,
     )
@@ -853,8 +854,8 @@ def model_to_dict(model: ManifoldModel) -> dict:
         "sphere_generators": list(model.sphere_generators),
         "basis": [{"name": n, "degree": d} for n, d in model.basis],
         "pairing": [[str(v) for v in row] for row in model.pairing],
-        "omega": [str(v) for v in model.omega.values],
-        "c1": list(model.c1.values),
+        "omega": [str(v) for v in model.omega],
+        "c1": list(model.c1),
         "gw": [
             {
                 "classes": [model.basis_names[i] for i in idx],

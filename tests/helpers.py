@@ -4,7 +4,9 @@ import math
 import random
 from fractions import Fraction
 
-from qhofer import NotInvertibleError, QHElement, valuation
+from qhofer import (
+    NotInvertibleError, QHElement, model_cpn, model_from_dict, model_to_dict, valuation,
+)
 from qhofer.hofer_lengths import mean_radius_sq, radial_mean
 from qhofer.quantum_homology import _MaxPlus, _invert_rational_matrix
 
@@ -50,6 +52,27 @@ def class_sum(*classes) -> tuple:
 
 def class_neg(B) -> tuple:
     return tuple(-c for c in B)
+
+
+def _pairing(values, B) -> Fraction:
+    return sum((v * Fraction(c) for v, c in zip(values, B, strict=True)), Fraction(0))
+
+
+def area(model, B) -> Fraction:
+    """omega(B): the generator areas of ``model`` paired with the exponent B."""
+    return _pairing(model.omega, B)
+
+
+def chern(model, B) -> Fraction:
+    """c1(B): the generator Chern numbers of ``model`` paired with the exponent B."""
+    return _pairing(model.c1, B)
+
+
+def cpn_with_line_area(n: int, line_area):
+    """CP^n with omega(L) = ``line_area``, read from a model file's data."""
+    data = model_to_dict(model_cpn(n))
+    data["omega"] = [str(line_area)]
+    return model_from_dict(data)
 
 
 def random_sphere_class(rng: random.Random, rank: int) -> tuple:
@@ -101,7 +124,7 @@ def classical_product(model, x: QHElement, y: QHElement) -> QHElement:
 
 def hbar(model):
     """Least positive area carried by the table, or +infinity if classical."""
-    areas = [model.omega(B) for (_, B) in model.gw if any(B)]
+    areas = [area(model, B) for (_, B) in model.gw if any(B)]
     return min(areas) if areas else math.inf
 
 
@@ -111,7 +134,7 @@ def degree(model, x: QHElement):
     if x.is_zero():
         return None
     model._check_range(i for i, _ in x.terms)
-    degrees = {model.degrees[i] + 2 * model.c1(B) for i, B in x.terms}
+    degrees = {model.degrees[i] + 2 * chern(model, B) for i, B in x.terms}
     if len(degrees) > 1:
         raise ValueError(f"element is not graded: degrees {sorted(degrees)}")
     return degrees.pop()
@@ -191,8 +214,8 @@ def oracle_cramer(model, x: QHElement) -> tuple:
         raise NotInvertibleError(
             "multiplication matrix is singular; the element is a zero divisor"
         )
-    top = max(map(model.omega, det))
-    leaders = [(B, q) for B, q in det.items() if model.omega(B) == top]
+    top = max(area(model, B) for B in det)
+    leaders = [(B, q) for B, q in det.items() if area(model, B) == top]
     if len(leaders) != 1:
         raise NotInvertibleError(
             "no leading monomial: maximal area is attained by "
@@ -217,10 +240,10 @@ def oracle_invert(model, x: QHElement, floor: Fraction) -> QHElement:
     cutoff = floor - valuation(col, model.omega)
     series = term = {(Fraction(0),) * model.rank: Fraction(1)}
     while term:
-        term = {B: q for B, q in ring_product(term, g).items() if model.omega(B) >= cutoff}
+        term = {B: q for B, q in ring_product(term, g).items() if area(model, B) >= cutoff}
         series = ring_sum((series, term))
     product = _oracle_scale(col, series)
-    return QHElement({(i, B): q for (i, B), q in product.terms.items() if model.omega(B) >= floor})
+    return QHElement({(i, B): q for (i, B), q in product.terms.items() if area(model, B) >= floor})
 
 
 def linspace(lo: float, hi: float, n: int) -> list:

@@ -545,7 +545,7 @@ class TestModelFiles:
         target.write_text(json.dumps(data))
         code, out, err = run(capsys, "model-validate", str(target))
         assert code == 2 and not out
-        assert "omega and c1 must list one value per sphere generator" in err
+        assert "c1 lists 1 value for 2 sphere generators" in err
 
     def test_validate_stops_at_a_wrong_rank_exponent(self, capsys, tmp_path):
         # The skipped entry is not reported again as a missing classical entry.

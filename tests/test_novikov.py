@@ -1,4 +1,5 @@
-"""Exponents, functionals, the ring on the fundamental class, valuations, and text."""
+"""Exponents, their pairing with generator values, the ring on the fundamental
+class, valuations, and text."""
 
 import random
 from fractions import Fraction
@@ -7,9 +8,7 @@ import pytest
 
 from qhofer import (
     NEG_INF,
-    ChernFunctional,
     ExtremumReport,
-    OmegaFunctional,
     ParseError,
     QHElement,
     SampledPath,
@@ -23,7 +22,7 @@ from qhofer import (
     quantum_product,
     valuation,
 )
-from qhofer.novikov import _frac, rational
+from qhofer.novikov import _frac, _pair, rational
 from helpers import random_fraction, random_qh, random_sphere_class
 
 GENS = ("E", "F")
@@ -46,7 +45,7 @@ BLOWUP = model_blowup_cp2("1/10")
 ENTRY_POINTS = {
     "QHElement": lambda B: QHElement([((2, B), 1)]),
     "basis_element": lambda B: BLOWUP.basis_element("F", B),
-    "omega": lambda B: BLOWUP.omega(B),
+    "valuation": lambda B: valuation(BLOWUP.unit(), B),
     "format_exponent": lambda B: format_exponent(B, GENS),
 }
 
@@ -61,7 +60,9 @@ class TestExponentEntryPoints:
             assert all(type(c) is Fraction for c in B)
         table = model_from_dict(model_to_dict(BLOWUP)).gw
         assert all(type(B) is tuple and all(type(c) is Fraction for c in B) for _, B in table)
-        assert BLOWUP.omega(["1/2", 3]) == Fraction(1, 20) + Fraction(27, 10)
+        F = BLOWUP.basis_element("F", ["1/2", 3])
+        assert valuation(F, BLOWUP.omega) == Fraction(1, 20) + Fraction(27, 10)
+        assert valuation(F, ["1/4", 1]) == Fraction(1, 8) + 3
 
     def test_terms_answer_plain_tuples(self):
         x = QHElement({(2, (1, "1/2")): 3})
@@ -80,53 +81,40 @@ class TestExponentEntryPoints:
 
 
 class TestFunctionals:
+    """Areas and Chern numbers are tuples of generator values, paired
+    linearly with an exponent."""
+
     def test_omega_evaluates_linearly(self):
-        omega = OmegaFunctional((Fraction(1, 4), Fraction(3, 4)))
-        assert omega(S(1, 0)) == Fraction(1, 4)
-        assert omega(S(0, 1)) == Fraction(3, 4)
-        assert omega(S("1/2", "1/4")) == Fraction(5, 16)
-        assert omega(S(0, 0)) == 0
-        assert omega((1, 0)) == Fraction(1, 4)
+        omega = (Fraction(1, 4), Fraction(3, 4))
+        assert _pair(omega, S(1, 0)) == Fraction(1, 4)
+        assert _pair(omega, S(0, 1)) == Fraction(3, 4)
+        assert _pair(omega, S("1/2", "1/4")) == Fraction(5, 16)
+        assert _pair(omega, S(0, 0)) == 0
+        assert _pair(omega, (1, 0)) == Fraction(1, 4)
 
     def test_chern_evaluates_linearly(self):
-        c1 = ChernFunctional((1, 2))
-        assert c1(S(1, 0)) == 1
-        assert c1(S(0, 1)) == 2
+        c1 = (1, 2)
+        assert _pair(c1, S(1, 0)) == 1
+        assert _pair(c1, S(0, 1)) == 2
         # The rotation shift direction F - 2E has vanishing Chern number.
-        assert c1(S(-2, 1)) == 0
-        assert c1(("1/2", 1)) == Fraction(5, 2)
+        assert _pair(c1, S(-2, 1)) == 0
+        assert _pair(c1, ("1/2", 1)) == Fraction(5, 2)
 
     def test_rank_checked(self):
-        with pytest.raises(ValueError):
-            OmegaFunctional((1,))(S(1, 2))
-
-
-@pytest.mark.parametrize(
-    "operation",
-    [lambda f: f + (3,), lambda f: (3,) + f, lambda f: f * 2, lambda f: 2 * f],
-    ids=["f + t", "t + f", "f * n", "n * f"],
-)
-@pytest.mark.parametrize("functional", [OmegaFunctional, ChernFunctional],
-                         ids=lambda cls: cls.__name__)
-def test_functional_operators_are_not_tuple_operators(functional, operation):
-    """Adding to or scaling a functional raises TypeError instead of joining
-    or repeating tuples."""
-    with pytest.raises(TypeError):
-        operation(functional((1, 2)))
+        for values, B in (((1,), S(1, 2)), ((1, 2), S(1,)), ((1, 2), S(1, 2, 3))):
+            with pytest.raises(ValueError, match="rank mismatch"):
+                _pair(values, B)
 
 
 @pytest.mark.parametrize(
     "build, field",
     [
-        (lambda a2: OmegaFunctional((a2, 1)), "values"),
-        (lambda a2: ChernFunctional((1, Fraction(a2).denominator)), "values"),
         (lambda a2: lengths_blowup_loop(2, a2), "plus"),
         (lambda a2: psi(2, a2), "value"),
         (lambda a2: SampledPath([[0.0, float(Fraction(a2))]] * 2), "weights"),
         (lambda a2: ExtremumReport(2, True, True, (0,), (Fraction(a2).denominator,)), "window"),
     ],
-    ids=["OmegaFunctional", "ChernFunctional", "LoopLengths", "SeidelElement",
-         "SampledPath", "ExtremumReport"],
+    ids=["LoopLengths", "SeidelElement", "SampledPath", "ExtremumReport"],
 )
 def test_value_objects_are_immutable_and_compared_by_value(build, field):
     x, y = build("1/4"), build(Fraction(1, 4))
@@ -137,27 +125,6 @@ def test_value_objects_are_immutable_and_compared_by_value(build, field):
     with pytest.raises(AttributeError):
         delattr(x, field)
     assert x == y
-
-
-@pytest.mark.parametrize(
-    "x, y",
-    [
-        (OmegaFunctional((1, 2)), ((Fraction(1), Fraction(2)),)),
-        (OmegaFunctional((1, 2)), ChernFunctional((1, 2))),
-    ],
-    ids=["OmegaFunctional-tuple", "OmegaFunctional-ChernFunctional"],
-)
-def test_value_types_equal_only_their_own_type(x, y):
-    """Equal fields make no equal values across types, from either side, so a
-    dict keyed by functionals answers no plain tuple."""
-    assert not x == y and not y == x
-    assert x != y and y != x
-    assert {x: 1}.get(y) is None
-
-
-def test_replace_runs_the_checks():
-    with pytest.raises(ValueError):
-        ChernFunctional((1,))._replace(values=("1/2",))
 
 
 class TestNovikovElement:
@@ -230,6 +197,13 @@ class TestValuation:
     def test_maximum_over_support(self):
         x = QHElement([((3, S(0, 0)), 1), ((1, S(-1, 0)), 5)])
         assert valuation(x, self.OMEGA) == 0
+
+    @pytest.mark.parametrize("omega", [(1,), (1, 2, 3)], ids=["short", "long"])
+    def test_rank_mismatch_refused(self, omega):
+        # Paired by zip, (1,) would give the blow-up's E coordinate alone.
+        x = self.M.basis_element("F", (1, 2))
+        with pytest.raises(ValueError, match="rank mismatch: 2 vs"):
+            valuation(x, omega)
 
     def test_subadditive_with_equality_on_monomials(self):
         rng = random.Random(13)

@@ -28,7 +28,7 @@ from qhofer import (  # noqa: E402
 )
 from qhofer.cli import main  # noqa: E402
 from qhofer.quantum_homology import _MaxPlus  # noqa: E402
-from helpers import NINE_A2, ring_product  # noqa: E402
+from helpers import NINE_A2, area, ring_product  # noqa: E402
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
@@ -167,7 +167,7 @@ class TestInvert:
                 assume(False)
             residual = quantum_product(model, x, z) - model.unit()
             bound = floor + valuation(x, model.omega)
-            assert all(model.omega(B) < bound for (_, B) in residual.terms)
+            assert all(area(model, B) < bound for (_, B) in residual.terms)
 
         check()
 

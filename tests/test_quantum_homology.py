@@ -33,11 +33,14 @@ from qhofer import (
     validate_model,
     valuation_walk,
 )
+from qhofer.cli import main
 from qhofer.quantum_homology import ManifoldModel
 from helpers import (
     NINE_A2,
     Q_TEXT,
+    area,
     classical_product,
+    cpn_with_line_area,
     degree,
     hbar,
     oracle_contract,
@@ -183,7 +186,7 @@ class TestDeformationDepth:
         assert hbar(model_blowup_cp2(Fraction(1, 2))) == Fraction(1, 2)
         assert hbar(model_blowup_cp2(Fraction(2, 3))) == Fraction(1, 3)
         assert hbar(model_cpn(1)) == 1
-        assert hbar(model_cpn(3, Fraction(2, 7))) == Fraction(2, 7)
+        assert hbar(cpn_with_line_area(3, Fraction(2, 7))) == Fraction(2, 7)
 
     def test_hbar_infinite_without_curves(self):
         classical = ManifoldModel(
@@ -278,7 +281,7 @@ class TestInversion:
         x = m.unit() + m.basis_element("p")
         floor = Fraction(-6)
         z = invert(m, x, floor)
-        assert all(m.omega(B) >= floor for B in z.support_classes())
+        assert all(area(m, B) >= floor for B in z.support_classes())
         residual = quantum_product(m, x, z) - m.unit()
         assert not residual.is_zero()
         assert valuation(residual, m.omega) < floor
@@ -361,9 +364,14 @@ class TestProjectiveSpace:
         assert quantum_product(m2, x2, x2) == m2.basis_element("x", (-1,))
 
     def test_line_area_scales_valuations(self):
-        m2 = model_cpn(2, Fraction(1, 3))
+        m2 = cpn_with_line_area(2, Fraction(1, 3))
         x = m2.basis_element("x")
         assert valuation(power(m2, x, 3), m2.omega) == Fraction(-1, 3)
+
+    def test_zero_line_area_refused(self):
+        # The table's line class L must have positive area, like every table class.
+        with pytest.raises(ModelError, match="^table class 1\\*L has area 0, but nonzero"):
+            cpn_with_line_area(2, 0)
 
     def test_hyperplane_is_invertible(self):
         m3 = model_cpn(3)
@@ -374,8 +382,6 @@ class TestProjectiveSpace:
     def test_dimension_validated(self):
         with pytest.raises(ValueError):
             model_cpn(0)
-        with pytest.raises(ValueError):
-            model_cpn(2, 0)
 
 
 class TestModelValidation:
@@ -470,7 +476,9 @@ class TestModelValidation:
             (lambda d: d["basis"][2].update(degree=3), ["basis class 'F' has invalid degree 3"]),
             (lambda d: d["gw"].append({"classes": ["1", "1", "p"], "B": ["0", "0"], "value": "2"}),
              ["conflicting values for table entry (p,1,1;0): 1 and 2"]),
-            (lambda d: d["basis"][2].update(name="E"), ["basis names must be distinct"]),
+            (lambda d: d["basis"][2].update(name="E"), ["basis class 'E' is listed more than once"]),
+            (lambda d: d.update(omega=["1/10"]), ["omega lists 1 value for 2 sphere generators"]),
+            (lambda d: d.update(c1=[1, 2, 3]), ["c1 lists 3 values for 2 sphere generators"]),
             (lambda d: d["gw"][0].update(classes=["1", "p"]),
              ["table entry (p,1) names 2 classes, but each table entry takes exactly three"]),
             (lambda d: d["gw"][0]["classes"].__setitem__(0, "Z"), ["unknown basis class 'Z'"]),
@@ -478,7 +486,7 @@ class TestModelValidation:
         ],
         ids=["asymmetric", "off-degree", "wrong-unit-entry", "unit-entry-with-B",
              "negative-area", "spurious-unit-entry", "invalid-degree", "conflicting-entry",
-             "repeated-name", "two-classes", "unknown-class", "index-out-of-range"],
+             "repeated-name", "omega-count", "c1-count", "two-classes", "unknown-class", "index-out-of-range"],
     )
     def test_each_fault_reported_once_by_name(self, edit, problems):
         data = model_to_dict(model_blowup_cp2(Fraction(1, 4)))
@@ -565,8 +573,8 @@ class TestModelValidation:
         "omega, c1", [((A2, 1 - A2), (1,)), ((A2,), (1, 2))], ids=["c1", "omega"]
     )
     def test_wrong_length_functional(self, m, omega, c1):
-        # Refused before the table is read, where c1(B) would raise a bare ValueError.
-        with pytest.raises(ModelError, match="one value per sphere generator"):
+        # Refused before the table is read, where pairing c1 with B would raise a bare ValueError.
+        with pytest.raises(ModelError, match="lists 1 value for 2 sphere generators"):
             ManifoldModel(
                 "short", 4, ("E", "F"), m.basis, m.pairing, omega, c1, list_golden_gw()
             )
@@ -615,7 +623,7 @@ class TestLatticeKernel:
         "blowup-1/10": lambda: model_blowup_cp2(Fraction(1, 10)),
         "blowup-2/7": lambda: model_blowup_cp2(Fraction(2, 7)),
         "cp1": lambda: model_cpn(1),
-        "cp2": lambda: model_cpn(2, Fraction(3, 4)),
+        "cp2": lambda: cpn_with_line_area(2, Fraction(3, 4)),
         "cp3": lambda: model_cpn(3),
         "half-integral": model_half_integral,
     }
@@ -780,21 +788,45 @@ class TestModelFiles:
         again = model_from_dict(model_to_dict(m))
         assert again.gw == m.gw
         assert again.pairing == m.pairing
-        assert again.omega.values == m.omega.values
+        assert again.omega == m.omega and again.c1 == m.c1
         assert again.basis == m.basis
 
     def test_file_roundtrip(self, tmp_path):
-        m2 = model_cpn(2, Fraction(2, 3))
+        m2 = cpn_with_line_area(2, Fraction(2, 3))
         path = tmp_path / "cp2.json"
         path.write_text(json.dumps(model_to_dict(m2), indent=2), encoding="utf-8")
         again = load_model(path)
         assert again.gw == m2.gw
-        assert again.omega.values == m2.omega.values
+        assert again.omega == m2.omega == (Fraction(2, 3),)
 
     def test_rationals_stored_as_strings(self, m):
         data = model_to_dict(m)
         assert data["omega"] == ["1/4", "3/4"]
         assert all(isinstance(v, str) for row in data["pairing"] for v in row)
+
+    def test_exported_file_reads_plain_areas(self, tmp_path):
+        path = tmp_path / "blowup.json"
+        assert main(["model-export", "--model", "blowup", "--a2", "1/10", "--out", str(path)]) == 0
+        again = load_model(path)
+        assert_plain_areas_and_chern_numbers(again)
+        assert again.omega == (Fraction(1, 10), Fraction(9, 10)) and again.c1 == (1, 2)
+
+
+def assert_plain_areas_and_chern_numbers(model):
+    """omega and c1 are plain tuples, one Fraction area and one int per generator."""
+    assert type(model.omega) is tuple and type(model.c1) is tuple
+    assert len(model.omega) == len(model.c1) == model.rank
+    assert all(type(v) is Fraction for v in model.omega)
+    assert all(type(n) is int for n in model.c1)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [model_blowup_cp2(a2) for a2 in NINE_A2] + [model_cpn(n) for n in range(1, 5)],
+    ids=[f"blowup-{a2}" for a2 in NINE_A2] + [f"cp{n}" for n in range(1, 5)],
+)
+def test_builtin_areas_and_chern_numbers_are_plain_tuples(model):
+    assert_plain_areas_and_chern_numbers(model)
 
 
 class TestElementText:
@@ -1047,7 +1079,7 @@ ORACLE_IDS = (
 
 def oracle_elements(model, count=10):
     """Seeded elements of one to three terms, exponents with denominators up to 4."""
-    rng = random.Random(model.name + str(model.omega.values))
+    rng = random.Random(model.name + str(model.omega))
     return [random_qh(rng, model, max_terms=3) for _ in range(count)]
 
 
