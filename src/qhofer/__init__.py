@@ -22,7 +22,7 @@ _MODULE_OF = {
             "BoundRow GrowthRow GrowthSummary GrowthTable LoopLengths MonotoneCaseError "
             "RTildeCertificate SeidelElement delta_constant ell_plus_lower_bound growth_table "
             "lengths_blowup_loop mean_radius_sq_exact omega_f psi q_element "
-            "r_tilde_certificate two_sided_bound two_sided_bounds"
+            "r_tilde_certificate two_sided_bounds"
         ),
         "hofer_lengths": (
             "ExtremumReport PathLengths SampledPath fixed_extremum_check mean_radius_sq "

@@ -245,11 +245,11 @@ def cmd_rtilde(args) -> int:
 
 
 def cmd_lengths(args) -> int:
-    from .seidel_bounds import ell_plus_lower_bound, lengths_blowup_loop, two_sided_bound
+    from .seidel_bounds import ell_plus_lower_bound, lengths_blowup_loop, two_sided_bounds
 
     lengths = lengths_blowup_loop(args.k, args.a2)
     total_over_pi = lengths.total / math.pi
-    bound = two_sided_bound(args.k, args.a2)
+    bound = two_sided_bounds(args.k, args.a2)[-1].bound
     reference = float(bound)
     text = (
         f"L+ = {lengths.l_plus:.12f}  ({lengths.l_plus / math.pi:.12f} x pi)\n"
@@ -325,91 +325,58 @@ def cmd_model_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_model_flags(sub) -> None:
-    sub.add_argument(
-        "--model",
-        default="blowup",
-        help="builtin name (blowup, cpn) or a model JSON file path",
-    )
-    sub.add_argument("--n", type=integer, help="complex dimension for the cpn model")
-    sub.add_argument("--a2", type=rational, help="exceptional area a^2 (rational)")
-
-
-def _add_common(sub, formats=("text", "json"), default="text") -> None:
-    sub.add_argument("--format", choices=formats, default=default)
-    sub.add_argument("--out", help="write output to a file instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qhofer", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("product", help="quantum product of two elements")
-    _add_model_flags(sub)
-    _add_common(sub)
+    def command(name, handler, help, formats=("text", "json"), default="text", model=False):
+        """Add a subcommand with its handler and the shared flags it asks for."""
+        sub = subs.add_parser(name, help=help)
+        sub.set_defaults(handler=handler)
+        if model:
+            sub.add_argument("--model", default="blowup",
+                             help="builtin name (blowup, cpn) or a model JSON file path")
+            sub.add_argument("--n", type=integer, help="complex dimension for the cpn model")
+            sub.add_argument("--a2", type=rational, help="exceptional area a^2 (rational)")
+        if formats:
+            sub.add_argument("--format", choices=formats, default=default)
+            sub.add_argument("--out", help="write output to a file instead of stdout")
+        return sub
+
+    # Each subcommand's own flags follow its shared ones.
+    sub = command("product", cmd_product, "quantum product of two elements", model=True)
     sub.add_argument("x")
     sub.add_argument("y")
-    sub.set_defaults(handler=cmd_product)
-
-    sub = subs.add_parser("power", help="integer quantum power")
-    _add_model_flags(sub)
-    _add_common(sub)
+    sub = command("power", cmd_power, "integer quantum power", model=True)
     sub.add_argument("--k", type=integer, required=True)
     sub.add_argument("x")
-    sub.set_defaults(handler=cmd_power)
-
-    sub = subs.add_parser("invert", help="inverse, truncated at a valuation floor")
-    _add_model_flags(sub)
-    _add_common(sub)
+    sub = command("invert", cmd_invert, "inverse, truncated at a valuation floor", model=True)
     sub.add_argument("--floor", type=rational, default=Fraction(-8))
     sub.add_argument("x")
-    sub.set_defaults(handler=cmd_invert)
-
-    sub = subs.add_parser("psi", help="rotation element Psi(k)")
-    _add_common(sub)
+    sub = command("psi", cmd_psi, "rotation element Psi(k)")
     sub.add_argument("--k", type=integer, required=True)
     sub.add_argument("--a2", type=rational, required=True)
-    sub.set_defaults(handler=cmd_psi)
-
-    sub = subs.add_parser("bounds", help="two-sided bound sweep over k")
-    _add_common(sub, formats=("text", "json", "csv"))
-    sub.add_argument("--kmax", type=integer, required=True)
-    sub.add_argument("--a2", type=rational, required=True)
-    sub.set_defaults(handler=cmd_bounds)
-
-    sub = subs.add_parser("growth", help="growth table of v(Q^k), v(Q^-k)")
-    _add_common(sub, formats=("text", "json", "csv"))
-    sub.add_argument("--kmax", type=integer, required=True)
-    sub.add_argument("--a2", type=rational, required=True)
-    sub.set_defaults(handler=cmd_growth)
-
-    sub = subs.add_parser("rtilde", help="certified seminorm value from the sweep")
-    _add_common(sub)
+    for name, handler, help in (("bounds", cmd_bounds, "two-sided bound sweep over k"),
+                                ("growth", cmd_growth, "growth table of v(Q^k), v(Q^-k)")):
+        sub = command(name, handler, help, formats=("text", "json", "csv"))
+        sub.add_argument("--kmax", type=integer, required=True)
+        sub.add_argument("--a2", type=rational, required=True)
+    sub = command("rtilde", cmd_rtilde, "certified seminorm value from the sweep")
     sub.add_argument("--kmax", type=integer, default=50)
     sub.add_argument("--a2", type=rational, required=True)
-    sub.set_defaults(handler=cmd_rtilde)
-
-    sub = subs.add_parser("lengths", help="lengths of the k-fold rotation loop")
-    _add_common(sub)
+    sub = command("lengths", cmd_lengths, "lengths of the k-fold rotation loop")
     sub.add_argument("--k", type=integer, default=2, choices=(1, 2))
     sub.add_argument("--a2", type=rational, required=True)
-    sub.set_defaults(handler=cmd_lengths)
-
-    sub = subs.add_parser("geocheck", help="fixed-extremum check on a sampled path")
-    _add_common(sub, default="json")
+    sub = command("geocheck", cmd_geocheck, "fixed-extremum check on a sampled path",
+                  default="json")
     sub.add_argument("--window", type=integer, default=2)
     sub.add_argument("path")
-    sub.set_defaults(handler=cmd_geocheck)
-
-    sub = subs.add_parser("model-export", help="write a builtin model as JSON")
-    _add_model_flags(sub)
+    sub = command("model-export", cmd_model_export, "write a builtin model as JSON",
+                  formats=(), model=True)
     sub.add_argument("--out", help="output file (stdout when omitted)")
-    sub.set_defaults(handler=cmd_model_export, format="json")
-
-    sub = subs.add_parser("model-validate", help="check a model JSON file")
-    sub.add_argument("path")
-    sub.set_defaults(handler=cmd_model_validate)
-
+    sub.set_defaults(format="json")
+    command("model-validate", cmd_model_validate, "check a model JSON file",
+            formats=()).add_argument("path")
     return parser
 
 

@@ -98,12 +98,12 @@ def integer(v) -> int:
     return q.numerator
 
 
-def _exponent(B) -> tuple:
+def _exponent(B, what="an exponent") -> tuple:
     """An exponent read from outside the package: a list or tuple of rationals,
     returned as a tuple of Fractions.  Text, bytes, numbers, sets and iterators
-    raise TypeError, so "12" is never read as the exponent (1, 2)."""
+    raise TypeError naming ``what``, so "12" is never read as the exponent (1, 2)."""
     if not isinstance(B, (list, tuple)):
-        raise TypeError(f"an exponent is a list or tuple of rationals, not {type(B).__name__}")
+        raise TypeError(f"{what} is a list or tuple of rationals, not {type(B).__name__}")
     return tuple(map(_frac, B))
 
 
@@ -121,7 +121,7 @@ def valuation(x, omega):
 
     ``omega`` lists the area of each sphere generator, as ``model.omega`` does.
     """
-    omega = _exponent(omega)
+    omega = _exponent(omega, "omega")
     if x.is_zero():
         return NEG_INF
     return max(_pair(omega, B) for B in x.support_classes())

@@ -154,24 +154,15 @@ def ell_plus_lower_bound(k: int, a_squared: RationalLike) -> Fraction:
     return _rotation(a2)[k < 0].valuations(abs(k))[-1] + k * delta * (1 - 3 * a2)
 
 
-def two_sided_bound(k: int, a_squared: RationalLike) -> Fraction:
-    """v(Q^k) + v(Q^{-k}): lower bound for the full length of the k-fold loop.
-
-    The delta exponents cancel in the sum, so this stays defined at the
-    monotone value 3a^2 = 1.
-    """
-    if integer(k) < 1:
-        raise ValueError("k must be at least 1")
-    return two_sided_bounds(k, a_squared)[-1].bound
-
-
 class BoundRow(NamedTuple):
     k: int
     bound: Fraction
 
 
 def two_sided_bounds(k_max: int, a_squared: RationalLike) -> list:
-    """[BoundRow(k, two_sided_bound(k))] for k = 1..k_max, sharing work across k."""
+    """[BoundRow(k, v(Q^k) + v(Q^{-k}))] for k = 1..k_max, sharing work across k:
+    lower bounds for the full length of the k-fold loop, defined at the monotone
+    value 3a^2 = 1 too, since the delta exponents cancel in the sum."""
     pos, neg = _q_valuations(k_max, a_squared)
     return [BoundRow(k, p + n) for k, (p, n) in enumerate(zip(pos, neg), 1)]
 

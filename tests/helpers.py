@@ -5,7 +5,8 @@ import random
 from fractions import Fraction
 
 from qhofer import (
-    NotInvertibleError, QHElement, model_cpn, model_from_dict, model_to_dict, valuation,
+    NotInvertibleError, QHElement, model_cpn, model_from_dict, model_to_dict, two_sided_bounds,
+    valuation,
 )
 from qhofer.hofer_lengths import mean_radius_sq, radial_mean
 from qhofer.quantum_homology import _MaxPlus, _invert_rational_matrix
@@ -138,6 +139,11 @@ def degree(model, x: QHElement):
     if len(degrees) > 1:
         raise ValueError(f"element is not graded: degrees {sorted(degrees)}")
     return degrees.pop()
+
+
+def two_sided_bound(k: int, a2) -> Fraction:
+    """v(Q^k) + v(Q^-k) at area ``a2``: the last row of the sweep to k."""
+    return two_sided_bounds(k, a2)[-1].bound
 
 
 def tropical_valuations(model, x: QHElement, k_max: int) -> list:

@@ -4,8 +4,12 @@ Each golden file holds one run, named by its argv: the first line is
 ``exit N``, the rest is the run's stdout.  Runs too large to keep whole
 are pinned by identity in ``tests/golden/heavy.json``: each entry holds a
 run's argv, exit code, stdout byte count and stdout sha256, and one more
-entry the sha256 of the float side's values (``float_items``).  After a
-deliberate change of output, rewrite both with
+entry the sha256 of the float side's values (``float_items``).  The
+argument parser is pinned as data in ``tests/golden/parser.json``: each
+action of the top level and of every subcommand, in order, and the
+defaults each subcommand sets.  Help text is not pinned: argparse wraps
+usage lines differently across the supported interpreters.  After a
+deliberate change of output, rewrite all three with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -18,6 +22,7 @@ imports no pytest, so the replay runs on any interpreter the package
 supports; pytest parametrizes its tests through ``pytest_generate_tests``.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -27,10 +32,11 @@ import os
 import re
 import shlex
 import sys
+from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
-from qhofer.cli import _JSON_KEYS, main
+from qhofer.cli import _JSON_KEYS, build_parser, main
 from qhofer.hofer_lengths import (
     ExtremumReport,
     fixed_extremum_check,
@@ -50,6 +56,7 @@ from helpers import Q_TEXT
 
 GOLDEN = Path(__file__).with_name("golden")
 HEAVY = GOLDEN / "heavy.json"
+PARSER = GOLDEN / "parser.json"
 
 
 def golden_runs() -> list:
@@ -177,6 +184,35 @@ def heavy_manifest() -> dict:
     return json.loads(HEAVY.read_text(encoding="utf-8"))
 
 
+def _pin_value(value):
+    """A default or choice as JSON data: a Fraction by its exact string."""
+    return str(value) if isinstance(value, Fraction) else value
+
+
+def _parser_entry(parser) -> dict:
+    """One parser's actions in order, and the defaults it sets, a handler by name."""
+    actions = [
+        {"options": action.option_strings, "dest": action.dest,
+         "default": _pin_value(action.default), "type": getattr(action.type, "__name__", None),
+         "choices": None if action.choices is None else [_pin_value(c) for c in action.choices],
+         "required": action.required, "nargs": action.nargs, "help": action.help}
+        for action in parser._actions
+    ]
+    defaults = {key: getattr(value, "__name__", value) for key, value in parser._defaults.items()}
+    return {"actions": actions, "defaults": defaults}
+
+
+def parser_pin() -> dict:
+    """``build_parser()`` as data: the top level, then each subcommand by
+    name with its one-line help."""
+    parser = build_parser()
+    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in subs._choices_actions}
+    return {"qhofer": _parser_entry(parser),
+            **{name: {"help": helps[name], **_parser_entry(sub)}
+               for name, sub in subs.choices.items()}}
+
+
 # Runs that ``--check`` replays but the suite does not: the invert run alone
 # takes ~1.7 s of the manifest's ~3.2 s.
 CHECK_ONLY = ("invert",)
@@ -212,6 +248,10 @@ def test_records_are_written_whole(record):
     assert keys == [*before, *(_JSON_KEYS.get(f, f) for f in cls._fields), *after]
 
 
+def test_parser_matches_pin():
+    assert parser_pin() == json.loads(PARSER.read_text(encoding="utf-8"))
+
+
 def test_manifest_lists_every_heavy_run():
     assert [e["argv"] for e in heavy_manifest()["runs"]] == heavy_runs()
 
@@ -233,6 +273,10 @@ def check() -> int:
             print(f"golden mismatch: {golden_name(argv)}", file=sys.stderr)
             return 1
     print(f"{len(runs)} golden runs match")
+    if parser_pin() != json.loads(PARSER.read_text(encoding="utf-8")):
+        print("parser mismatch: build_parser() differs from its pin", file=sys.stderr)
+        return 1
+    print("the parser matches its pin")
     manifest = heavy_manifest()
     if [e["argv"] for e in manifest["runs"]] != heavy_runs():
         print("heavy mismatch: the manifest lists other runs", file=sys.stderr)
@@ -255,6 +299,7 @@ if __name__ == "__main__":
         sys.exit(check())
     for argv in golden_runs():
         (GOLDEN / golden_name(argv)).write_bytes(run_in_golden(argv).encode("utf-8"))
+    PARSER.write_text(json.dumps(parser_pin(), indent=1) + "\n", encoding="utf-8")
     # One run a line, so a changed identity diffs as the line of its argv.
     runs = ",\n".join(json.dumps(heavy_entry(argv)) for argv in heavy_runs())
     floats = json.dumps(float_entry())

@@ -41,11 +41,14 @@ def test_bools_are_not_rationals():
 
 
 BLOWUP = model_blowup_cp2("1/10")
+# Values that are no list or tuple, with their test ids.
+NOT_A_LIST = ["12", b"12", 12, Fraction(1, 2), {1, 2}, (c for c in (1, 2))]
+NOT_A_LIST_IDS = ["str", "bytes", "int", "Fraction", "set", "generator"]
+
 # Each place an exponent enters the package from outside, as a call on it.
 ENTRY_POINTS = {
     "QHElement": lambda B: QHElement([((2, B), 1)]),
     "basis_element": lambda B: BLOWUP.basis_element("F", B),
-    "valuation": lambda B: valuation(BLOWUP.unit(), B),
     "format_exponent": lambda B: format_exponent(B, GENS),
 }
 
@@ -69,15 +72,18 @@ class TestExponentEntryPoints:
         assert x.terms[2, (1, Fraction(1, 2))] == 3
         assert BLOWUP.basis_element("F", (1, 2)).terms[2, (1, 2)] == 1
 
-    @pytest.mark.parametrize(
-        "B", ["12", b"12", 12, Fraction(1, 2), {1, 2}, (c for c in (1, 2))],
-        ids=["str", "bytes", "int", "Fraction", "set", "generator"],
-    )
+    @pytest.mark.parametrize("B", NOT_A_LIST, ids=NOT_A_LIST_IDS)
     @pytest.mark.parametrize("enter", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
     def test_only_a_list_or_tuple_is_an_exponent(self, enter, B):
         """Text is not read one character at a time, nor a set in hash order."""
-        with pytest.raises(TypeError, match="an exponent is a list or tuple of rationals"):
+        with pytest.raises(TypeError, match="^an exponent is a list or tuple of rationals"):
             enter(B)
+
+    @pytest.mark.parametrize("omega", NOT_A_LIST, ids=NOT_A_LIST_IDS)
+    def test_valuation_refusal_names_omega(self, omega):
+        """The bad value is the list of areas, not an exponent."""
+        with pytest.raises(TypeError, match="^omega is a list or tuple of rationals, not "):
+            valuation(BLOWUP.unit(), omega)
 
 
 class TestFunctionals:

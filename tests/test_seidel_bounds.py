@@ -30,13 +30,14 @@ from qhofer import (
     quantum_product,
     r_tilde_certificate,
     radial_mean,
-    two_sided_bound,
     two_sided_bounds,
     valuation,
     valuation_walk,
 )
 from qhofer.cli import main
-from helpers import NINE_A2, count_rotation_builds, degree, tropical_valuations
+from helpers import (
+    NINE_A2, count_rotation_builds, degree, tropical_valuations, two_sided_bound,
+)
 
 
 class TestDelta:
@@ -198,8 +199,6 @@ class TestTwoSided:
                     assert bound >= of
 
     def test_k_validated(self):
-        with pytest.raises(ValueError):
-            two_sided_bound(0, Fraction(1, 2))
         with pytest.raises(ValueError):
             two_sided_bounds(0, Fraction(1, 2))
 
@@ -442,7 +441,6 @@ INTEGER_ENTRY_POINTS = {
     "power": lambda n: power(_MODEL, _Q, n),
     "model_cpn": lambda n: model_to_dict(model_cpn(n)),
     "psi": lambda n: psi(n, _A2),
-    "two_sided_bound": lambda n: two_sided_bound(n, _A2),
     "two_sided_bounds": lambda n: two_sided_bounds(n, _A2),
     "growth_table": lambda n: growth_table(n, _A2),
     "r_tilde_certificate": lambda n: r_tilde_certificate(_A2, n),
@@ -460,7 +458,7 @@ def test_integer_arguments_are_not_truncated(entry):
 
 
 @pytest.mark.parametrize(
-    "entry", [lengths_blowup_loop, psi, two_sided_bound, ell_plus_lower_bound],
+    "entry", [lengths_blowup_loop, psi, two_sided_bounds, ell_plus_lower_bound],
     ids=lambda f: f.__name__,
 )
 def test_loop_multiple_refuses_a_bool(entry):
