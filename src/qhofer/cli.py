@@ -245,11 +245,12 @@ def cmd_rtilde(args) -> int:
 
 
 def cmd_lengths(args) -> int:
-    from .seidel_bounds import ell_plus_lower_bound, lengths_blowup_loop, two_sided_bounds
+    from .seidel_bounds import ell_plus_lower_bound, lengths_blowup_loop
 
     lengths = lengths_blowup_loop(args.k, args.a2)
     total_over_pi = lengths.total / math.pi
-    bound = two_sided_bounds(args.k, args.a2)[-1].bound
+    plus, minus = (ell_plus_lower_bound(j, args.a2) for j in (args.k, -args.k))
+    bound = plus + minus  # v(Q^k) + v(Q^-k): the shifts +-k m(a^2) cancel
     reference = float(bound)
     text = (
         f"L+ = {lengths.l_plus:.12f}  ({lengths.l_plus / math.pi:.12f} x pi)\n"
@@ -270,14 +271,12 @@ def cmd_lengths(args) -> int:
         raise CheckError("one-sided lengths must be nonnegative")
     if abs(total_over_pi - reference) > 1e-12:
         raise CheckError(f"L/pi = {total_over_pi} differs from {reference} by over 1e-12")
-    # The lengths meet their lower bounds exactly: the sum always, each side
-    # away from 3a^2 = 1, where Psi is undefined.
+    # The lengths meet their lower bounds exactly: the sum and each side.
     if lengths.plus + lengths.minus != bound:
         raise CheckError(f"L/pi differs from v(Q^k) + v(Q^-k) = {bound}")
-    if 3 * args.a2 != 1:
-        for j, length in ((args.k, lengths.plus), (-args.k, lengths.minus)):
-            if length != ell_plus_lower_bound(j, args.a2):
-                raise CheckError(f"one-sided length {length} differs from v(Psi({j}))")
+    for j, length, side in ((args.k, lengths.plus, plus), (-args.k, lengths.minus, minus)):
+        if length != side:
+            raise CheckError(f"one-sided length {length} differs from v(Psi({j}))")
     return EXIT_OK
 
 

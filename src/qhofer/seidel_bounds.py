@@ -5,16 +5,16 @@ homology through an invertible element; writing Q = F (x) e^{E/2 + F/4}, the
 k-fold rotation acts by
 
     Psi(k) = Q^k (x) e^{k delta (F - 2E)},
-    delta  = (1 - a^2)^2 / (12 (1 + a^2)(1 - 3a^2)),
+    delta  = m(a^2) / (1 - 3a^2),   m(a^2) = (1 - a^2)^2 / (12 (1 + a^2)),
 
 with a^2 the area of the exceptional divisor (units of pi).  The valuation of
 Psi(k) is a lower bound for the positive Hofer length of every loop in its
 homotopy class, and the two-sided sum v(Q^k) + v(Q^{-k}) bounds the full
-length; the delta exponents cancel there, so the two-sided bound survives the
-pole at 3a^2 = 1.  The sweeps over k read v(Q^{+-k}) from one source per
-area, built once per process, which keeps the sign-checked max-plus systems
-of Q and Q^-1; their minimum certifies omega(F) = 1 - a^2 once the
-closed-form lengths of the explicit rotation Hamiltonian meet it.
+length.  As omega(F - 2E) = 1 - 3a^2, v(Psi(k)) = v(Q^k) + k m(a^2), even at
+the pole 3a^2 = 1 of delta and Psi.  The sweeps over k read v(Q^{+-k}) from
+one source per area, built once per process, which keeps the sign-checked
+max-plus systems of Q and Q^-1; their minimum certifies omega(F) = 1 - a^2
+once the closed-form lengths of the explicit rotation Hamiltonian meet it.
 """
 
 from __future__ import annotations
@@ -41,14 +41,19 @@ class MonotoneCaseError(CheckError):
     """Raised where the rotation constant delta has its pole, 3a^2 = 1."""
 
 
+def _area_shift(a2: Fraction) -> Fraction:
+    """m(a^2) = delta omega(F - 2E), the area of Psi(1)'s shift; it has no pole."""
+    return (1 - a2) ** 2 / (12 * (1 + a2))
+
+
 def delta_constant(a_squared: RationalLike) -> Fraction:
-    """The exponent-shift constant of the rotation element."""
+    """The exponent-shift constant of the rotation element, m(a^2) / (1 - 3a^2)."""
     a2 = _area_parameter(a_squared)
     if 3 * a2 == 1:
         raise MonotoneCaseError(
             "delta = (1-a^2)^2/(12(1+a^2)(1-3a^2)) is singular at 3a^2 = 1"
         )
-    return (1 - a2) ** 2 / (12 * (1 + a2) * (1 - 3 * a2))
+    return _area_shift(a2) / (1 - 3 * a2)
 
 
 def q_element(model: ManifoldModel) -> QHElement:
@@ -141,17 +146,14 @@ def psi(k: int, a_squared: RationalLike) -> SeidelElement:
 def ell_plus_lower_bound(k: int, a_squared: RationalLike) -> Fraction:
     """Certified lower bound for the positive length of the k-fold loop.
 
-    Returns v(Psi(k)) in units of pi; exact rational.  The shift e^{k delta
-    (F - 2E)} is a monomial, so v(Psi(k)) = v(Q^k) + k delta omega(F - 2E),
-    with omega(F - 2E) = 1 - 3a^2, read off the max-plus sequence of Q or
-    Q^-1; Psi(0) is the unit, of valuation 0.
+    Returns v(Psi(k)) = v(Q^k) + k m(a^2) in units of pi, exact, at every
+    area: the shift e^{k delta (F - 2E)} has area k m(a^2), and m has no pole.
+    v(Q^k) comes off the max-plus sequence of Q or Q^-1; Psi(0) is the unit.
     """
-    a2 = _frac(a_squared)
-    delta = delta_constant(a2)
-    k = integer(k)
+    a2, k = _area_parameter(a_squared), integer(k)
     if k == 0:
         return Fraction(0)
-    return _rotation(a2)[k < 0].valuations(abs(k))[-1] + k * delta * (1 - 3 * a2)
+    return _rotation(a2)[k < 0].valuations(abs(k))[-1] + k * _area_shift(a2)
 
 
 class BoundRow(NamedTuple):
@@ -161,8 +163,8 @@ class BoundRow(NamedTuple):
 
 def two_sided_bounds(k_max: int, a_squared: RationalLike) -> list:
     """[BoundRow(k, v(Q^k) + v(Q^{-k}))] for k = 1..k_max, sharing work across k:
-    lower bounds for the full length of the k-fold loop, defined at the monotone
-    value 3a^2 = 1 too, since the delta exponents cancel in the sum."""
+    lower bounds for the full length of the k-fold loop, the sum of its two
+    one-sided bounds, whose shifts +-k m(a^2) cancel."""
     pos, neg = _q_valuations(k_max, a_squared)
     return [BoundRow(k, p + n) for k, (p, n) in enumerate(zip(pos, neg), 1)]
 
@@ -210,8 +212,7 @@ def growth_table(k_max: int, a_squared: RationalLike) -> GrowthTable:
     a2, k_max = _frac(a_squared), len(pos)
 
     monotone = 3 * a2 == 1
-    # v(Psi(k)) = v(Q^k) + k delta (1 - 3a^2), and delta (1 - 3a^2) is the reference rate.
-    psi_rate_reference = (1 - a2) ** 2 / (12 * (1 + a2))
+    psi_rate_reference = _area_shift(a2)
     rows = tuple(
         GrowthRow(k, p, n, p + n, None if monotone else p / k + psi_rate_reference)
         for k, (p, n) in enumerate(zip(pos, neg), 1)

@@ -272,10 +272,12 @@ class TestLengthsAndGeocheck:
         assert code == 0, err
         assert counts == {"builds": 1, "inverses": 1, "signs": 2}
 
-    def test_lengths_side_mismatch_fails(self, capsys, monkeypatch):
-        # The sum is kept, so only the one-sided equalities can see it.
+    @pytest.mark.parametrize("a2", ["1/10", "1/3"])
+    def test_lengths_side_mismatch_fails(self, capsys, monkeypatch, a2):
+        # The sum is kept, so only the one-sided equalities can see it, at
+        # the monotone value too.
         shift_lengths(monkeypatch, -Fraction(1, 1000), Fraction(1, 1000))
-        code, out, err = run(capsys, "lengths", "--a2", "1/10")
+        code, out, err = run(capsys, "lengths", "--a2", a2)
         assert code == 2
         assert "x pi" in out
         assert "v(Psi(2))" in err

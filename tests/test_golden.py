@@ -8,8 +8,9 @@ entry the sha256 of the float side's values (``float_items``).  The
 argument parser is pinned as data in ``tests/golden/parser.json``: each
 action of the top level and of every subcommand, in order, and the
 defaults each subcommand sets.  Help text is not pinned: argparse wraps
-usage lines differently across the supported interpreters.  After a
-deliberate change of output, rewrite all three with
+usage lines differently across the supported interpreters.  Each demo's
+stdout is pinned whole in ``tests/golden/demo_<name>.txt``.  After a
+deliberate change of output, rewrite all four with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -31,6 +32,7 @@ import math
 import os
 import re
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -57,6 +59,8 @@ from helpers import Q_TEXT
 GOLDEN = Path(__file__).with_name("golden")
 HEAVY = GOLDEN / "heavy.json"
 PARSER = GOLDEN / "parser.json"
+ROOT = GOLDEN.parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def golden_runs() -> list:
@@ -99,6 +103,21 @@ def run_in_golden(argv) -> str:
 
 def golden_text(argv) -> str:
     return (GOLDEN / golden_name(argv)).read_bytes().decode("utf-8")
+
+
+def demo_golden(demo: Path) -> Path:
+    return GOLDEN / f"demo_{demo.stem}.txt"
+
+
+def run_demo(demo: Path) -> str:
+    """A demo's stdout, run as a script on the source tree; it must exit 0
+    and write nothing to stderr."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=env, timeout=60)
+    if (done.returncode, done.stderr) != (0, ""):
+        raise RuntimeError(f"{demo.name} exited {done.returncode}: {done.stderr}")
+    return done.stdout
 
 
 def _json_of(text: str) -> dict:
@@ -232,7 +251,8 @@ def pytest_generate_tests(metafunc):
 def test_names_are_distinct_and_every_file_is_a_run():
     names = [golden_name(argv) for argv in golden_runs()]
     assert len(set(names)) == len(names)
-    assert {p.name for p in GOLDEN.glob("*.txt")} == set(names)
+    demos = {demo_golden(demo).name for demo in DEMOS}
+    assert {p.name for p in GOLDEN.glob("*.txt")} == set(names) | demos
 
 
 def test_output_matches_golden(argv):
@@ -273,6 +293,11 @@ def check() -> int:
             print(f"golden mismatch: {golden_name(argv)}", file=sys.stderr)
             return 1
     print(f"{len(runs)} golden runs match")
+    for demo in DEMOS:
+        if run_demo(demo) != demo_golden(demo).read_text(encoding="utf-8"):
+            print(f"demo mismatch: {demo.name}", file=sys.stderr)
+            return 1
+    print(f"{len(DEMOS)} demos match")
     if parser_pin() != json.loads(PARSER.read_text(encoding="utf-8")):
         print("parser mismatch: build_parser() differs from its pin", file=sys.stderr)
         return 1
@@ -299,6 +324,8 @@ if __name__ == "__main__":
         sys.exit(check())
     for argv in golden_runs():
         (GOLDEN / golden_name(argv)).write_bytes(run_in_golden(argv).encode("utf-8"))
+    for demo in DEMOS:
+        demo_golden(demo).write_bytes(run_demo(demo).encode("utf-8"))
     PARSER.write_text(json.dumps(parser_pin(), indent=1) + "\n", encoding="utf-8")
     # One run a line, so a changed identity diffs as the line of its argv.
     runs = ",\n".join(json.dumps(heavy_entry(argv)) for argv in heavy_runs())

@@ -1,5 +1,5 @@
-"""Property tests of the element type, the term grammar, the product, invert
-and the max-plus valuations.
+"""Property tests of the element type, the term grammar, the product, invert,
+the max-plus valuations and the one-sided length bounds.
 
 Runs derandomized, so the suite stays deterministic; the seeded random suites
 in the other modules are kept alongside.
@@ -13,16 +13,19 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from qhofer import (  # noqa: E402
     NotInvertibleError,
     ParseError,
     QHElement,
+    ell_plus_lower_bound,
     invert,
     model_blowup_cp2,
     model_cpn,
+    psi,
     quantum_product,
+    two_sided_bounds,
     valuation,
     valuation_walk,
 )
@@ -189,6 +192,25 @@ class TestMaxPlus:
     def test_matches_the_exact_walk(self, case):
         model, x = case
         assert _MaxPlus(model, x).valuations(40) == valuation_walk(model, x, 40)
+
+
+# Areas p/q in (0, 1) with q <= 12; 1/3, where psi refuses, is among them.
+areas = st.integers(2, 12).flatmap(
+    lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q))
+)
+
+
+class TestOneSidedBounds:
+    @SETTINGS
+    @given(areas, st.integers(1, 30))
+    @example(Fraction(1, 3), 30)
+    def test_sides_add_up_to_the_two_sided_bound(self, a2, k):
+        plus, minus = ell_plus_lower_bound(k, a2), ell_plus_lower_bound(-k, a2)
+        assert plus + minus == two_sided_bounds(k, a2)[-1].bound
+        if 3 * a2 != 1:
+            omega = model_blowup_cp2(a2).omega
+            assert plus == valuation(psi(k, a2).value, omega)
+            assert minus == valuation(psi(-k, a2).value, omega)
 
 
 class TestFuzzedText:

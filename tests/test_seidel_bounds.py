@@ -141,10 +141,17 @@ class TestEllPlus:
         for j in range(-6, 7):
             assert ell_plus_lower_bound(j, a2) == valuation(psi(j, a2).value, m.omega)
 
-    def test_monotone_value_rejected(self):
-        for j in (-1, 0, 2):
-            with pytest.raises(MonotoneCaseError):
-                ell_plus_lower_bound(j, Fraction(1, 3))
+    def test_monotone_value_is_an_area_like_any_other(self):
+        # psi refuses 3a^2 = 1, but the shift's area m = (1 - a^2)^2 / (12 (1 + a^2))
+        # has no pole there: v(Psi(+-k)) = v(Q^+-k) +- k m.
+        a2, m = Fraction(1, 3), Fraction(1, 36)
+        model = model_blowup_cp2(a2)
+        q = q_element(model)
+        assert ell_plus_lower_bound(0, a2) == 0
+        for k in range(1, 13):
+            for j in (k, -k):
+                expected = valuation(power(model, q, j), model.omega) + j * m
+                assert ell_plus_lower_bound(j, a2) == expected
 
     def test_builds_one_model(self, monkeypatch):
         built = []
@@ -269,11 +276,12 @@ class TestRotationSource:
             sweep(2.5, "abc")
         assert counts == {"builds": 0, "inverses": 0, "signs": 0}
 
-    def test_monotone_error_comes_before_the_build(self, monkeypatch):
+    def test_one_sided_area_is_checked_before_the_build(self, monkeypatch):
         counts = count_rotation_builds(monkeypatch)
-        for k in (0, 2, -2):
-            with pytest.raises(MonotoneCaseError):
-                ell_plus_lower_bound(k, Fraction(1, 3))
+        for a2 in (0, 1, Fraction(3, 2)):
+            for k in (0, 2, -2):
+                with pytest.raises(ValueError, match="strictly between 0 and 1"):
+                    ell_plus_lower_bound(k, a2)
         assert counts == {"builds": 0, "inverses": 0, "signs": 0}
 
 
@@ -403,12 +411,11 @@ class TestLoopLengthsMeetBounds:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_each_side_equals_its_valuation(self, k):
-        for a2 in NINE_A2:
+        for a2 in NINE_A2 + [Fraction(1, 3)]:
             lengths = lengths_blowup_loop(k, a2)
             assert lengths.plus + lengths.minus == two_sided_bound(k, a2)
-            if 3 * a2 != 1:
-                assert lengths.plus == ell_plus_lower_bound(k, a2)
-                assert lengths.minus == ell_plus_lower_bound(-k, a2)
+            assert lengths.plus == ell_plus_lower_bound(k, a2)
+            assert lengths.minus == ell_plus_lower_bound(-k, a2)
 
     def test_closed_forms(self):
         a2 = Fraction(1, 2)

@@ -4,12 +4,12 @@ imports nothing outside the standard library, the float module and the
 command line's module level import no package module but ``novikov``, every
 exception class is a ``ParseError`` or a ``CheckError``, every other public
 class but the model and the element is a tuple, every method and every
-public name has a caller outside the tests, the README's library tour and
-every demo run, and a test past the suite's time limit fails alone."""
+public name has a caller outside the tests, the README's library tour
+runs, every demo prints its pinned output, and a test past the suite's time
+limit fails alone."""
 
 import ast
 import importlib
-import os
 import re
 import subprocess
 import sys
@@ -17,6 +17,8 @@ import types
 from pathlib import Path
 
 import pytest
+
+from test_golden import DEMOS, demo_golden, run_demo
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qhofer"
@@ -339,13 +341,9 @@ def test_readme_tour_runs():
         exec(block, namespace)
 
 
-@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.name)
 def test_demo_runs(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.strip()
+    assert run_demo(demo) == demo_golden(demo).read_text(encoding="utf-8")
 
 
 def test_a_test_past_the_time_limit_fails_and_the_run_goes_on(tmp_path):
